@@ -160,8 +160,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     setup = _load_setup(args)
-    stats = dynamics.run_ensemble(setup.dimensionless, setup.state, setup.sim,
-                                  eom_sign=args.eom_sign, n_threads=args.threads)
+    stats = dynamics.run_ensemble(setup.dimensionless, setup.state, setup.sim, eom_sign=args.eom_sign)
     csv_text = _csv(["tau", "mean_q", "mean_p", "var_q"],
                     [stats.tau, stats.mean_q, stats.mean_p, stats.var_q])
     summary = {
@@ -229,10 +228,13 @@ def _cmd_reconstruct(args) -> int:
             raise UsageError(f"ensemble csv not found: {args.ensemble_csv}")
         data = np.genfromtxt(args.ensemble_csv, delimiter=",", names=True)
         fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp)
+        # the Monte Carlo mean lies in the fit basis, so its residuals say
+        # nothing about the estimator spread, and the CSV carries no batches
+        fit = dataclasses.replace(fit, cov=np.full((2, 2), np.nan))
         result = reconstruct.recover_state(fit, dp, eom_sign=args.eom_sign)
     else:
         stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=args.eom_sign,
-                                      n_threads=args.threads, compute_psd=False)
+                                      compute_psd=False)
         result = reconstruct.reconstruct_from_stats(stats, dp)
     _emit(args, "reconstruct", setup.raw, None, result)
     return 0
@@ -257,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value run configuration file")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for ensembles (results are thread-count independent)")
+    common.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect (ensembles reduce from moments)")
     common.add_argument("--out", help="output path (written atomically)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--eom-sign", dest="eom_sign", choices=dynamics.EOM_CONVENTIONS,

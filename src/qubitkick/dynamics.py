@@ -31,7 +31,6 @@ For n non-interacting qubits the force scales by n and the noise by sqrt(n).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ EOM_CONVENTIONS = ("eq37", "eq35", "canonical")
 DEFAULT_EOM = "eq37"
 
 RESONANCE_EPS = 1e-6
-_CHUNK = 1024
 
 
 class ResonanceError(ValueError):
@@ -309,138 +307,114 @@ def _batch_edges(n_traj: int, n_batches: int) -> np.ndarray:
     return np.linspace(0, n_traj, n_batches + 1).astype(int)
 
 
+def _merge_moments(a, b):
+    """Pooled (count, mean, centred scatter) of two disjoint batches of draws.
+
+    Chan, Golub & LeVeque (1983): the scatters add plus a rank-one term in
+    the difference of the means, so no sum of squares is ever cancelled.
+    """
+    na, ma, sa = a
+    nb, mb, sb = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), sa + sb + np.outer(delta, delta) * (na * nb / n)
+
+
+def _pooled_moments(parts):
+    """Pairwise (tree-order) merge of per-batch moments."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _merge_moments(_pooled_moments(parts[:half]), _pooled_moments(parts[half:]))
+
+
 def run_ensemble(
     dp: DimensionlessParams,
     state: QubitState,
     config: SimConfig,
     eom_sign: str = DEFAULT_EOM,
     solver: str = "closed_form",
-    n_threads: int = 1,
     coarse_points: int = 16,
     n_batches: int = 20,
     compute_psd: bool = True,
     psd_segment: int | None = None,
     psd_overlap: float = 0.5,
 ) -> EnsembleStats:
-    """Monte Carlo over independent noise draws with deterministic reduction.
+    """Monte Carlo statistics over independent noise draws, from their moments.
 
-    Trajectory index i always uses the stream derived from (seed, i), chunks
-    have fixed boundaries, and partial sums are combined in chunk order, so
-    results are bit-identical for any thread count.
+    Under every convention and both solvers a trajectory is affine in its
+    draw: q_i = B0 + zeta_x_i Bx + zeta_y_i By, and likewise p.  Three basis
+    solves give B; each fixed index batch keeps only the count, mean and
+    centred 2x2 scatter of its draws, and batches are merged pairwise.  Every
+    statistic is then a contraction with B: mean = x_bar . B, variance and
+    covariances b^T Sigma b.  The mean Welch periodogram is a quadratic form
+    in M = mean(x x^T) with x = (1, zeta_x, zeta_y), so it is three
+    periodograms of the rows l_k^T B, where M = sum_k l_k l_k^T.  Memory is
+    O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i),
+    so a fixed seed always gives the same bits.
     """
     _check_eom(eom_sign)
     if solver not in ("closed_form", "rk4"):
         raise InvalidParameterError(f"unknown solver {solver!r}")
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
-    config.check_step(dp.r)
+    if solver == "rk4":
+        config.check_step(dp.r)
 
     tau = time_grid(dp.T, config.dt)
     N = tau.size
     n = config.n_traj
-    z0 = complex(config.q_init, config.p_init)
     coarse_idx = np.unique(np.linspace(0, N - 1, min(coarse_points, N)).astype(int))
     edges = _batch_edges(n, n_batches)
-    n_batches = len(edges) - 1
 
     if compute_psd:
         seg = psd_segment if psd_segment is not None else N
         if seg > N:
             raise InvalidParameterError("psd_segment exceeds the grid length")
 
-    # fixed chunk list: (batch id, start, stop)
-    chunks = []
-    for b in range(n_batches):
-        start = int(edges[b])
-        while start < edges[b + 1]:
-            stop = min(start + _CHUNK, int(edges[b + 1]))
-            chunks.append((b, start, stop))
-            start = stop
-
-    def work(chunk):
-        b, i0, i1 = chunk
-        zetas = sample_zetas(state, config.seed, range(i0, i1))
-        if solver == "closed_form":
-            Z = _closed_form_batch(dp, state, zetas, z0, tau, eom_sign)
-            Q, P = Z.real, Z.imag
-        else:
-            Q, P = _rk4_batch(dp, state, zetas, z0, tau, eom_sign)
-        if not np.all(np.isfinite(Q)):
-            bad = i0 + int(np.argwhere(~np.isfinite(Q))[0][0])
-            raise FloatingPointError(f"non-finite trajectory at index {bad}")
-        Qc = Q[:, coarse_idx]
-        out = {
-            "batch": b,
-            "count": i1 - i0,
-            "sum_q": Q.sum(axis=0),
-            "sum_p": P.sum(axis=0),
-            "sum_q2": (Q * Q).sum(axis=0),
-            "sum_qc": Qc.sum(axis=0),
-            "outer_qc": Qc.T @ Qc,
-        }
-        if compute_psd:
-            _, psd_rows = _signal.welch(
-                Q, fs=1.0 / config.dt, window="hann", nperseg=seg,
-                noverlap=int(psd_overlap * seg), detrend="constant", axis=-1,
-            )
-            out["psd_sum"] = psd_rows.sum(axis=0)
-        return out
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, chunks))
+    # rows: the trajectory at zeta = 0, then the responses to the unit draws
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    z0 = complex(config.q_init, config.p_init)
+    if solver == "closed_form":
+        Z = _closed_form_batch(dp, state, unit, z0, tau, eom_sign)
+        Q, P = Z.real, Z.imag
     else:
-        results = [work(c) for c in chunks]
+        Q, P = _rk4_batch(dp, state, unit, z0, tau, eom_sign)
+    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
+        raise FloatingPointError("non-finite basis trajectory")
+    Q[1:] -= Q[0]
+    P[1:] -= P[0]
 
-    # ordered reduction over the fixed chunk list
-    sum_q = np.zeros(N)
-    sum_p = np.zeros(N)
-    sum_q2 = np.zeros(N)
-    nc = coarse_idx.size
-    batch_counts = np.zeros(n_batches, dtype=int)
-    batch_sum_q = np.zeros((n_batches, N))
-    batch_sum_qc = np.zeros((n_batches, nc))
-    batch_outer_qc = np.zeros((n_batches, nc, nc))
-    psd_sum = None
-    for res in results:
-        sum_q += res["sum_q"]
-        sum_p += res["sum_p"]
-        sum_q2 += res["sum_q2"]
-        b = res["batch"]
-        batch_counts[b] += res["count"]
-        batch_sum_q[b] += res["sum_q"]
-        batch_sum_qc[b] += res["sum_qc"]
-        batch_outer_qc[b] += res["outer_qc"]
-        if compute_psd:
-            psd_sum = res["psd_sum"] if psd_sum is None else psd_sum + res["psd_sum"]
+    batches = []
+    for i0, i1 in zip(edges[:-1], edges[1:]):
+        zetas = sample_zetas(state, config.seed, range(int(i0), int(i1)))
+        mean = zetas.mean(axis=0)
+        dev = zetas - mean
+        batches.append((int(i1 - i0), mean, dev.T @ dev))
+    _, mu, scatter = _pooled_moments(batches)
+    sigma = scatter / (n - 1)
 
-    mean_q = sum_q / n
-    mean_p = sum_p / n
-    var_q = np.maximum(sum_q2 - n * mean_q**2, 0.0) / (n - 1)
-
-    total_sum_qc = batch_sum_qc.sum(axis=0)
-    total_outer = batch_outer_qc.sum(axis=0)
-    mean_qc = total_sum_qc / n
-    cov_qq = (total_outer - n * np.outer(mean_qc, mean_qc)) / (n - 1)
-
-    batch_mean_q = batch_sum_q / batch_counts[:, None]
-    batch_mean_qc = batch_sum_qc / batch_counts[:, None]
-    batch_cov = np.empty_like(batch_outer_qc)
-    for b in range(n_batches):
-        nb = batch_counts[b]
-        mb = batch_mean_qc[b]
-        batch_cov[b] = (batch_outer_qc[b] - nb * np.outer(mb, mb)) / max(nb - 1, 1)
+    x_bar = np.concatenate(([1.0], mu))
+    b = Q[1:]
+    bc = b[:, coarse_idx]
+    batch_counts = np.diff(edges)
+    batch_mean_q = Q[0] + np.array([m for _, m, _ in batches]) @ b
+    batch_cov = np.array([bc.T @ (s / max(c - 1, 1)) @ bc for c, _, s in batches])
 
     psd_freq = psd_vals = None
     if compute_psd:
-        f, _ = _signal.welch(np.zeros(N), fs=1.0 / config.dt, window="hann",
-                             nperseg=seg, noverlap=int(psd_overlap * seg))
-        psd_freq = 2.0 * math.pi * f
-        psd_vals = (psd_sum / n) / (2.0 * math.pi)
+        M = np.outer(x_bar, x_bar)
+        M[1:, 1:] += scatter / n
+        # M is singular where the draws are (p = 1/2), so clip rounding below zero
+        lam, V = np.linalg.eigh(M)
+        rows = (V * np.sqrt(np.clip(lam, 0.0, None))).T @ Q
+        psd_freq, psd_vals = welch_psd(rows, seg, psd_overlap, config.dt)
+        psd_vals = 3.0 * psd_vals  # welch_psd averages its rows; M is their sum
 
     return EnsembleStats(
-        tau=tau, mean_q=mean_q, mean_p=mean_p, var_q=var_q,
-        coarse_tau=tau[coarse_idx], cov_qq=cov_qq,
+        tau=tau, mean_q=x_bar @ Q, mean_p=x_bar @ P,
+        var_q=np.maximum(((sigma @ b) * b).sum(axis=0), 0.0),
+        coarse_tau=tau[coarse_idx], cov_qq=bc.T @ sigma @ bc,
         batch_counts=batch_counts, batch_mean_q=batch_mean_q, batch_cov_qq=batch_cov,
         psd_freq=psd_freq, psd=psd_vals,
         n_traj=n, seed=config.seed, eom_sign=eom_sign, solver=solver,

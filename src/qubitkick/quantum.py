@@ -17,12 +17,10 @@ import numpy as np
 
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from .dynamics import EOM_CONVENTIONS, time_grid, zero_noise_mean
+from .influence import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TAIL_TOL = 1e-8
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|, raises sigma_z
 SIGMA_MINUS = SIGMA_PLUS.T.conj()
 

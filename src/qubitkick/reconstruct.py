@@ -54,7 +54,8 @@ class ReconstructionResult:
 
     `p_branches` is the unordered pair {p, 1-p}; `phase_indeterminate` is set
     at the poles where eta_f = 0 carries no phase information; `unphysical`
-    flags eta_f estimates significantly above the 1/2 ceiling.
+    flags eta_f estimates significantly above the 1/2 ceiling, or above the
+    bare ceiling when the stderrs are NaN (no error estimate available).
     """
 
     eta_f_hat: float
@@ -145,11 +146,12 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams, eom_sign: str = "eq37",
         eta_var = float(scale**2 * max(fit.cov[0, 0], fit.cov[1, 1]))
         phi_var = float("inf")
         phase_indeterminate = True
-    eta_stderr = math.sqrt(max(eta_var, 0.0))
-    phi_stderr = math.sqrt(phi_var) if math.isfinite(phi_var) else float("inf")
+    # a NaN fit covariance (no error estimate) propagates as NaN stderrs
+    eta_stderr = math.nan if math.isnan(eta_var) else math.sqrt(max(eta_var, 0.0))
+    phi_stderr = math.sqrt(phi_var) if math.isfinite(phi_var) else phi_var
 
     disc = 1.0 - 4.0 * eta_f**2
-    unphysical = eta_f > 0.5 + 2.0 * eta_stderr
+    unphysical = eta_f > 0.5 + (0.0 if math.isnan(eta_stderr) else 2.0 * eta_stderr)
     root = math.sqrt(max(disc, 0.0))
     branches = ((1.0 - root) / 2.0, (1.0 + root) / 2.0)
 

@@ -169,6 +169,8 @@ class TestReconstruct:
         assert res.returncode == 0
         data = json.loads(out.read_text())["data"]
         assert abs(data["eta_f_hat"] - 0.5) < 0.05
+        # fit residuals of a Monte Carlo mean carry no error estimate
+        assert data["eta_f_stderr"] is None and data["phi_stderr"] is None
 
     def test_missing_csv_exits_2(self, config_file):
         res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", "nope.csv")

@@ -7,6 +7,7 @@ from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitStat
 from qubitkick.dynamics import (
     EOM_CONVENTIONS,
     ResonanceError,
+    _closed_form_batch,
     _rk4_batch,
     deterministic_force,
     integrate_rk4,
@@ -94,7 +95,6 @@ class TestClosedFormSolver:
         s = QubitState(0.3, 1.0)
         tau = time_grid(dp.T, 1e-3)
         zetas = sample_zetas(s, seed=42, indices=range(100))
-        from qubitkick.dynamics import _closed_form_batch
         for conv in EOM_CONVENTIONS:
             Z = _closed_form_batch(dp, s, zetas, 0j, tau, conv)
             Q, P = _rk4_batch(dp, s, zetas, 0j, tau, conv)
@@ -171,14 +171,58 @@ class TestRk4:
 
 
 class TestEnsemble:
-    def test_thread_count_invariance(self):
-        cfg = SimConfig(dt=0.02, n_traj=300, seed=11)
-        a = run_ensemble(DP, EQUATOR, cfg, n_threads=1)
-        b = run_ensemble(DP, EQUATOR, cfg, n_threads=4)
-        assert np.array_equal(a.mean_q, b.mean_q)
-        assert np.array_equal(a.var_q, b.var_q)
-        assert np.array_equal(a.cov_qq, b.cov_qq)
-        assert np.array_equal(a.psd, b.psd)
+    @pytest.mark.parametrize("solver", ("closed_form", "rk4"))
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    @pytest.mark.parametrize("state", (QubitState(0.3, 1.0), EQUATOR), ids=("p=0.3", "p=0.5"))
+    def test_matches_brute_force_ensemble(self, state, conv, solver):
+        # every statistic against explicit trajectories and two-pass estimators
+        dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
+        cfg = SimConfig(dt=0.02, n_traj=300, seed=11, q_init=0.2, p_init=-0.1)
+        stats = run_ensemble(dp, state, cfg, eom_sign=conv, solver=solver, n_batches=7, psd_segment=256)
+        zetas = sample_zetas(state, cfg.seed, range(cfg.n_traj))
+        z0 = complex(cfg.q_init, cfg.p_init)
+        if solver == "closed_form":
+            Z = _closed_form_batch(dp, state, zetas, z0, stats.tau, conv)
+            Q, P = Z.real, Z.imag
+        else:
+            Q, P = _rk4_batch(dp, state, zetas, z0, stats.tau, conv)
+        idx = np.searchsorted(stats.tau, stats.coarse_tau)
+        batches = np.split(np.arange(cfg.n_traj), np.cumsum(stats.batch_counts)[:-1])
+        _, psd = welch_psd(Q, 256, 0.5, cfg.dt)
+
+        def close(a, b):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        close(stats.mean_q, Q.mean(axis=0))
+        close(stats.mean_p, P.mean(axis=0))
+        close(stats.var_q, np.var(Q, axis=0, ddof=1))
+        close(stats.cov_qq, np.cov(Q[:, idx].T))
+        close(stats.batch_mean_q, np.array([Q[i].mean(axis=0) for i in batches]))
+        close(stats.batch_cov_qq, np.array([np.cov(Q[i][:, idx].T) for i in batches]))
+        close(stats.psd, psd)
+
+    def test_variance_free_of_cancellation(self):
+        # a large initial displacement dominates every trajectory; the
+        # variance must still match the two-pass estimate of the explicit rows
+        dp = DimensionlessParams(g=0.05, r=0.5, T=40.0)
+        s = QubitState(0.3, 1.0)
+        cfg = SimConfig(dt=0.02, n_traj=4000, seed=3, q_init=1e3)
+        stats = run_ensemble(dp, s, cfg, compute_psd=False)
+        zetas = sample_zetas(s, cfg.seed, range(cfg.n_traj))
+        Q = _closed_form_batch(dp, s, zetas, complex(cfg.q_init), stats.tau, "eq37").real
+        ref = np.var(Q, axis=0, ddof=1)[1:]
+        assert np.max(np.abs(stats.var_q[1:] - ref)) <= 1e-9 * np.max(ref)
+
+    def test_closed_form_ignores_rk4_step_budget(self):
+        # the exact solver has no step error; the coarse grid samples the same mean
+        cfg = SimConfig(dt=0.1, n_traj=200, seed=17)
+        coarse = run_ensemble(DP, QubitState(0.3, 1.0), cfg, compute_psd=False)
+        fine = run_ensemble(DP, QubitState(0.3, 1.0), SimConfig(dt=0.02, n_traj=200, seed=17),
+                            compute_psd=False)
+        assert np.allclose(coarse.tau, fine.tau[::5], rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(coarse.mean_q - fine.mean_q[::5])) <= 1e-12 * np.max(np.abs(fine.mean_q))
+        with pytest.raises(InvalidParameterError):
+            run_ensemble(DP, EQUATOR, cfg, solver="rk4")
 
     def test_variance_starts_at_zero(self):
         cfg = SimConfig(dt=0.02, n_traj=200, seed=12)
