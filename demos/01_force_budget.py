@@ -9,14 +9,14 @@ atto-newton range except the piezo device, whose much larger mass is offset
 by a strong coupling.
 """
 
-from qubitkick import PLATFORMS, derive_dimensionless, force_magnitudes, zero_point_position
+from qubitkick import PLATFORMS, derive_dimensionless, force_magnitudes
 
 for name, plat in PLATFORMS.items():
     pp = plat.params
     dp = derive_dimensionless(pp, T_si=1e-6)
     budget = force_magnitudes(pp, platform=name)
     print(f"== {name}")
-    print(f"   zero-point spread q0     : {zero_point_position(pp):.3e} m")
+    print(f"   zero-point spread q0     : {pp.q0:.3e} m")
     print(f"   reduced coupling g       : {dp.g:.3e}   frequency ratio r: {dp.r:.3e}")
     print(f"   characteristic force     : {budget.f0_char:.3e} N")
     if budget.degenerate:

@@ -19,7 +19,6 @@ from .core import (
     WeakCouplingWarning,
     derive_dimensionless,
     load_config,
-    zero_point_position,
 )
 from .dynamics import (
     DEFAULT_EOM,

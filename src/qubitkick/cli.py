@@ -227,11 +227,9 @@ def _cmd_reconstruct(args) -> int:
         if not os.path.exists(args.ensemble_csv):
             raise UsageError(f"ensemble csv not found: {args.ensemble_csv}")
         data = np.genfromtxt(args.ensemble_csv, delimiter=",", names=True)
-        fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp)
-        # the Monte Carlo mean lies in the fit basis, so its residuals say
-        # nothing about the estimator spread, and the CSV carries no batches
-        fit = dataclasses.replace(fit, cov=np.full((2, 2), np.nan))
-        result = reconstruct.recover_state(fit, dp, eom_sign=args.eom_sign)
+        # the CSV carries no batch means, so the stderrs come back NaN
+        fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp, args.eom_sign)
+        result = reconstruct.recover_state(fit, dp)
     else:
         stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=args.eom_sign,
                                       compute_psd=False)

@@ -172,11 +172,6 @@ def derive_dimensionless(pp: PhysicalParams, T_si: float, n_qubits: int = 1) -> 
     return DimensionlessParams(g=g, r=pp.omega_o / pp.omega_q, T=pp.omega_q * T_si, n_qubits=n_qubits)
 
 
-def zero_point_position(pp: PhysicalParams) -> float:
-    """Zero-point position spread in metres."""
-    return pp.q0
-
-
 # --- flat key=value run configuration ------------------------------------
 
 _CONFIG_KEYS = {

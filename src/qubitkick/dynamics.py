@@ -210,6 +210,27 @@ def zero_noise_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: s
     return z.real
 
 
+def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
+    """Zero-initial-condition q response to four unit inputs; shape (4, len(tau)).
+
+    Rows: the deterministic drive per unit n g eta_f at phi = 0 and at
+    phi = pi/2, then the unit draws zeta_x and zeta_y.  Under every
+    convention the mean is n g eta_f (cos(phi) row 0 + sin(phi) row 1) and
+    a draw adds zeta_x row 2 + zeta_y row 3, built from the same template
+    as every trajectory, so the reconstruction fits invert exactly the
+    dynamics that produced the data.
+    """
+    _check_eom(eom_sign)
+    if dp.g <= 0.0:
+        raise InvalidParameterError("no response to the qubit at g = 0")
+    tau = np.asarray(tau, dtype=float)
+    # eta_f = 1/2 at the equator; the pole state p = 0 carries no drive
+    drive = [_closed_form_batch(dp, QubitState(0.5, phi), np.zeros((1, 2)), 0j, tau, eom_sign)[0].real
+             for phi in (0.0, 0.5 * math.pi)]
+    noise = _closed_form_batch(dp, QubitState(0.0), np.eye(2), 0j, tau, eom_sign).real
+    return np.vstack([np.array(drive) / (0.5 * dp.g * dp.n_qubits), noise])
+
+
 def _rhs(dp, state, zetas, tau, q, p, eom_sign):
     """First-order right-hand side, vectorised over a batch axis."""
     g, r, n = dp.g, dp.r, dp.n_qubits
@@ -419,27 +440,3 @@ def run_ensemble(
         psd_freq=psd_freq, psd=psd_vals,
         n_traj=n, seed=config.seed, eom_sign=eom_sign, solver=solver,
     )
-
-
-def noise_response(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM):
-    """Propagated-noise model for the q covariance under a convention.
-
-    Returns (W, rho, eps, delta) such that
-
-        Cov(q(t), q(t')) = rho [ (1-k) Re(W W'*) + eps k Re(e^{i delta 2 phi} W W') ]
-
-    with k = 2p(1-p).  W is the complex response of q to the rotating noise
-    phasor; rho collects coupling and qubit-count factors.
-    """
-    _check_eom(eom_sign)
-    tau = np.asarray(tau, dtype=float)
-    g, r, n = dp.g, dp.r, dp.n_qubits
-    if eom_sign == "eq37":
-        W = (np.exp(1j * r * tau) * phase_integral(1.0 - r, tau)
-             - np.exp(-1j * r * tau) * phase_integral(1.0 + r, tau)) / (2j * r)
-        return W, g * g * n * (1.0 - r) ** 2, -1.0, +1.0
-    if eom_sign == "eq35":
-        W = np.exp(1j * r * tau) * phase_integral(1.0 - r, tau)
-        return W, g * g * n, -1.0, +1.0
-    W = np.exp(-1j * r * tau) * phase_integral(r - 1.0, tau)
-    return W, g * g * n, +1.0, -1.0

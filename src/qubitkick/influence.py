@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameterError, QubitState
+from .noise import quad_coeffs
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -129,11 +130,8 @@ def path_functionals(pair: PathPair) -> PathFunctionals:
 def influence_phases(f: PathFunctionals, state: QubitState, g: float, n_qubits: int = 1) -> InfluencePhases:
     """Evaluate the weak-coupling phases for n identical non-interacting qubits."""
     p, phi = state.p, state.phi
-    k = 2.0 * p * (1.0 - p)
-    a = 1.0 - k * (1.0 + math.cos(2.0 * phi))
-    b = 1.0 - k * (1.0 - math.cos(2.0 * phi))
-    c = -k * math.sin(2.0 * phi)
-    quad = a * f.W_x**2 + b * f.W_y**2 + 2.0 * c * f.W_x * f.W_y
+    qc = quad_coeffs(state)
+    quad = qc.a * f.W_x**2 + qc.b * f.W_y**2 + 2.0 * qc.c * f.W_x * f.W_y
     fluct = -0.5 * g * g * quad * n_qubits
     linear = 2.0 * g * state.eta_f * (f.W_x * math.cos(phi) + f.W_y * math.sin(phi)) * n_qubits
     dissip = g * g * (1.0 - 2.0 * p) * (f.W_z - f.W_x * f.W_y) * n_qubits

@@ -161,11 +161,6 @@ def auto_n_fock(dp: DimensionlessParams, state: QubitState, T: float,
                 raise
 
 
-def classical_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: str) -> np.ndarray:
-    """Zero-noise closed-form mean of q for any convention on the given grid."""
-    return zero_noise_mean(dp, state, tau, eom_sign)
-
-
 def compare_classical_quantum(
     dp: DimensionlessParams,
     state: QubitState,
@@ -199,7 +194,7 @@ def compare_classical_quantum(
         psi0 = ground_initial_state(state, n_fock)
         oracle = evolve_expectations(H, psi0, tau)
         for conv in conventions:
-            mean_cl = classical_mean(dp_g, state, tau, conv)
+            mean_cl = zero_noise_mean(dp_g, state, tau, conv)
             errors[conv].append(float(np.max(np.abs(oracle.mean_q - mean_cl))))
         if g == g_values[-1]:
             var_comparison = {

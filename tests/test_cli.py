@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -171,6 +172,26 @@ class TestReconstruct:
         assert abs(data["eta_f_hat"] - 0.5) < 0.05
         # fit residuals of a Monte Carlo mean carry no error estimate
         assert data["eta_f_stderr"] is None and data["phi_stderr"] is None
+
+    @pytest.mark.parametrize("conv", ("eq37", "eq35", "canonical"))
+    def test_csv_honours_eom_sign(self, config_file, tmp_path, conv):
+        stats = tmp_path / "stats.csv"
+        run_cli("ensemble", "--config", config_file, "--eom-sign", conv, "--out", str(stats))
+        data = {}
+        for name, extra in (("csv", ("--ensemble-csv", str(stats))), ("inline", ())):
+            out = tmp_path / f"{name}.json"
+            res = run_cli("reconstruct", "--config", config_file, "--eom-sign", conv, *extra,
+                          "--out", str(out), "--format", "json")
+            assert res.returncode == 0
+            data[name] = json.loads(out.read_text())["data"]
+        csv, inline = data["csv"], data["inline"]
+        assert csv["eom_sign"] == conv
+        # the CSV holds the same ensemble's mean, so both paths give the same fit
+        assert csv["eta_f_hat"] == pytest.approx(inline["eta_f_hat"], rel=1e-9)
+        # the in-memory batch stderr widens the bounds where 400 draws are
+        # too few for them (eq35: 0.14 in eta_f at p = 1/2)
+        assert abs(csv["eta_f_hat"] - 0.5) < 0.05 + 3.0 * inline["eta_f_stderr"]
+        assert abs(math.remainder(csv["phi_hat"], 2.0 * math.pi)) < 0.1 + 3.0 * inline["phi_stderr"]
 
     def test_missing_csv_exits_2(self, config_file):
         res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", "nope.csv")

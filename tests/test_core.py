@@ -17,7 +17,6 @@ from qubitkick.core import (
     load_config,
     parse_config_text,
     realize_config,
-    zero_point_position,
 )
 
 # Published trapped-ion row: m = 1.5e-26 kg, Omega/2pi = 5.0e2 kHz,
@@ -102,15 +101,15 @@ class TestDeriveDimensionless:
 class TestZeroPointPosition:
     def test_ion_row(self):
         expect = math.sqrt(HBAR / (2.0 * 1.5e-26 * TWO_PI * 1.1e7))
-        assert zero_point_position(ION) == pytest.approx(expect, rel=1e-14)
-        assert zero_point_position(ION) == pytest.approx(7.13e-9, rel=0.01)
+        assert ION.q0 == pytest.approx(expect, rel=1e-14)
+        assert ION.q0 == pytest.approx(7.13e-9, rel=0.01)
 
     def test_nanodiamond_row(self):
-        assert zero_point_position(NANODIAMOND) == pytest.approx(5.52e-13, rel=0.01)
+        assert NANODIAMOND.q0 == pytest.approx(5.52e-13, rel=0.01)
 
     def test_square_root_mass_scaling(self):
         heavy = PhysicalParams(mass=4.0 * ION.mass, omega_o=ION.omega_o, omega_q=ION.omega_q, Omega=ION.Omega)
-        assert zero_point_position(heavy) == pytest.approx(zero_point_position(ION) / 2.0, rel=1e-14)
+        assert heavy.q0 == pytest.approx(ION.q0 / 2.0, rel=1e-14)
 
 
 class TestDimensionlessParams:

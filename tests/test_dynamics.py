@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from qubitkick.dynamics import (
     deterministic_force,
     integrate_rk4,
     mean_closed_form,
-    noise_response,
+    response_basis,
     run_ensemble,
     solve_trajectory_closed_form,
     time_grid,
     welch_psd,
     zero_noise_mean,
 )
-from qubitkick.noise import ZERO_NOISE, NoiseRealization, sample_zetas
+from qubitkick.noise import ZERO_NOISE, NoiseRealization, quad_coeffs, sample_zetas
 
 DP = DimensionlessParams(g=0.05, r=0.5, T=30.0)
 EQUATOR = QubitState(0.5, 0.0)
@@ -321,19 +322,38 @@ class TestWelchPsd:
 
 class TestNoiseResponse:
     def test_covariance_model_matches_monte_carlo(self):
-        # the propagated-kernel model against a brute-force ensemble
+        # the derived noise rows, b^T Sigma b', against a Monte Carlo ensemble
         s = QubitState(0.3, 1.0)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=21)
         for conv in EOM_CONVENTIONS:
             stats = run_ensemble(dp, s, cfg, eom_sign=conv, compute_psd=False)
-            W, rho, eps, delta = noise_response(dp, stats.coarse_tau, conv)
-            k = 2.0 * s.p * (1.0 - s.p)
-            S = np.real(np.outer(W, W.conj()))
-            M = np.outer(W, W)
-            model = rho * ((1.0 - k) * S + eps * k * np.real(np.exp(1j * delta * 2.0 * s.phi) * M))
+            b = response_basis(dp, stats.coarse_tau, conv)[2:]
+            model = b.T @ quad_coeffs(s).matrix() @ b
             scale = np.max(np.abs(model)) + 1e-30
             assert np.max(np.abs(stats.cov_qq - model)) / scale < 0.05
+
+
+class TestResponseBasis:
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_rows_rebuild_every_trajectory(self, conv):
+        # mean = n g eta_f (cos phi, sin phi) . drive rows; a draw adds zeta . noise rows
+        dp = DimensionlessParams(g=0.05, r=0.7, T=30.0, n_qubits=2)
+        tau = time_grid(dp.T, 0.05)
+        basis = response_basis(dp, tau, conv)
+        zetas = np.array([[0.0, 0.0], [0.4, -1.3], [-0.9, 0.2]])
+        for state in (QubitState(0.3, 1.0), QubitState(0.8, 4.0), QubitState(0.0, 0.0)):
+            amp = dp.n_qubits * dp.g * state.eta_f
+            mean = amp * (math.cos(state.phi) * basis[0] + math.sin(state.phi) * basis[1])
+            exact = _closed_form_batch(dp, state, zetas, 0j, tau, conv).real
+            assert np.max(np.abs(exact - (mean + zetas @ basis[2:]))) <= 1e-14
+
+    def test_zero_coupling_refused_without_warning(self):
+        dp = DimensionlessParams(g=0.0, r=0.5, T=30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                response_basis(dp, time_grid(dp.T, 0.1))
 
 
 def test_time_grid_is_uniform_and_spans_horizon():

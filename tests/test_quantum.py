@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
+from qubitkick.dynamics import zero_noise_mean
 from qubitkick.quantum import (
     TruncationError,
     auto_n_fock,
     build_hamiltonian,
-    classical_mean,
     coherent_initial_state,
     compare_classical_quantum,
     evolve_expectations,
@@ -144,7 +144,7 @@ class TestOracleComparison:
         H = build_hamiltonian(dp, 16)
         out = evolve_expectations(H, ground_initial_state(EQUATOR, 16), tau)
         for conv in ("eq37", "eq35", "canonical"):
-            assert np.max(np.abs(out.mean_q - classical_mean(dp, EQUATOR, tau, conv))) <= 1e-12
+            assert np.max(np.abs(out.mean_q - zero_noise_mean(dp, EQUATOR, tau, conv))) <= 1e-12
 
     def test_equator_matches_canonical_to_second_order(self):
         tau = np.linspace(0, 20, 401)
@@ -154,7 +154,7 @@ class TestOracleComparison:
             n_fock = auto_n_fock(dp, EQUATOR, dp.T)
             H = build_hamiltonian(dp, n_fock)
             out = evolve_expectations(H, ground_initial_state(EQUATOR, n_fock), tau)
-            errs[g] = np.max(np.abs(out.mean_q - classical_mean(dp, EQUATOR, tau, "canonical")))
+            errs[g] = np.max(np.abs(out.mean_q - zero_noise_mean(dp, EQUATOR, tau, "canonical")))
         gs = np.array(sorted(errs))
         slope = np.polyfit(np.log(gs), np.log([errs[g] for g in gs]), 1)[0]
         assert slope >= 1.7

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from qubitkick.dynamics import mean_closed_form, run_ensemble, time_grid
+from qubitkick.dynamics import EOM_CONVENTIONS, mean_closed_form, run_ensemble, time_grid, zero_noise_mean
 from qubitkick.reconstruct import (
     DegenerateBasisError,
     MeanFit,
@@ -27,9 +27,9 @@ def synthetic_fit(dp=DP, state=TRUTH, dt=0.02):
 class TestFitMean:
     def test_recovers_generating_coefficients_exactly(self):
         fit = synthetic_fit()
-        amp = DP.g * TRUTH.eta_f / (1.0 + DP.r)
+        amp = DP.n_qubits * DP.g * TRUTH.eta_f
         assert fit.A_c == pytest.approx(amp * math.cos(TRUTH.phi), abs=1e-10)
-        assert fit.A_s == pytest.approx(-amp * math.sin(TRUTH.phi), abs=1e-10)
+        assert fit.A_s == pytest.approx(amp * math.sin(TRUTH.phi), abs=1e-10)
         assert fit.residual_norm <= 1e-10
 
     def test_zero_mean_gives_zero_coefficients(self):
@@ -90,8 +90,54 @@ class TestRecoverState:
         assert result.p_branches == (0.5, 0.5)
 
     def test_convention_stamp(self):
-        result = recover_state(synthetic_fit(), DP, eom_sign="eq37")
-        assert result.eom_sign == "eq37"
+        assert recover_state(synthetic_fit(), DP).eom_sign == "eq37"
+        tau = time_grid(DP.T, 0.02)
+        fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, "eq35"), DP, "eq35")
+        assert fit.eom_sign == "eq35"
+        assert recover_state(fit, DP).eom_sign == "eq35"
+
+    def test_missing_covariance_tested_against_bare_ceiling(self):
+        fit = MeanFit(A_c=0.0255, A_s=0.0, cov=np.full((2, 2), np.nan), residual_norm=0.0, condition=1.0)
+        result = recover_state(fit, DP)
+        assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
+        assert result.eta_f_hat == pytest.approx(0.51) and result.unphysical
+
+
+class TestAllConventions:
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_noiseless_roundtrip(self, conv):
+        tau = time_grid(DP.T, 0.02)
+        fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, conv), DP, conv)
+        result = recover_state(fit, DP)
+        assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
+        assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
+        assert result.eom_sign == conv
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_monte_carlo_roundtrip(self, conv):
+        cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
+        stats = run_ensemble(DP, TRUTH, cfg, eom_sign=conv, compute_psd=False)
+        result = reconstruct_from_stats(stats, DP)
+        assert abs(result.eta_f_hat - TRUTH.eta_f) <= 3.0 * result.eta_f_stderr + 0.01
+        assert abs(result.phi_hat - TRUTH.phi) <= 3.0 * result.phi_stderr + 0.02
+        assert result.eom_sign == conv
+
+    @pytest.mark.parametrize("conv", ("eq37", "eq35"))
+    def test_resonance_rejected_where_the_drive_collapses(self, conv):
+        # eq37: the drive vanishes at r = 1; eq35: its phi = 0 row does (rank 1)
+        dp = DimensionlessParams(g=0.05, r=1.0, T=40.0)
+        tau = time_grid(dp.T, 0.02)
+        with pytest.raises(DegenerateBasisError):
+            fit_mean(tau, np.zeros_like(tau), dp, conv)
+
+    def test_canonical_roundtrip_at_resonance(self):
+        dp = DimensionlessParams(g=0.05, r=1.0, T=40.0)
+        tau = time_grid(dp.T, 0.02)
+        fit = fit_mean(tau, zero_noise_mean(dp, TRUTH, tau, "canonical"), dp, "canonical")
+        assert fit.condition < 1.1
+        result = recover_state(fit, dp)
+        assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
+        assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
 
 
 class TestMonteCarloRoundtrip:
@@ -114,6 +160,14 @@ class TestMonteCarloRoundtrip:
         assert res[0.2].eta_f_hat == pytest.approx(res[0.8].eta_f_hat, abs=1e-10)
         assert res[0.2].phi_hat == pytest.approx(res[0.8].phi_hat, abs=1e-8)
         assert res[0.2].p_branches == pytest.approx(res[0.8].p_branches, abs=1e-8)
+
+    def test_few_batches_give_no_stderr(self):
+        # below four batches there is no spread to take the error bars from
+        cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
+        stats = run_ensemble(DP, TRUTH, cfg, n_batches=3, compute_psd=False)
+        result = reconstruct_from_stats(stats, DP)
+        assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
+        assert result.unphysical == (result.eta_f_hat > 0.5)
 
     def test_stderr_shrinks_as_root_n(self):
         sizes = (1_000, 10_000, 100_000)
