@@ -1,11 +1,12 @@
 """Which classical equations does the exact quantum dynamics endorse?
 
-The coupled system is small enough to solve exactly on a truncated number
-basis.  Comparing the exact <q(tau)> against the candidate classical means
-shows the 'canonical' convention (canonical free rotation, full first-order
-force amplitude 2 g eta_f) converging at second order in g, while both
-printed first-order conventions disagree already at first order.  This is
-the adjudication the trajectory module's `eom_sign` flag records.
+The coupling conserves the excitation count, so from the oscillator ground
+state the exact state lives on two number levels and is solved exactly by a
+dense eigendecomposition.  Comparing the exact <q(tau)> against the candidate
+classical means shows the 'canonical' convention (canonical free rotation,
+full first-order force amplitude 2 g eta_f) converging at second order in g,
+while both printed first-order conventions disagree already at first order.
+This is the adjudication the trajectory module's `eom_sign` flag records.
 """
 
 from qubitkick import DimensionlessParams, QubitState, SimConfig, compare_classical_quantum
@@ -13,7 +14,7 @@ from qubitkick import DimensionlessParams, QubitState, SimConfig, compare_classi
 dp = DimensionlessParams(g=0.04, r=0.5, T=20.0)
 state = QubitState(p=0.5, phi=0.0)
 
-report = compare_classical_quantum(dp, state, SimConfig(dt=0.02, n_fock=40),
+report = compare_classical_quantum(dp, state, SimConfig(dt=0.02),
                                     g_values=(0.04, 0.02, 0.01))
 
 print(f"couplings swept: {report['g_values']}")

@@ -220,13 +220,35 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _read_ensemble_csv(path: str, eom_sign: str) -> np.ndarray:
+    """Rows of an `ensemble` CSV, refused if its summary names another convention."""
+    if not os.path.exists(path):
+        raise UsageError(f"ensemble csv not found: {path}")
+    summary = path + ".summary.json"
+    if os.path.exists(summary):
+        try:
+            with open(summary, encoding="utf-8") as fh:
+                made_with = json.load(fh)["data"]["eom_sign"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"unreadable ensemble summary {summary}: {exc}") from exc
+        if made_with != eom_sign:
+            raise UsageError(f"{path} was made with --eom-sign {made_with}, but the fit "
+                             f"would use {eom_sign}; pass --eom-sign {made_with}")
+    try:
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"unreadable ensemble csv {path}: {exc}") from exc
+    for column in ("tau", "mean_q"):
+        if column not in (data.dtype.names or ()):
+            raise UsageError(f"ensemble csv {path} has no {column!r} column")
+    return data
+
+
 def _cmd_reconstruct(args) -> int:
     setup = _load_setup(args)
     dp = setup.dimensionless
     if args.ensemble_csv:
-        if not os.path.exists(args.ensemble_csv):
-            raise UsageError(f"ensemble csv not found: {args.ensemble_csv}")
-        data = np.genfromtxt(args.ensemble_csv, delimiter=",", names=True)
+        data = _read_ensemble_csv(args.ensemble_csv, args.eom_sign)
         # the CSV carries no batch means, so the stderrs come back NaN
         fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp, args.eom_sign)
         result = reconstruct.recover_state(fit, dp)
@@ -274,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("check", choices=("bch", "influence", "noise", "oracle"))
     sv.add_argument("--draws", type=int, default=100_000, help="sampler draws for the noise check")
     sr = sub.add_parser("reconstruct", parents=[common], help="infer the qubit state from an ensemble")
-    sr.add_argument("--ensemble-csv", dest="ensemble_csv", help="existing ensemble CSV (tau,mean_q,...)")
+    sr.add_argument("--ensemble-csv", dest="ensemble_csv",
+                    help="existing ensemble CSV (tau,mean_q,...); the eom_sign in its "
+                         ".summary.json, if present, must match --eom-sign")
     sb = sub.add_parser("bloch-map", parents=[common], help="state-dependence maps over the Bloch sphere")
     sb.add_argument("--resolution", type=int, default=64)
     return parser

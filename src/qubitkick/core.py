@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # J s, CODATA; fixed, not configurable
 TWO_PI = 2.0 * math.pi
@@ -131,9 +131,6 @@ class DimensionlessParams:
                 stacklevel=2,
             )
 
-    def with_g(self, g: float) -> "DimensionlessParams":
-        return replace(self, g=g)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -142,7 +139,7 @@ class SimConfig:
     dt: float = 0.01
     n_traj: int = 1000
     seed: int = 12345
-    n_fock: int = 40
+    n_fock: int = 40  # accepted and validated; has no effect (see quantum.ORACLE_N_FOCK)
     q_init: float = 0.0
     p_init: float = 0.0
 

@@ -1,11 +1,15 @@
-"""Exact truncated qubit-oscillator evolution: the independent oracle.
+"""Exact qubit-oscillator evolution: the independent oracle.
 
-Dense Hermitian eigendecomposition of the full coupled Hamiltonian on a
-truncated number basis gives machine-precision unitary evolution at every
-output time; dimensions stay small (a few hundred), so no step integrator
-is needed.  The oracle's job is to adjudicate the effective classical
-dynamics: `compare_classical_quantum` runs both pipelines and reports which
-equation-of-motion convention the exact dynamics favours.
+The coupling g (q sigma_x - p sigma_y) is an exchange interaction: it
+commutes with the excitation count N + sigma_z / 2 (Jaynes & Cummings,
+Proc. IEEE 51, 89, 1963).  From the oscillator ground state the exact state
+therefore never leaves number levels 0 and 1, and a truncation at
+`ORACLE_N_FOCK` = 3 (dimension 8) is exact, not an approximation.  Dense
+Hermitian eigendecomposition gives machine-precision unitary evolution at
+every output time, so no step integrator is needed.  The oracle's job is to
+adjudicate the effective classical dynamics: `compare_classical_quantum`
+runs both pipelines and reports which equation-of-motion convention the
+exact dynamics favours.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from .influence import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TAIL_TOL = 1e-8
 
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|, raises sigma_z
-SIGMA_MINUS = SIGMA_PLUS.T.conj()
+# The ground-state start reaches levels 0 and 1 only; 3 is the smallest
+# truncation whose tail check (the top two levels) sits above them, so the
+# check proves the confinement at every output time.
+ORACLE_N_FOCK = 3
 
 
 class TruncationError(RuntimeError):
@@ -41,28 +47,21 @@ def fock_operators(n_fock: int):
     return a, ad, q, p
 
 
-def build_hamiltonian(dp: DimensionlessParams, n_fock: int, form: str = "quadrature") -> np.ndarray:
+def build_hamiltonian(dp: DimensionlessParams, n_fock: int) -> np.ndarray:
     """Coupled Hamiltonian in units of the qubit quantum, qubit-major ordering.
 
-    H = r (N + 1/2) + sigma_z / 2 + coupling, with
-
-    * ``quadrature`` (default): g (q sigma_x - p sigma_y)
-    * ``ladder``: 2 sqrt(2) g (a sigma_+ + a^dag sigma_-) with the doubled
-      ladder convention sigma_+- = sigma_x +- i sigma_y folded in; exposed to
-      quantify the gap between the two printed couplings (a factor 2).
+    H = r (N + 1/2) + sigma_z / 2 + g (q sigma_x - p sigma_y).  The coupling
+    equals sqrt(2) g (a sigma_+ + a^dag sigma_-) with sigma_+- =
+    (sigma_x +- i sigma_y) / 2; the printed ladder form, which takes the
+    doubled convention sigma_+- = sigma_x +- i sigma_y, is twice as strong.
     """
-    a, ad, q, p = fock_operators(n_fock)
+    _, _, q, p = fock_operators(n_fock)
     dim_f = n_fock + 1
     I2 = np.eye(2, dtype=complex)
     If = np.eye(dim_f, dtype=complex)
     H = dp.r * np.kron(I2, np.diag(np.arange(dim_f) + 0.5).astype(complex))
     H += 0.5 * np.kron(SIGMA_Z, If)
-    if form == "quadrature":
-        H += dp.g * (np.kron(SIGMA_X, q) - np.kron(SIGMA_Y, p))
-    elif form == "ladder":
-        H += 2.0 * math.sqrt(2.0) * dp.g * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, ad))
-    else:
-        raise InvalidParameterError(f"unknown Hamiltonian form {form!r}")
+    H += dp.g * (np.kron(SIGMA_X, q) - np.kron(SIGMA_Y, p))
     return H
 
 
@@ -78,15 +77,6 @@ def ground_initial_state(state: QubitState, n_fock: int) -> np.ndarray:
     fock0 = np.zeros(n_fock + 1, dtype=complex)
     fock0[0] = 1.0
     return np.kron(np.array(state.amplitudes(), dtype=complex), fock0)
-
-
-def coherent_initial_state(alpha: complex, state: QubitState, n_fock: int) -> np.ndarray:
-    """Qubit state tensor a coherent state; exploratory, beyond the ground-state setup."""
-    n = np.arange(n_fock + 1)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_fock + 1)))])
-    amps = np.exp(-0.5 * abs(alpha) ** 2) * np.power(complex(alpha), n) / np.exp(0.5 * log_fact)
-    psi = np.kron(np.array(state.amplitudes(), dtype=complex), amps)
-    return psi / np.linalg.norm(psi)
 
 
 @dataclass(frozen=True)
@@ -144,23 +134,6 @@ def evolve_expectations(H: np.ndarray, psi0: np.ndarray, tau) -> OracleExpectati
     )
 
 
-def auto_n_fock(dp: DimensionlessParams, state: QubitState, T: float,
-                start: int = 40, n_check: int = 64, max_n: int = 1280) -> int:
-    """Double the truncation until the tail invariant passes on a dry run."""
-    n_fock = start
-    tau = np.linspace(0.0, T, n_check)
-    while True:
-        H = build_hamiltonian(dp, n_fock)
-        psi0 = ground_initial_state(state, n_fock)
-        try:
-            evolve_expectations(H, psi0, tau)
-            return n_fock
-        except TruncationError:
-            n_fock *= 2
-            if n_fock > max_n:
-                raise
-
-
 def compare_classical_quantum(
     dp: DimensionlessParams,
     state: QubitState,
@@ -175,7 +148,8 @@ def compare_classical_quantum(
     `preferred_sign_convention` is the one with the smallest discrepancy at
     the smallest coupling.  Also reports the oscillator variance both raw
     and with the vacuum half-quantum subtracted, since the effective noise
-    describes fluctuations beyond the vacuum.
+    describes fluctuations beyond the vacuum.  Only ``config.dt`` is read:
+    the evolution runs at `ORACLE_N_FOCK`, whatever ``config.n_fock`` says.
     """
     g_values = sorted(float(g) for g in g_values)
     if len(g_values) < 2:
@@ -189,9 +163,8 @@ def compare_classical_quantum(
     var_comparison = {}
     for g in g_values:
         dp_g = DimensionlessParams(g=g, r=dp.r, T=dp.T, n_qubits=dp.n_qubits)
-        n_fock = auto_n_fock(dp_g, state, dp.T, start=config.n_fock)
-        H = build_hamiltonian(dp_g, n_fock)
-        psi0 = ground_initial_state(state, n_fock)
+        H = build_hamiltonian(dp_g, ORACLE_N_FOCK)
+        psi0 = ground_initial_state(state, ORACLE_N_FOCK)
         oracle = evolve_expectations(H, psi0, tau)
         for conv in conventions:
             mean_cl = zero_noise_mean(dp_g, state, tau, conv)

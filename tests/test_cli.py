@@ -198,6 +198,37 @@ class TestReconstruct:
         assert res.returncode == 2
         assert "nope.csv" in res.stderr
 
+    def test_csv_convention_mismatch_exits_2(self, config_file, tmp_path):
+        stats = tmp_path / "stats.csv"
+        run_cli("ensemble", "--config", config_file, "--eom-sign", "canonical", "--out", str(stats))
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        assert res.returncode == 2
+        assert "canonical" in res.stderr and "eq37" in res.stderr
+        # without the summary there is nothing to check against
+        (tmp_path / "stats.csv.summary.json").unlink()
+        out = tmp_path / "rec.json"
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats),
+                      "--out", str(out), "--format", "json")
+        assert res.returncode == 0
+        assert json.loads(out.read_text())["data"]["eom_sign"] == "eq37"
+
+    @pytest.mark.parametrize("text, reason", (("time,q\n0,0\n1,1\n", "'tau'"),
+                                              ("tau,mean_q\n0,1\n1,2,3\n", "unreadable")))
+    def test_malformed_csv_exits_2(self, config_file, tmp_path, text, reason):
+        stats = tmp_path / "stats.csv"
+        stats.write_text(text)
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        assert res.returncode == 2
+        assert str(stats) in res.stderr and reason in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_single_row_csv_refused_cleanly(self, config_file, tmp_path):
+        stats = tmp_path / "stats.csv"
+        stats.write_text("tau,mean_q\n0,0\n")
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        assert res.returncode == 1
+        assert "grid must cover" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestBlochMap:
     def test_csv_output(self, tmp_path):

@@ -6,10 +6,9 @@ import pytest
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from qubitkick.dynamics import zero_noise_mean
 from qubitkick.quantum import (
+    ORACLE_N_FOCK,
     TruncationError,
-    auto_n_fock,
     build_hamiltonian,
-    coherent_initial_state,
     compare_classical_quantum,
     evolve_expectations,
     excitation_number,
@@ -54,16 +53,6 @@ class TestHamiltonian:
         assert split[0] == pytest.approx(math.sqrt(2.0) * g, rel=1e-10)
         assert split[1] == pytest.approx(math.sqrt(2.0) * g, rel=1e-10)
 
-    def test_ladder_form_is_twice_the_quadrature_coupling(self):
-        quad = build_hamiltonian(DP, n_fock=8, form="quadrature")
-        ladder = build_hamiltonian(DP, n_fock=8, form="ladder")
-        free = build_hamiltonian(DimensionlessParams(g=0.0, r=DP.r, T=1.0), n_fock=8)
-        assert np.allclose(ladder - free, 2.0 * (quad - free), atol=1e-14)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            build_hamiltonian(DP, n_fock=8, form="mystery")
-
 
 class TestEvolution:
     def test_decoupled_ground_state_moments(self):
@@ -75,15 +64,15 @@ class TestEvolution:
         assert np.allclose(out.var_q, 0.5, atol=1e-13)
 
     def test_norm_and_energy_conserved(self):
-        n_fock = auto_n_fock(DP, EQUATOR, DP.T)
-        H = build_hamiltonian(DP, n_fock)
-        out = evolve_expectations(H, ground_initial_state(EQUATOR, n_fock), np.linspace(0, DP.T, 201))
+        H = build_hamiltonian(DP, ORACLE_N_FOCK)
+        out = evolve_expectations(H, ground_initial_state(EQUATOR, ORACLE_N_FOCK),
+                                  np.linspace(0, DP.T, 201))
         assert out.norm_error <= 1e-10
         assert out.energy_drift <= 1e-10 * np.linalg.norm(H)
 
-    def test_excitation_number_conserved_ladder_form(self):
+    def test_excitation_number_conserved_along_evolution(self):
         n_fock = 24
-        H = build_hamiltonian(DP, n_fock, form="ladder")
+        H = build_hamiltonian(DP, n_fock)
         N_exc = excitation_number(n_fock)
         tau = np.linspace(0, DP.T, 101)
         energies, V = np.linalg.eigh(H)
@@ -93,23 +82,35 @@ class TestEvolution:
         assert np.max(np.abs(n_t - n_t[0])) <= 1e-10
 
     def test_excitation_number_conserved_quadrature_form_too(self):
-        # the quadrature coupling is the same exchange interaction at half
-        # strength, so it commutes with the excitation count as well; the
-        # convention gap between the two forms is the factor-2 coupling
+        # the quadrature coupling is an exchange interaction, so it commutes
+        # with the excitation count
         n_fock = 24
-        H = build_hamiltonian(DP, n_fock, form="quadrature")
+        H = build_hamiltonian(DP, n_fock)
         N_exc = excitation_number(n_fock)
         assert np.linalg.norm(H @ N_exc - N_exc @ H) <= 1e-12
 
-    def test_mean_amplitude_ratio_between_forms(self):
-        tau = np.linspace(0, 20, 401)
-        dp = DimensionlessParams(g=0.01, r=0.5, T=20.0)
-        outs = {}
-        for form in ("quadrature", "ladder"):
-            H = build_hamiltonian(dp, 40, form=form)
-            outs[form] = evolve_expectations(H, ground_initial_state(EQUATOR, 40), tau)
-        ratio = np.max(np.abs(outs["ladder"].mean_q)) / np.max(np.abs(outs["quadrature"].mean_q))
-        assert ratio == pytest.approx(2.0, rel=0.05)
+    @pytest.mark.parametrize("g", (0.04, 0.01))
+    @pytest.mark.parametrize("p", (0.0, 0.3, 0.5, 1.0))
+    @pytest.mark.parametrize("phi", (0.0, 1.0))
+    def test_oracle_truncation_matches_wide_basis(self, g, p, phi):
+        # excitation conservation confines the ground-state start to levels
+        # 0 and 1, so the oracle's truncation reproduces a 40-level run
+        dp = DimensionlessParams(g=g, r=0.5, T=40.0)
+        state = QubitState(p, phi)
+        tau = np.linspace(0, dp.T, 401)
+        small = evolve_expectations(build_hamiltonian(dp, ORACLE_N_FOCK),
+                                    ground_initial_state(state, ORACLE_N_FOCK), tau)
+        n_wide = 40
+        H = build_hamiltonian(dp, n_wide)
+        psi0 = ground_initial_state(state, n_wide)
+        wide = evolve_expectations(H, psi0, tau)
+        energies, V = np.linalg.eigh(H)
+        psi_t = (np.exp(-1j * np.outer(tau, energies)) * (V.conj().T @ psi0)) @ V.T
+        levels = np.arange(2 * (n_wide + 1)) % (n_wide + 1)
+        assert np.max(np.sum(np.abs(psi_t[:, levels > 1]) ** 2, axis=1)) <= 1e-28
+        assert np.max(np.abs(small.mean_q - wide.mean_q)) <= 1e-14
+        assert np.max(np.abs(small.mean_p - wide.mean_p)) <= 1e-14
+        assert np.max(np.abs(small.var_q - wide.var_q)) <= 1e-13
 
     def test_truncation_breach_raises_with_suggestion(self):
         dp = DimensionlessParams(g=0.05, r=0.05, T=60.0)
@@ -127,15 +128,6 @@ class TestEvolution:
             out = evolve_expectations(H, ground_initial_state(QubitState(0.0, 0.0), 40), tau)
             assert np.max(np.abs(out.mean_q)) <= 10.0 * g**2
 
-    def test_coherent_state_initializer(self):
-        alpha = 0.4 + 0.2j
-        psi = coherent_initial_state(alpha, EQUATOR, 30)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        _, _, q, _ = fock_operators(30)
-        Q = np.kron(np.eye(2), q)
-        mean_q0 = (psi.conj() @ Q @ psi).real
-        assert mean_q0 == pytest.approx(math.sqrt(2.0) * alpha.real, abs=1e-10)
-
 
 class TestOracleComparison:
     def test_decoupled_limit_zero_discrepancy(self):
@@ -151,9 +143,8 @@ class TestOracleComparison:
         errs = {}
         for g in (0.04, 0.02, 0.01):
             dp = DimensionlessParams(g=g, r=0.5, T=20.0)
-            n_fock = auto_n_fock(dp, EQUATOR, dp.T)
-            H = build_hamiltonian(dp, n_fock)
-            out = evolve_expectations(H, ground_initial_state(EQUATOR, n_fock), tau)
+            H = build_hamiltonian(dp, ORACLE_N_FOCK)
+            out = evolve_expectations(H, ground_initial_state(EQUATOR, ORACLE_N_FOCK), tau)
             errs[g] = np.max(np.abs(out.mean_q - zero_noise_mean(dp, EQUATOR, tau, "canonical")))
         gs = np.array(sorted(errs))
         slope = np.polyfit(np.log(gs), np.log([errs[g] for g in gs]), 1)[0]
@@ -185,14 +176,6 @@ class TestOracleComparison:
         dp = DimensionlessParams(g=0.02, r=0.5, T=20.0, n_qubits=2)
         with pytest.raises(InvalidParameterError):
             compare_classical_quantum(dp, EQUATOR, SimConfig(dt=0.02))
-
-
-def test_auto_n_fock_returns_adequate_truncation():
-    dp = DimensionlessParams(g=0.04, r=0.5, T=20.0)
-    n_fock = auto_n_fock(dp, EQUATOR, dp.T, start=4)
-    H = build_hamiltonian(dp, n_fock)
-    out = evolve_expectations(H, ground_initial_state(EQUATOR, n_fock), np.linspace(0, 20, 64))
-    assert out.max_tail <= 1e-8
 
 
 def test_fock_operator_commutator():
