@@ -62,8 +62,7 @@ from .noise import (
     kernel_matrix,
     kernel_rank_check,
     quad_coeffs,
-    sample_noise,
-    trajectory_rng,
+    sample_zetas,
 )
 from .quantum import (
     TruncationError,

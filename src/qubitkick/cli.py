@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core, dynamics, forces, influence, noise, quantum, reconstruct
 
-SCHEMA = "qubit-kick/1"
+SCHEMA = "qubit-kick/2"
 
 _DEFAULT_CONFIG = {
     "omega_o_hz": "0.5",
@@ -145,7 +145,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_simulate(args) -> int:
     setup = _load_setup(args)
-    draw = noise.sample_noise(setup.state, noise.trajectory_rng(setup.sim.seed, 0))
+    draw = noise.NoiseRealization(*noise.sample_zetas(setup.state, setup.sim.seed, range(1))[0])
     if args.solver == "rk4":
         traj = dynamics.integrate_rk4(setup.dimensionless, setup.state, draw, setup.sim,
                                       eom_sign=args.eom_sign, index=0)

@@ -2,8 +2,7 @@
 
 Everything downstream works in dimensionless quadratures: positions are
 measured in units of the zero-point spread q0 = sqrt(hbar/2 m omega_o) and
-time in units of 1/omega_q (rescaled time tau = omega_q * t).  The records
-here are immutable so they can be shared freely across worker threads.
+time in units of 1/omega_q (rescaled time tau = omega_q * t).
 """
 
 from __future__ import annotations

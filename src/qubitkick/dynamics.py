@@ -371,8 +371,9 @@ def run_ensemble(
     covariances b^T Sigma b.  The mean Welch periodogram is a quadratic form
     in M = mean(x x^T) with x = (1, zeta_x, zeta_y), so it is three
     periodograms of the rows l_k^T B, where M = sum_k l_k l_k^T.  Memory is
-    O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i),
-    so a fixed seed always gives the same bits.
+    O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i)
+    (see `sample_zetas`), so a fixed seed gives the same bits whatever the
+    batch edges.
     """
     _check_eom(eom_sign)
     if solver not in ("closed_form", "rk4"):

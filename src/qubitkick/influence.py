@@ -207,10 +207,6 @@ def qubit_propagator_exact(q, p, T: float, g: float, substeps: int) -> np.ndarra
     return U
 
 
-def _as_path_callable(tau: np.ndarray, arr: np.ndarray):
-    return lambda t: np.interp(t, tau, arr)
-
-
 def _check_g_values(g_values) -> np.ndarray:
     g = np.asarray(sorted(g_values, reverse=True), dtype=float)
     if g.size < 3:

@@ -103,24 +103,22 @@ class NoiseRealization:
 ZERO_NOISE = NoiseRealization(0.0, 0.0)
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trajectory, a pure function of (seed, index)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
+    """Draws (zeta_x, zeta_y) for indices = range(i0, i1), i0 >= 0; shape (i1 - i0, 2).
 
-
-def sample_noise(state: QubitState, rng: np.random.Generator) -> NoiseRealization:
-    """Draw (zeta_x, zeta_y) from the 2x2 Gaussian fixed by the qubit state."""
-    z = zeta_cholesky(state) @ rng.standard_normal(2)
-    return NoiseRealization(zeta_x=float(z[0]), zeta_y=float(z[1]))
-
-
-def sample_zetas(state: QubitState, seed: int, indices) -> np.ndarray:
-    """Vector of draws, one independent stream per trajectory index; shape (n, 2)."""
+    Draw i uses the stream derived from (seed, i): outputs 2i and 2i+1 of
+    PCG64(seed), a Box-Muller normal pair times `zeta_cholesky(state)`.  A
+    block is one `advance` plus one vector draw, so any contiguous split of
+    the indices gives the same bits.
+    """
+    if not isinstance(indices, range) or indices.step != 1 or indices.start < 0:
+        raise InvalidParameterError(f"indices must be range(i0, i1) with i0 >= 0, got {indices!r}")
+    u = np.random.Generator(np.random.PCG64(seed).advance(2 * indices.start)).random((len(indices), 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # finite: u < 1
+    angle = 2.0 * math.pi * u[:, 1]
     L = zeta_cholesky(state)
-    out = np.empty((len(indices), 2))
-    for row, idx in enumerate(indices):
-        out[row] = L @ trajectory_rng(seed, int(idx)).standard_normal(2)
-    return out
+    # elementwise, so a row's bits do not depend on the block it is drawn in
+    return (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
 
 
 def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:

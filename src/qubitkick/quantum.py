@@ -144,12 +144,14 @@ def compare_classical_quantum(
     """Oracle-vs-effective comparison across couplings and conventions.
 
     For each convention, reports the max |<q>_exact - mean_classical| at
-    every coupling and the log-log scaling exponent of that discrepancy;
-    `preferred_sign_convention` is the one with the smallest discrepancy at
-    the smallest coupling.  Also reports the oscillator variance both raw
-    and with the vacuum half-quantum subtracted, since the effective noise
-    describes fluctuations beyond the vacuum.  Only ``config.dt`` is read:
-    the evolution runs at `ORACLE_N_FOCK`, whatever ``config.n_fock`` says.
+    every coupling and the log-log scaling exponent of that discrepancy
+    (None if all are 0).  `preferred_sign_convention` is the one with the
+    smallest discrepancy at the smallest coupling, None on a tie; the
+    top-level `max_error` and `scaling_exponent` are its own.  Also reports
+    the oscillator variance both raw and with the vacuum half-quantum
+    subtracted, since the effective noise describes fluctuations beyond the
+    vacuum.  Only ``config.dt`` is read: the evolution runs at
+    `ORACLE_N_FOCK`, whatever ``config.n_fock`` says.
     """
     g_values = sorted(float(g) for g in g_values)
     if len(g_values) < 2:
@@ -180,21 +182,25 @@ def compare_classical_quantum(
     report = {"g_values": list(g_values), "conventions": {}}
     for conv in conventions:
         errs = np.asarray(errors[conv])
-        # discrepancies can vanish identically (pole states confine the
-        # dynamics to one excitation sector); floor them for the log fit
-        floored = np.maximum(errs, 1e-15)
-        report["conventions"][conv] = {
-            "max_error": errs.tolist(),
-            "scaling_exponent": float(np.polyfit(log_g, np.log(floored), 1)[0]),
-        }
-    smallest_g_errs = {conv: errors[conv][0] for conv in conventions}
-    preferred = min(smallest_g_errs, key=smallest_g_errs.get)
-    printed = {c: smallest_g_errs[c] for c in ("eq37", "eq35") if c in smallest_g_errs}
+        # pole states confine the dynamics to one excitation sector, so a
+        # discrepancy can vanish: all zero has no slope, lone zeros are floored
+        exponent = None
+        if errs.any():
+            exponent = float(np.polyfit(log_g, np.log(np.maximum(errs, 1e-15)), 1)[0])
+        report["conventions"][conv] = {"max_error": errs.tolist(), "scaling_exponent": exponent}
+
+    def verdict(names):  # strictly closest at the smallest coupling; None on a tie
+        first = [errors[c][0] for c in names]
+        best = min(first, default=None)
+        return names[first.index(best)] if first.count(best) == 1 else None
+
+    preferred = verdict(conventions)
+    chosen = report["conventions"].get(preferred, {})
     report.update({
         "preferred_sign_convention": preferred,
-        "preferred_among_printed_pair": min(printed, key=printed.get) if printed else None,
-        "max_error": report["conventions"][preferred]["max_error"],
-        "scaling_exponent": report["conventions"][preferred]["scaling_exponent"],
+        "preferred_among_printed_pair": verdict([c for c in ("eq37", "eq35") if c in errors]),
+        "max_error": chosen.get("max_error"),
+        "scaling_exponent": chosen.get("scaling_exponent"),
         "var_q_comparison": var_comparison,
     })
     return report

@@ -3,7 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from qubitkick import cli, core, dynamics, noise
 
 CMD = [sys.executable, "-m", "qubitkick"]
 
@@ -44,7 +47,7 @@ class TestTable1:
         res = run_cli("table1", "--out", str(out), "--format", "json")
         assert res.returncode == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "qubit-kick/1"
+        assert doc["schema"] == "qubit-kick/2"
         assert len(doc["data"]) == 9
 
 
@@ -66,6 +69,29 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
         res = run_cli("simulate", "--config", config_file, "--solver", "rk4", "--out", str(out))
         assert res.returncode == 0
+
+    def test_draw_is_ensemble_member_0(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "off-equator.cfg"
+        cfg.write_text(CONFIG.replace("p = 0.5", "p = 0.3"))
+        drawn = []
+
+        def recording_sampler(state, seed, indices):
+            zetas = noise.sample_zetas(state, seed, indices)
+            drawn.append((indices, zetas))
+            return zetas
+
+        monkeypatch.setattr(dynamics, "sample_zetas", recording_sampler)
+        assert cli.main(["ensemble", "--config", str(cfg), "--seed", "31",
+                         "--out", str(tmp_path / "ens.csv")]) == 0
+        indices, zetas = drawn[0]
+        assert indices.start == 0
+        out = tmp_path / "traj.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "31", "--out", str(out)).returncode == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        setup = core.load_config(str(cfg))
+        member0 = dynamics.solve_trajectory_closed_form(setup.dimensionless, setup.state,
+                                                        noise.NoiseRealization(*zetas[0]), setup.sim)
+        assert np.array_equal(rows[:, 1], member0.q) and np.array_equal(rows[:, 2], member0.p)
 
     def test_eom_sign_flag_changes_output(self, config_file, tmp_path):
         out_a = tmp_path / "a.csv"

@@ -12,9 +12,7 @@ from qubitkick.noise import (
     kernel_matrix,
     kernel_rank_check,
     quad_coeffs,
-    sample_noise,
     sample_zetas,
-    trajectory_rng,
     zeta_cholesky,
 )
 
@@ -140,11 +138,30 @@ class TestCholesky:
 
 class TestSampler:
     def test_streams_deterministic_and_independent(self):
-        a1 = trajectory_rng(99, 0).standard_normal(4)
-        a2 = trajectory_rng(99, 0).standard_normal(4)
-        b = trajectory_rng(99, 1).standard_normal(4)
-        assert np.array_equal(a1, a2)
+        state = QubitState(0.3, 1.0)
+        a1 = sample_zetas(state, 99, range(1000))
+        a2 = sample_zetas(state, 99, range(1000))
+        b = sample_zetas(state, 100, range(1000))
+        assert a1.tobytes() == a2.tobytes()
         assert not np.allclose(a1, b)
+        assert abs(np.corrcoef(a1[:, 0], b[:, 0])[0, 1]) < 5.0 / math.sqrt(a1.shape[0])
+
+    @pytest.mark.parametrize("n", [1, 8, 5000, 20_011])
+    def test_any_contiguous_split_gives_the_same_bits(self, n):
+        state = QubitState(0.4, 0.8)
+        whole = sample_zetas(state, 123, range(n))
+        cuts = sorted({c for c in (0, 1, 7, 4999, n) if c <= n})
+        blocks = [sample_zetas(state, 123, range(i0, i1)) for i0, i1 in zip(cuts[:-1], cuts[1:])]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        for i0, i1 in ((0, n), (n // 3, n), (n - 1, n), (n // 2, n // 2 + 1)):
+            assert sample_zetas(state, 123, range(i0, i1)).tobytes() == whole[i0:i1].tobytes()
+        assert sample_zetas(state, 123, range(n, n)).shape == (0, 2)
+
+    @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 5), range(5, 0, -1), [0, 1, 2],
+                                         np.arange(3), (0, 1)])
+    def test_stepped_negative_or_non_range_indices_refused(self, indices):
+        with pytest.raises(InvalidParameterError):
+            sample_zetas(QubitState(0.3, 1.0), 1, indices)
 
     def test_derivative_accessors_are_exact(self):
         real = NoiseRealization(0.7, -1.2)
@@ -249,8 +266,21 @@ class TestKernelRankCheck:
 
 
 def test_sampled_noise_matches_cholesky_transform():
-    state = QubitState(0.4, 0.8)
-    rng = trajectory_rng(123, 7)
-    draw = sample_noise(state, rng)
-    expected = zeta_cholesky(state) @ trajectory_rng(123, 7).standard_normal(2)
-    assert draw.zetas == pytest.approx(expected, abs=1e-15)
+    # the Cholesky factor of each state maps the same unit-normal draws
+    seed, idx = 123, range(7, 40)
+    normals = sample_zetas(QubitState(0.0, 0.0), seed, idx)  # L = identity at the pole
+    for state in (QubitState(0.4, 0.8), QubitState(0.5, 1.0), QubitState(1.0, 0.0)):
+        expected = normals @ zeta_cholesky(state).T
+        assert sample_zetas(state, seed, idx) == pytest.approx(expected, abs=1e-15)
+
+
+def test_box_muller_normals_are_standard():
+    # unit-normal pairs at the pole: moments and tails of N(0, I)
+    n = 200_000
+    z = sample_zetas(QubitState(0.0, 0.0), 11, range(n))
+    se = 1.0 / math.sqrt(n)
+    assert np.max(np.abs(z.mean(axis=0))) < 5 * se
+    assert np.max(np.abs(np.cov(z.T) - np.eye(2))) < 5 * math.sqrt(2) * se
+    # P(|z| > 2) = 0.0455 per coordinate
+    tail = np.mean(np.abs(z) > 2.0, axis=0)
+    assert np.max(np.abs(tail - 0.0455)) < 5 * math.sqrt(0.0455 * 0.9545 / n)

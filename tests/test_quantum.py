@@ -168,6 +168,17 @@ class TestOracleComparison:
         for conv in ("eq37", "eq35", "canonical"):
             assert max(report["conventions"][conv]["max_error"]) <= 1e-10
 
+    def test_pole_state_verdict_is_a_tie(self):
+        # every discrepancy is exactly 0: no convention is preferred, none has a slope
+        dp = DimensionlessParams(g=0.04, r=0.5, T=40.0)
+        report = compare_classical_quantum(dp, QubitState(0.0, 0.0), SimConfig(dt=0.02))
+        for conv in ("eq37", "eq35", "canonical"):
+            assert report["conventions"][conv]["max_error"] == [0.0, 0.0, 0.0]
+            assert report["conventions"][conv]["scaling_exponent"] is None
+        for key in ("preferred_sign_convention", "preferred_among_printed_pair", "max_error",
+                    "scaling_exponent"):
+            assert report[key] is None
+
     def test_rejects_strong_coupling(self):
         with pytest.raises(InvalidParameterError):
             compare_classical_quantum(DP, EQUATOR, SimConfig(dt=0.02), g_values=(0.2, 0.1))
