@@ -221,7 +221,8 @@ def _cmd_verify(args) -> int:
 
 
 def _read_ensemble_csv(path: str, eom_sign: str) -> np.ndarray:
-    """Rows of an `ensemble` CSV, refused if its summary names another convention."""
+    """Rows of an `ensemble` CSV, refused if its summary names another convention
+    or a `tau`/`mean_q` cell is not a finite number."""
     if not os.path.exists(path):
         raise UsageError(f"ensemble csv not found: {path}")
     summary = path + ".summary.json"
@@ -241,6 +242,11 @@ def _read_ensemble_csv(path: str, eom_sign: str) -> np.ndarray:
     for column in ("tau", "mean_q"):
         if column not in (data.dtype.names or ()):
             raise UsageError(f"ensemble csv {path} has no {column!r} column")
+        # genfromtxt reads an empty or unparseable cell as NaN
+        bad = np.flatnonzero(~np.isfinite(data[column]))
+        if bad.size:
+            raise UsageError(f"ensemble csv {path} has a non-finite {column!r} value "
+                             f"in data row {bad[0] + 1}")
     return data
 
 

@@ -31,11 +31,12 @@ For n non-interacting qubits the force scales by n and the noise by sqrt(n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
+from . import spectral as _signal  # kept under this name: bench/tracing.py wraps _signal.welch
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from .noise import NoiseRealization, sample_zetas
 
@@ -305,19 +306,15 @@ def welch_psd(trajectories, segment_length: int, overlap: float = 0.5, dt: float
     to 1/2 around its peak.  Rows of `trajectories` are averaged.
     """
     data = np.atleast_2d(np.asarray(trajectories, dtype=float))
+    if not isinstance(segment_length, numbers.Integral) or segment_length < 2:
+        raise InvalidParameterError(f"segment_length must be an integer >= 2 (got {segment_length!r})")
     if segment_length > data.shape[-1]:
         raise InvalidParameterError("segment_length exceeds the trajectory length")
     if not (0.0 <= overlap <= 0.9):
         raise InvalidParameterError("overlap must lie in [0, 0.9]")
-    freq, psd = _signal.welch(
-        data,
-        fs=1.0 / dt,
-        window="hann",
-        nperseg=segment_length,
-        noverlap=int(overlap * segment_length),
-        detrend="constant",
-        axis=-1,
-    )
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be finite and > 0 (got {dt!r})")
+    freq, psd = _signal.welch(data, 1.0 / dt, segment_length, int(overlap * segment_length))
     psd = psd.mean(axis=0)
     # cycles -> angular frequency, conserving integrated power
     return 2.0 * math.pi * freq, psd / (2.0 * math.pi)

@@ -198,7 +198,8 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     Returns the non-stationary amplitude (kernel units, estimating 2p(1-p)),
     its phase (estimating 2 phi), and the stationary amplitude (estimating
     eta_st^2 = 1 - 2p(1-p)).  Standard errors come from refits over the
-    per-batch covariances stored by the ensemble driver.
+    per-batch covariances that `run_ensemble` stores; below MIN_BATCHES
+    batches every stderr is NaN.
     """
     if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
         raise UndersampledError(
@@ -214,18 +215,21 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     alpha_hat, k_hat = float(alpha[0]), float(ks[0])
     two_phi_hat = wrap_angle(math.atan2(-v[0], -u[0])) if k_hat > 0.0 else 0.0
 
-    scale = 1.0 / math.sqrt(n_batches)
-    amplitude_stderr = float(np.std(ks[1:], ddof=1)) * scale
-    alpha_stderr = float(np.std(alpha[1:], ddof=1)) * scale
-    comp_stderr = np.std(np.stack([u[1:], v[1:]]), axis=1, ddof=1) * scale
-    # circular spread of the batch phases
-    phases = np.where(ks[1:] > 0.0, np.exp(1j * np.arctan2(-v[1:], -u[1:])), 1.0)
-    circ_var = max(1.0 - abs(phases.mean()), 0.0)
-    phase_stderr = float(math.sqrt(2.0 * circ_var)) * scale if k_hat > 0 else float("inf")
-
-    alpha_clipped = max(alpha_hat, 0.0)
-    eta_st_hat = math.sqrt(alpha_clipped)
-    eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
+    eta_st_hat = math.sqrt(max(alpha_hat, 0.0))
+    if n_batches >= MIN_BATCHES:
+        scale = 1.0 / math.sqrt(n_batches)
+        amplitude_stderr = float(np.std(ks[1:], ddof=1)) * scale
+        alpha_stderr = float(np.std(alpha[1:], ddof=1)) * scale
+        comp_stderr = np.std(np.stack([u[1:], v[1:]]), axis=1, ddof=1) * scale
+        # circular spread of the batch phases
+        phases = np.where(ks[1:] > 0.0, np.exp(1j * np.arctan2(-v[1:], -u[1:])), 1.0)
+        circ_var = max(1.0 - abs(phases.mean()), 0.0)
+        phase_stderr = float(math.sqrt(2.0 * circ_var)) * scale if k_hat > 0 else float("inf")
+        eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
+    else:
+        # too few batch refits for a spread, the same rule as `fit_mean`
+        amplitude_stderr = alpha_stderr = phase_stderr = eta_st_stderr = math.nan
+        comp_stderr = (math.nan, math.nan)
     return {
         "amplitude_hat": k_hat,
         "amplitude_stderr": amplitude_stderr,

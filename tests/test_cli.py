@@ -248,6 +248,20 @@ class TestReconstruct:
         assert str(stats) in res.stderr and reason in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("column", ("tau", "mean_q"))
+    def test_non_finite_cell_exits_2(self, config_file, tmp_path, column):
+        stats = tmp_path / "stats.csv"
+        run_cli("ensemble", "--config", config_file, "--out", str(stats))
+        lines = stats.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index(column)] = ""  # the cell of data row 4
+        lines[4] = ",".join(cells)
+        stats.write_text("\n".join(lines) + "\n")
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        assert res.returncode == 2
+        assert repr(column) in res.stderr and "row 4" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_single_row_csv_refused_cleanly(self, config_file, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text("tau,mean_q\n0,0\n")

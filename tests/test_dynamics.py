@@ -318,6 +318,14 @@ class TestWelchPsd:
             welch_psd(np.zeros(100), segment_length=200, dt=0.1)
         with pytest.raises(InvalidParameterError):
             welch_psd(np.zeros(100), segment_length=50, overlap=0.95, dt=0.1)
+        for dt in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                welch_psd(np.zeros(100), segment_length=50, dt=dt)
+        for segment_length in (0, 1, 2.5, 50.0):
+            with pytest.raises(InvalidParameterError):
+                welch_psd(np.zeros(100), segment_length=segment_length, dt=0.1)
+        freq, _ = welch_psd(np.zeros(100), segment_length=np.int64(50), dt=0.1)
+        assert freq.size == 26
 
 
 class TestNoiseResponse:

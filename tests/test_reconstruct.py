@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,24 @@ class TestNonstationaryEstimator:
         stats = run_ensemble(dp, state, cfg, compute_psd=False)
         ns = estimate_nonstationary(stats, dp)
         assert ns["eta_st_sq_hat"] == pytest.approx(state.eta_st**2, rel=0.05)
+
+    @pytest.mark.parametrize("n_batches", (1, 3))
+    def test_few_batches_give_nan_stderrs(self, n_batches):
+        # below four batches there is no spread to take the error bars from,
+        # while the point estimates come from the pooled covariance alone
+        cfg = SimConfig(dt=0.02, n_traj=10_000, seed=41)
+        dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
+        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg, compute_psd=False), dp)
+        stats = run_ensemble(dp, TRUTH, cfg, n_batches=n_batches, compute_psd=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ns = estimate_nonstationary(stats, dp)
+        for key in ("amplitude_stderr", "phase_stderr", "eta_st_sq_stderr", "eta_st_stderr"):
+            assert math.isnan(ns[key]), key
+        assert all(math.isnan(s) for s in ns["mode_component_stderr"])
+        for key in ("amplitude_hat", "phase_hat", "eta_st_sq_hat", "eta_st_hat"):
+            assert ns[key] == pytest.approx(ref[key], rel=1e-12), key
+        assert ns["mode_components"] == pytest.approx(ref["mode_components"], rel=1e-12)
 
     def test_undersampled_rejected(self):
         cfg = SimConfig(dt=0.02, n_traj=500, seed=40)
