@@ -6,9 +6,14 @@ of them exactly:
 
     dz/dtau = i w0 z + D_minus e^{-i tau} + D_plus e^{+i tau},  z = q + i p
 
-with per-trajectory constant coefficients.  The particular integral is
-written with a sinc so it stays accurate through the resonance |w0| = 1,
-where it degenerates smoothly into the secular tau * e^{i tau} growth.
+with per-trajectory constant coefficients, linear in four unit inputs:
+(A_c, A_s) = n g eta_f (cos(phi), sin(phi)) and the draws (zeta_x, zeta_y).
+So a convention is w0 plus one 4x2 map to (D_minus, D_plus), and a
+trajectory is its rotated initial condition plus its inputs times four
+response rows (`response_basis`).  The particular integral is written with
+a sinc so it stays accurate through the resonance |w0| = 1, where it
+degenerates smoothly into the secular tau * e^{i tau} growth.  `_rhs`, RK4
+and `mean_closed_form` stay independent of the map, as its cross-checks.
 
 Conventions (`eom_sign`):
 
@@ -44,6 +49,11 @@ EOM_CONVENTIONS = ("eq37", "eq35", "canonical")
 DEFAULT_EOM = "eq37"
 
 RESONANCE_EPS = 1e-6
+
+# points of the coarse sub-grid that keeps the two-time covariance
+_COARSE_POINTS = 16
+# fractional overlap of the Welch segments
+_PSD_OVERLAP = 0.5
 
 
 class ResonanceError(ValueError):
@@ -142,39 +152,38 @@ def phase_integral(theta, tau):
     return tau * np.exp(1j * x) * np.sinc(x / np.pi)
 
 
-def _drive_coefficients(dp: DimensionlessParams, state: QubitState, zeta_x, zeta_y, eom_sign: str):
-    """Template coefficients (w0, D_minus, D_plus); zetas may be arrays."""
-    g, r, n = dp.g, dp.r, dp.n_qubits
-    eta = n * state.eta_f
-    rt_n = math.sqrt(n)
-    zx = np.asarray(zeta_x, dtype=float) * rt_n
-    zy = np.asarray(zeta_y, dtype=float) * rt_n
-    eiphi = complex(math.cos(state.phi), math.sin(state.phi))
+def _input_map(dp: DimensionlessParams, eom_sign: str):
+    """Free frequency w0 and the 4x2 map K from the unit inputs to (D_minus, D_plus).
+
+    The inputs are A_c and A_s, with A = n g eta_f (cos(phi), sin(phi)), then
+    the draws zeta_x and zeta_y (the noise carries g sqrt(n)).
+    """
+    r = dp.r
+    gn = dp.g * math.sqrt(dp.n_qubits)
     if eom_sign == "eq37":
-        coef = 1j * g * (1.0 - r) / (2.0 * r)
-        d_plus = coef * (eta * eiphi + (zx + 1j * zy))
-        d_minus = coef * (eta / eiphi + (zx - 1j * zy))
-        return -r, d_minus, d_plus
+        c = 1j * (1.0 - r) / (2.0 * r)
+        drive = np.array([[c, c], [-1j * c, 1j * c]])
+        return -r, np.vstack([drive, gn * drive])
     if eom_sign == "eq35":
-        d_minus = -1j * g * eta / eiphi + np.zeros_like(zx, dtype=complex)
-        d_plus = g * (zx + 1j * zy)
-        return r, d_minus, d_plus
+        return r, np.array([[-1j, 0.0], [-1.0, 0.0], [0.0, gn], [0.0, 1j * gn]])
     if eom_sign == "canonical":
-        d_minus = -2j * g * eta / eiphi - g * (zy + 1j * zx)
-        d_plus = np.zeros_like(zx, dtype=complex)
-        return -r, d_minus, d_plus
+        return -r, np.array([[-2j, 0.0], [-2.0, 0.0], [-1j * gn, 0.0], [-gn, 0.0]])
     raise InvalidParameterError(f"unknown eom_sign {eom_sign!r}")
 
 
-def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_sign: str) -> np.ndarray:
-    """Exact trajectories for a batch of draws; returns complex (n, len(tau))."""
-    w0, d_minus, d_plus = _drive_coefficients(dp, state, zetas[:, 0], zetas[:, 1], eom_sign)
+def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
+    """Free rotation e^{i w0 tau} and the zero-IC responses z to the unit inputs, (4, len(tau))."""
+    w0, K = _input_map(dp, eom_sign)
     rot = np.exp(1j * w0 * tau)
-    phi_minus = phase_integral(-1.0 - w0, tau)
-    phi_plus = phase_integral(1.0 - w0, tau)
-    d_minus = np.atleast_1d(d_minus)[:, None]
-    d_plus = np.atleast_1d(d_plus)[:, None]
-    return rot * (z0 + d_minus * phi_minus + d_plus * phi_plus)
+    return rot, rot * (K @ np.stack([phase_integral(-1.0 - w0, tau), phase_integral(1.0 - w0, tau)]))
+
+
+def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_sign: str) -> np.ndarray:
+    """Exact trajectories rot z0 + u R, u = (A_c, A_s, zeta_x, zeta_y) per draw; complex (n, len(tau))."""
+    rot, R = _response_rows(dp, tau, eom_sign)
+    amp = dp.n_qubits * dp.g * state.eta_f
+    drive = np.broadcast_to([amp * math.cos(state.phi), amp * math.sin(state.phi)], (zetas.shape[0], 2))
+    return rot * z0 + np.hstack([drive, zetas]) @ R
 
 
 def solve_trajectory_closed_form(
@@ -214,22 +223,16 @@ def zero_noise_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: s
 def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
     """Zero-initial-condition q response to four unit inputs; shape (4, len(tau)).
 
-    Rows: the deterministic drive per unit n g eta_f at phi = 0 and at
-    phi = pi/2, then the unit draws zeta_x and zeta_y.  Under every
-    convention the mean is n g eta_f (cos(phi) row 0 + sin(phi) row 1) and
-    a draw adds zeta_x row 2 + zeta_y row 3, built from the same template
-    as every trajectory, so the reconstruction fits invert exactly the
-    dynamics that produced the data.
+    Rows: the unit inputs A_c and A_s of the deterministic drive, then the
+    unit draws zeta_x and zeta_y.  Under every convention the mean is
+    A_c row 0 + A_s row 1 and a draw adds zeta_x row 2 + zeta_y row 3.
+    They are the rows every closed-form trajectory is built from, so the
+    reconstruction fits invert exactly the dynamics that produced the data.
     """
     _check_eom(eom_sign)
     if dp.g <= 0.0:
         raise InvalidParameterError("no response to the qubit at g = 0")
-    tau = np.asarray(tau, dtype=float)
-    # eta_f = 1/2 at the equator; the pole state p = 0 carries no drive
-    drive = [_closed_form_batch(dp, QubitState(0.5, phi), np.zeros((1, 2)), 0j, tau, eom_sign)[0].real
-             for phi in (0.0, 0.5 * math.pi)]
-    noise = _closed_form_batch(dp, QubitState(0.0), np.eye(2), 0j, tau, eom_sign).real
-    return np.vstack([np.array(drive) / (0.5 * dp.g * dp.n_qubits), noise])
+    return _response_rows(dp, np.asarray(tau, dtype=float), eom_sign)[1].real
 
 
 def _rhs(dp, state, zetas, tau, q, p, eom_sign):
@@ -325,47 +328,25 @@ def _batch_edges(n_traj: int, n_batches: int) -> np.ndarray:
     return np.linspace(0, n_traj, n_batches + 1).astype(int)
 
 
-def _merge_moments(a, b):
-    """Pooled (count, mean, centred scatter) of two disjoint batches of draws.
-
-    Chan, Golub & LeVeque (1983): the scatters add plus a rank-one term in
-    the difference of the means, so no sum of squares is ever cancelled.
-    """
-    na, ma, sa = a
-    nb, mb, sb = b
-    n = na + nb
-    delta = mb - ma
-    return n, ma + delta * (nb / n), sa + sb + np.outer(delta, delta) * (na * nb / n)
-
-
-def _pooled_moments(parts):
-    """Pairwise (tree-order) merge of per-batch moments."""
-    if len(parts) == 1:
-        return parts[0]
-    half = len(parts) // 2
-    return _merge_moments(_pooled_moments(parts[:half]), _pooled_moments(parts[half:]))
-
-
 def run_ensemble(
     dp: DimensionlessParams,
     state: QubitState,
     config: SimConfig,
     eom_sign: str = DEFAULT_EOM,
     solver: str = "closed_form",
-    coarse_points: int = 16,
     n_batches: int = 20,
     compute_psd: bool = True,
     psd_segment: int | None = None,
-    psd_overlap: float = 0.5,
 ) -> EnsembleStats:
     """Monte Carlo statistics over independent noise draws, from their moments.
 
     Under every convention and both solvers a trajectory is affine in its
     draw: q_i = B0 + zeta_x_i Bx + zeta_y_i By, and likewise p.  Three basis
     solves give B; each fixed index batch keeps only the count, mean and
-    centred 2x2 scatter of its draws, and batches are merged pairwise.  Every
-    statistic is then a contraction with B: mean = x_bar . B, variance and
-    covariances b^T Sigma b.  The mean Welch periodogram is a quadratic form
+    centred 2x2 scatter of its draws, pooled as the within-batch scatters
+    plus the between-batch spread of the means.  Every statistic is then a
+    contraction with B: mean = x_bar . B, variance and covariances
+    b^T Sigma b.  The mean Welch periodogram is a quadratic form
     in M = mean(x x^T) with x = (1, zeta_x, zeta_y), so it is three
     periodograms of the rows l_k^T B, where M = sum_k l_k l_k^T.  Memory is
     O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i)
@@ -383,7 +364,7 @@ def run_ensemble(
     tau = time_grid(dp.T, config.dt)
     N = tau.size
     n = config.n_traj
-    coarse_idx = np.unique(np.linspace(0, N - 1, min(coarse_points, N)).astype(int))
+    coarse_idx = np.unique(np.linspace(0, N - 1, min(_COARSE_POINTS, N)).astype(int))
     edges = _batch_edges(n, n_batches)
 
     if compute_psd:
@@ -404,21 +385,25 @@ def run_ensemble(
     Q[1:] -= Q[0]
     P[1:] -= P[0]
 
-    batches = []
-    for i0, i1 in zip(edges[:-1], edges[1:]):
+    counts = np.diff(edges)
+    means = np.empty((counts.size, 2))
+    scatters = np.empty((counts.size, 2, 2))
+    for k, (i0, i1) in enumerate(zip(edges[:-1], edges[1:])):
         zetas = sample_zetas(state, config.seed, range(int(i0), int(i1)))
-        mean = zetas.mean(axis=0)
-        dev = zetas - mean
-        batches.append((int(i1 - i0), mean, dev.T @ dev))
-    _, mu, scatter = _pooled_moments(batches)
+        means[k] = zetas.mean(axis=0)
+        dev = zetas - means[k]
+        scatters[k] = dev.T @ dev
+    # within-batch scatter plus the between-batch term: no sum of squares is cancelled
+    mu = counts @ means / n
+    between = means - mu
+    scatter = scatters.sum(axis=0) + (counts[:, None] * between).T @ between
     sigma = scatter / (n - 1)
 
     x_bar = np.concatenate(([1.0], mu))
     b = Q[1:]
     bc = b[:, coarse_idx]
-    batch_counts = np.diff(edges)
-    batch_mean_q = Q[0] + np.array([m for _, m, _ in batches]) @ b
-    batch_cov = np.array([bc.T @ (s / max(c - 1, 1)) @ bc for c, _, s in batches])
+    batch_mean_q = Q[0] + means @ b
+    batch_cov = bc.T @ (scatters / np.maximum(counts - 1, 1)[:, None, None]) @ bc
 
     psd_freq = psd_vals = None
     if compute_psd:
@@ -427,14 +412,14 @@ def run_ensemble(
         # M is singular where the draws are (p = 1/2), so clip rounding below zero
         lam, V = np.linalg.eigh(M)
         rows = (V * np.sqrt(np.clip(lam, 0.0, None))).T @ Q
-        psd_freq, psd_vals = welch_psd(rows, seg, psd_overlap, config.dt)
+        psd_freq, psd_vals = welch_psd(rows, seg, _PSD_OVERLAP, config.dt)
         psd_vals = 3.0 * psd_vals  # welch_psd averages its rows; M is their sum
 
     return EnsembleStats(
         tau=tau, mean_q=x_bar @ Q, mean_p=x_bar @ P,
         var_q=np.maximum(((sigma @ b) * b).sum(axis=0), 0.0),
         coarse_tau=tau[coarse_idx], cov_qq=bc.T @ sigma @ bc,
-        batch_counts=batch_counts, batch_mean_q=batch_mean_q, batch_cov_qq=batch_cov,
+        batch_counts=counts, batch_mean_q=batch_mean_q, batch_cov_qq=batch_cov,
         psd_freq=psd_freq, psd=psd_vals,
         n_traj=n, seed=config.seed, eom_sign=eom_sign, solver=solver,
     )

@@ -229,12 +229,8 @@ def bch_product(f: PathFunctionals, g: float) -> np.ndarray:
     )
 
 
-def verify_bch(pair: PathPair, state: QubitState, g_values, substeps: int | None = None) -> dict:
-    """Frobenius error of the split product against U(X) U(X')^dag across g.
-
-    Returns {"g": [...], "error": [...], "slope": float}; the slope of the
-    log-log fit should approach 3 (third-order remainder).
-    """
+def _against_exact(pair: PathPair, g_values, substeps: int | None, error) -> dict:
+    """`error(g, f, exact)` at each checked g, with exact = U(X) U(X')^dag, and its log-log slope."""
     g_values = _check_g_values(g_values)
     if substeps is None:
         substeps = pair.tau.size - 1
@@ -244,13 +240,22 @@ def verify_bch(pair: PathPair, state: QubitState, g_values, substeps: int | None
     for g in g_values:
         U_f = qubit_propagator_exact(pair.q, pair.p, T, g, substeps)
         U_b = qubit_propagator_exact(pair.q_b, pair.p_b, T, g, substeps)
-        exact = U_f @ U_b.conj().T
-        errors.append(float(np.linalg.norm(exact - bch_product(f, g))))
+        errors.append(error(g, f, U_f @ U_b.conj().T))
     return {
         "g": g_values.tolist(),
         "error": errors,
         "slope": _loglog_slope(g_values, np.asarray(errors)),
     }
+
+
+def verify_bch(pair: PathPair, state: QubitState, g_values, substeps: int | None = None) -> dict:
+    """Frobenius error of the split product against U(X) U(X')^dag across g.
+
+    Returns {"g": [...], "error": [...], "slope": float}; the slope of the
+    log-log fit should approach 3 (third-order remainder).
+    """
+    return _against_exact(pair, g_values, substeps,
+                          lambda g, f, exact: float(np.linalg.norm(exact - bch_product(f, g))))
 
 
 def verify_influence_expansion(pair: PathPair, state: QubitState, g_values, substeps: int | None = None) -> dict:
@@ -259,22 +264,11 @@ def verify_influence_expansion(pair: PathPair, state: QubitState, g_values, subs
     The exact overlap is <psi| U(X) U(X')^dag |psi>, the same operator
     ordering the split product approximates; the remainder is O(g^3).
     """
-    g_values = _check_g_values(g_values)
-    if substeps is None:
-        substeps = pair.tau.size - 1
-    f = path_functionals(pair)
-    T = float(pair.tau[-1])
     psi = np.array(state.amplitudes(), dtype=complex)
-    errors = []
-    for g in g_values:
-        U_f = qubit_propagator_exact(pair.q, pair.p, T, g, substeps)
-        U_b = qubit_propagator_exact(pair.q_b, pair.p_b, T, g, substeps)
-        exact = complex(psi.conj() @ (U_f @ U_b.conj().T) @ psi)
+
+    def error(g, f, exact):
         ph = influence_phases(f, state, g)
         approx = np.exp(ph.fluctuation_exponent + 1j * (ph.force_phase + ph.dissipative_phase))
-        errors.append(abs(exact - approx))
-    return {
-        "g": g_values.tolist(),
-        "error": errors,
-        "slope": _loglog_slope(g_values, np.asarray(errors)),
-    }
+        return abs(complex(psi.conj() @ exact @ psi) - approx)
+
+    return _against_exact(pair, g_values, substeps, error)

@@ -1,13 +1,15 @@
 """Infer the qubit state from classical ensemble statistics.
 
-Both channels are fitted on `dynamics.response_basis`, the zero-initial-
-condition response of the convention in force, so every `eom_sign` is
-inverted with the equation of motion that produced the data.
+Both channels are fitted on `dynamics.response_basis`, the rows every
+closed-form trajectory is built from: the zero-initial-condition q response
+of the convention in force to the unit inputs (A_c, A_s, zeta_x, zeta_y).
+Each channel checks its pair of rows by one degeneracy rule, then solves
+the pooled and the per-batch statistics at once.
 
-The ensemble mean is n g eta_f (cos(phi) D_c + sin(phi) D_s) on the two
-drive rows, so ordinary least squares gives A_c = n g eta_f cos(phi) and
-A_s = n g eta_f sin(phi), and the superposition intensity eta_f and the
-phase phi follow by reparametrisation.  Only the unordered pair {p, 1-p} is
+The ensemble mean is A_c D_c + A_s D_s on the two drive rows, so ordinary
+least squares gives A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
+and the superposition intensity eta_f and the phase phi follow by
+reparametrisation.  Only the unordered pair {p, 1-p} is
 identifiable at first order: every first-order observable is symmetric
 under p <-> 1-p, and the second-order term that would break the tie is
 excluded from the dynamics.  Results therefore always carry both branches.
@@ -34,7 +36,7 @@ from .dynamics import DEFAULT_EOM, EnsembleStats, response_basis
 
 MIN_PERIODS = 2.0
 MAX_CONDITION = 1e8
-# rms of the weaker drive row (q per unit n g eta_f) below which it is lost
+# rms of the weaker of two response rows (q per unit input) below which it is lost
 MIN_BASIS_RMS = 1e-3
 # batch refits needed for a coefficient covariance
 MIN_BATCHES = 4
@@ -83,6 +85,33 @@ class ReconstructionResult:
     diagnostics: dict
 
 
+def _check_design(X: np.ndarray, what: str) -> float:
+    """Refuse response rows (the columns of X) that collapse or are ill-conditioned.
+
+    Returns the condition number.  The rms goes first: where the rows vanish
+    (eq37 at r = 1) the condition ratio would be 0/0.
+    """
+    singular = np.linalg.svd(X, compute_uv=False)
+    rms = singular[-1] / math.sqrt(X.shape[0])
+    if rms < MIN_BASIS_RMS:
+        raise DegenerateBasisError(f"{what} collapses (rms {rms:.2e})")
+    condition = float(singular[0] / singular[-1])
+    if condition > MAX_CONDITION:
+        raise DegenerateBasisError(f"{what} ill-conditioned (cond = {condition:.2e})")
+    return condition
+
+
+def _solve(X: np.ndarray, Y: np.ndarray):
+    """One least-squares solve of the pooled row Y[0] and the batch rows Y[1:].
+
+    Returns the pooled coefficients and the batch ones, a column per batch,
+    or None below MIN_BATCHES batches: too few refits for a spread, so the
+    caller's stderrs are NaN.
+    """
+    coeffs = np.linalg.lstsq(X, Y.T, rcond=None)[0]
+    return coeffs[:, 0], (coeffs[:, 1:] if coeffs.shape[1] - 1 >= MIN_BATCHES else None)
+
+
 def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) -> MeanFit:
     """Least squares of the ensemble mean onto the convention's two drive rows.
 
@@ -102,26 +131,14 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
             f"(need span {span_needed:.1f}, got {tau[-1] - tau[0]:.1f})"
         )
     X = response_basis(dp, tau, eom_sign)[:2].T
-    singular = np.linalg.svd(X, compute_uv=False)
-    # checked first: at eq37 resonance the basis is all zeros and the
-    # condition ratio would be 0/0
-    rms = singular[-1] / math.sqrt(tau.size)
-    if rms < MIN_BASIS_RMS:
-        raise DegenerateBasisError(f"drive response collapses under {eom_sign} (rms {rms:.2e})")
-    condition = float(singular[0] / singular[-1])
-    if condition > MAX_CONDITION:
-        raise DegenerateBasisError(f"normal equations ill-conditioned (cond = {condition:.2e})")
-    coeffs, _, _, _ = np.linalg.lstsq(X, Y.T, rcond=None)
-    n_batches = Y.shape[0] - 1
-    if n_batches >= MIN_BATCHES:
-        cov = np.cov(coeffs[:, 1:], ddof=1) / n_batches
-    else:
-        cov = np.full((2, 2), np.nan)
+    condition = _check_design(X, f"drive response under {eom_sign}")
+    coeffs, batches = _solve(X, Y)
+    cov = np.full((2, 2), np.nan) if batches is None else np.cov(batches, ddof=1) / batches.shape[1]
     return MeanFit(
-        A_c=float(coeffs[0, 0]),
-        A_s=float(coeffs[1, 0]),
+        A_c=float(coeffs[0]),
+        A_s=float(coeffs[1]),
         cov=cov,
-        residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs[:, 0])),
+        residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs)),
         condition=condition,
         eom_sign=eom_sign,
     )
@@ -185,49 +202,49 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
     )
 
 
-def _covariance_basis(dp: DimensionlessParams, tau_c: np.ndarray, eom_sign: str) -> np.ndarray:
-    """Design matrix of the kernels (S, C, D) on the coarse grid, one column each."""
-    bx, by = response_basis(dp, tau_c, eom_sign)[2:]
-    xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
-    return np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
-
-
 def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dict:
     """Fit the tau+tau' covariance mode of the q residuals.
 
     Returns the non-stationary amplitude (kernel units, estimating 2p(1-p)),
     its phase (estimating 2 phi), and the stationary amplitude (estimating
-    eta_st^2 = 1 - 2p(1-p)).  Standard errors come from refits over the
-    per-batch covariances that `run_ensemble` stores; below MIN_BATCHES
-    batches every stderr is NaN.
+    eta_st^2 = 1 - 2p(1-p)).  The noise rows are checked per unit g sqrt(n)
+    zeta, so the rule of `fit_mean` holds whatever g; under eq37 they equal
+    the drive rows.  Standard errors come from refits over the per-batch
+    covariances that `run_ensemble` stores; below MIN_BATCHES batches every
+    stderr is NaN.
     """
     if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
         raise UndersampledError(
             f"covariance-mode fit needs n_traj >= {MIN_TRAJ_NONSTATIONARY} "
             f"(got {stats.n_traj}); amplitude errors scale as 1/sqrt(n)"
         )
-    X = _covariance_basis(dp, stats.coarse_tau, stats.eom_sign)
+    bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
+    _check_design(np.stack([bx, by], axis=1) / (dp.g * math.sqrt(dp.n_qubits)),
+                  f"noise response under {stats.eom_sign}")
+    # design of the kernels (S, C, D) on the coarse grid, one column each
+    xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
+    X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
     n_batches = stats.batch_cov_qq.shape[0]
-    # one solve: the pooled covariance first, then every batch covariance
     Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
-    alpha, u, v = np.linalg.lstsq(X, Y.T, rcond=None)[0]
-    ks = np.hypot(u, v)
-    alpha_hat, k_hat = float(alpha[0]), float(ks[0])
-    two_phi_hat = wrap_angle(math.atan2(-v[0], -u[0])) if k_hat > 0.0 else 0.0
+    (alpha_hat, u, v), batches = _solve(X, Y)
+    alpha_hat = float(alpha_hat)
+    k_hat = float(np.hypot(u, v))
+    two_phi_hat = wrap_angle(math.atan2(-v, -u)) if k_hat > 0.0 else 0.0
 
     eta_st_hat = math.sqrt(max(alpha_hat, 0.0))
-    if n_batches >= MIN_BATCHES:
+    if batches is not None:
+        alphas, us, vs = batches
+        ks = np.hypot(us, vs)
         scale = 1.0 / math.sqrt(n_batches)
-        amplitude_stderr = float(np.std(ks[1:], ddof=1)) * scale
-        alpha_stderr = float(np.std(alpha[1:], ddof=1)) * scale
-        comp_stderr = np.std(np.stack([u[1:], v[1:]]), axis=1, ddof=1) * scale
+        amplitude_stderr = float(np.std(ks, ddof=1)) * scale
+        alpha_stderr = float(np.std(alphas, ddof=1)) * scale
+        comp_stderr = np.std(np.stack([us, vs]), axis=1, ddof=1) * scale
         # circular spread of the batch phases
-        phases = np.where(ks[1:] > 0.0, np.exp(1j * np.arctan2(-v[1:], -u[1:])), 1.0)
+        phases = np.where(ks > 0.0, np.exp(1j * np.arctan2(-vs, -us)), 1.0)
         circ_var = max(1.0 - abs(phases.mean()), 0.0)
         phase_stderr = float(math.sqrt(2.0 * circ_var)) * scale if k_hat > 0 else float("inf")
         eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
     else:
-        # too few batch refits for a spread, the same rule as `fit_mean`
         amplitude_stderr = alpha_stderr = phase_stderr = eta_st_stderr = math.nan
         comp_stderr = (math.nan, math.nan)
     return {
@@ -237,7 +254,7 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
         "phase_stderr": phase_stderr,
         # raw mode components: the folded amplitude is biased near zero, so
         # consistency-with-zero checks should use these instead
-        "mode_components": (float(u[0]), float(v[0])),
+        "mode_components": (float(u), float(v)),
         "mode_component_stderr": (float(comp_stderr[0]), float(comp_stderr[1])),
         "eta_st_sq_hat": alpha_hat,
         "eta_st_sq_stderr": alpha_stderr,

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from qubitkick import dynamics
+from qubitkick import cli, dynamics
 from qubitkick.core import DimensionlessParams, QubitState, SimConfig
+from qubitkick.reconstruct import reconstruct_from_stats
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -56,3 +57,33 @@ def test_sampler_counter_accepts_run_ensemble_calls(tracing, monkeypatch):
                           n_batches=4, compute_psd=False)
     assert len(calls) == 4
     assert sum(c["draws"] for c in calls) == config.n_traj
+
+
+def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
+    # the counters read the draws from args[2] and the grid from args[4]
+    counted = []
+    for attr, counter in (("_closed_form_batch", tracing._count_closed_form),
+                          ("_rk4_batch", tracing._count_rk4)):
+        def recording(*args, _solve=getattr(dynamics, attr), _counter=counter, _attr=attr, **kwargs):
+            result = _solve(*args, **kwargs)
+            counted.append((_attr, _counter(args, kwargs, result, None), result))
+            return result
+
+        monkeypatch.setattr(dynamics, attr, recording)
+    dp = DimensionlessParams(g=0.05, r=0.5, T=30.0)
+    config = SimConfig(dt=0.05, n_traj=10_000)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = 0.05\np = 0.3\nphi = 1.0\n"
+                   "T = 3.0\ndt = 0.01\n")
+    for solver in ("closed_form", "rk4"):
+        stats = dynamics.run_ensemble(dp, QubitState(0.3, 1.0), config, solver=solver, compute_psd=False)
+        reconstruct_from_stats(stats, dp)
+        assert cli.main(["simulate", "--config", str(cfg), "--solver", solver,
+                         "--out", str(tmp_path / f"{solver}.csv")]) == 0
+    assert {attr for attr, _, _ in counted} == {"_closed_form_batch", "_rk4_batch"}
+    for attr, counts, result in counted:
+        if attr == "_closed_form_batch":
+            assert counts["points"] == result.shape[0] * result.shape[1]
+        else:
+            rows, grid = result[0].shape
+            assert counts["steps"] == rows * (grid - 1)
