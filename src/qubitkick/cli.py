@@ -58,10 +58,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    # "%.17g" formats a float as _fmt does, nan, inf and -0 included
+    row_format = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([",".join(header), *(row_format % row for row in rows)]) + "\n"
 
 
 def _jsonable(obj):
@@ -152,9 +152,11 @@ def _cmd_simulate(args) -> int:
     else:
         traj = dynamics.solve_trajectory_closed_form(setup.dimensionless, setup.state, draw,
                                                      setup.sim, eom_sign=args.eom_sign, index=0)
-    csv_text = _csv(["tau", "q", "p"], [traj.tau, traj.q, traj.p])
-    _emit(args, "simulate", setup.raw, csv_text,
-          {"rows": [dict(tau=t, q=q, p=p) for t, q, p in zip(traj.tau, traj.q, traj.p)]})
+    if args.format == "json":
+        rows = zip(traj.tau.tolist(), traj.q.tolist(), traj.p.tolist())
+        _emit(args, "simulate", setup.raw, None, {"rows": [dict(tau=t, q=q, p=p) for t, q, p in rows]})
+    else:
+        _emit(args, "simulate", setup.raw, _csv(["tau", "q", "p"], [traj.tau, traj.q, traj.p]), None)
     return 0
 
 

@@ -5,7 +5,9 @@ integral leaves an overlap <psi| U(X) U(X')^dag |psi>, where U depends on
 the oscillator path only through three scalar functionals per path.  This
 module computes those functionals by quadrature, evaluates the weak-coupling
 phases of the overlap, and provides a brute-force time-ordered propagator so
-the expansion can be checked against the exact product.
+the expansion can be checked against the exact product.  The propagator
+builds all its per-substep 2x2 rotations at once and reduces them pairwise,
+keeping the time order.
 """
 
 from __future__ import annotations
@@ -161,15 +163,6 @@ def influence_closed_form(f: PathFunctionals, state: QubitState, g: float) -> co
     return complex(upper + lower)
 
 
-def _pauli_rotation(theta_x: float, theta_y: float) -> np.ndarray:
-    """exp(-i (theta_x sx + theta_y sy)) via the half-angle identity."""
-    theta = math.hypot(theta_x, theta_y)
-    if theta == 0.0:
-        return IDENTITY2.copy()
-    nx, ny = theta_x / theta, theta_y / theta
-    return math.cos(theta) * IDENTITY2 - 1j * math.sin(theta) * (nx * SIGMA_X + ny * SIGMA_Y)
-
-
 def pauli_exponential(coef: float, sigma: np.ndarray) -> np.ndarray:
     """exp(i coef sigma) for a Pauli matrix sigma."""
     return math.cos(coef) * IDENTITY2 + 1j * math.sin(coef) * sigma
@@ -200,11 +193,20 @@ def qubit_propagator_exact(q, p, T: float, g: float, substeps: int) -> np.ndarra
         q_mid = np.interp(t_mid, grid, q_arr)
         p_mid = np.interp(t_mid, grid, p_arr)
     f_x, f_y = drive_components(t_mid, q_mid, p_mid)
-    U = IDENTITY2.copy()
-    gh = g * h
-    for k in range(substeps):
-        U = _pauli_rotation(gh * f_x[k], -gh * f_y[k]) @ U
-    return U
+    # substep k is exp(-i (a_x sx + a_y sy)) = cos(theta) I - i sinc(theta) (a_x sx + a_y sy)
+    a_x, a_y = g * h * f_x, -g * h * f_y
+    theta = np.hypot(a_x, a_y)
+    b = -1j * np.sinc(theta / np.pi)
+    U = np.empty((substeps, 2, 2), dtype=complex)
+    U[:, 0, 0] = U[:, 1, 1] = np.cos(theta)
+    U[:, 0, 1] = b * (a_x - 1j * a_y)
+    U[:, 1, 0] = b * (a_x + 1j * a_y)
+    # time-ordered product, later factors on the left, reduced pairwise
+    while U.shape[0] > 1:
+        if U.shape[0] % 2:
+            U = np.concatenate([U, IDENTITY2[None]])
+        U = U[1::2] @ U[0::2]
+    return U[0]
 
 
 def _check_g_values(g_values) -> np.ndarray:

@@ -202,6 +202,15 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
     )
 
 
+def _circular_variance(theta: np.ndarray) -> float:
+    """1 - |mean e^{i theta}|, as the mean of 2 sin^2 of the deviations from its mean direction.
+
+    Equal to the direct form, without its cancellation when the phases agree.
+    """
+    centre = np.angle(np.exp(1j * theta).mean())
+    return float(np.mean(2.0 * np.sin(0.5 * (theta - centre)) ** 2))
+
+
 def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dict:
     """Fit the tau+tau' covariance mode of the q residuals.
 
@@ -239,9 +248,7 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
         amplitude_stderr = float(np.std(ks, ddof=1)) * scale
         alpha_stderr = float(np.std(alphas, ddof=1)) * scale
         comp_stderr = np.std(np.stack([us, vs]), axis=1, ddof=1) * scale
-        # circular spread of the batch phases
-        phases = np.where(ks > 0.0, np.exp(1j * np.arctan2(-vs, -us)), 1.0)
-        circ_var = max(1.0 - abs(phases.mean()), 0.0)
+        circ_var = _circular_variance(np.where(ks > 0.0, np.arctan2(-vs, -us), 0.0))
         phase_stderr = float(math.sqrt(2.0 * circ_var)) * scale if k_hat > 0 else float("inf")
         eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
     else:

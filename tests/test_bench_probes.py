@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qubitkick import cli, dynamics
+from qubitkick import cli, dynamics, influence
 from qubitkick.core import DimensionlessParams, QubitState, SimConfig
 from qubitkick.reconstruct import reconstruct_from_stats
 
@@ -87,3 +87,23 @@ def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
         else:
             rows, grid = result[0].shape
             assert counts["steps"] == rows * (grid - 1)
+
+
+def test_propagator_counter_reads_substeps(tracing, monkeypatch):
+    # the counter reads `substeps` from args[4] of every forward and backward call
+    counted = []
+    propagator = influence.qubit_propagator_exact
+
+    def recording(*args, **kwargs):
+        result = propagator(*args, **kwargs)
+        counted.append((tracing._count_propagator(args, kwargs, result, None), result.shape))
+        return result
+
+    monkeypatch.setattr(influence, "qubit_propagator_exact", recording)
+    pair = cli._random_path_pair(1, n_grid=201)
+    g_values = (0.1, 0.05, 0.025)
+    for verify in (influence.verify_bch, influence.verify_influence_expansion):
+        for substeps, expected in ((None, 200), (333, 333)):
+            counted.clear()
+            verify(pair, QubitState(0.3, 1.0), g_values, substeps)
+            assert counted == [({"substeps": expected}, (2, 2))] * (2 * len(g_values))

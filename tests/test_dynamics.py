@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qubitkick import dynamics
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from qubitkick.dynamics import (
     EOM_CONVENTIONS,
     ResonanceError,
     _closed_form_batch,
+    _rhs,
     _rk4_batch,
     deterministic_force,
     integrate_rk4,
@@ -169,6 +172,76 @@ class TestRk4:
         dp = DimensionlessParams(g=0.0, r=2.0, T=1.0)
         with pytest.raises(InvalidParameterError):
             integrate_rk4(dp, EQUATOR, ZERO_NOISE, SimConfig(dt=0.05))
+
+
+def rk4_step_by_step(dp, state, zetas, z0, tau, eom_sign):
+    """Reference: one RK4 step per grid interval, four `_rhs` stages each."""
+    dt = float(tau[1] - tau[0])
+    q = np.full(zetas.shape[0], z0.real)
+    p = np.full(zetas.shape[0], z0.imag)
+    Q, P = [q], [p]
+    for t in tau[:-1]:
+        k1q, k1p = _rhs(dp, state, zetas, t, q, p, eom_sign)
+        k2q, k2p = _rhs(dp, state, zetas, t + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, eom_sign)
+        k3q, k3p = _rhs(dp, state, zetas, t + 0.5 * dt, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, eom_sign)
+        k4q, k4p = _rhs(dp, state, zetas, t + dt, q + dt * k3q, p + dt * k3p, eom_sign)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        Q.append(q)
+        P.append(p)
+    return np.stack(Q, axis=1), np.stack(P, axis=1)
+
+
+class TestRk4Scan:
+    BLOCK = dynamics._RK4_BLOCK
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    @pytest.mark.parametrize("points", (2, BLOCK + 1, 3 * BLOCK + 7))
+    def test_matches_step_by_step_reference(self, conv, points):
+        # coarsest allowed step, dt max(1, r) = 0.05, from a nonzero start
+        dt = 0.05
+        dp = DimensionlessParams(g=0.05, r=0.5, T=(points - 1) * dt)
+        s = QubitState(0.3, 1.0)
+        tau = time_grid(dp.T, dt)
+        assert tau.size == points
+        SimConfig(dt=dt).check_step(dp.r)
+        zetas = sample_zetas(s, seed=5, indices=range(3))
+        Q, P = _rk4_batch(dp, s, zetas, 0.4 - 0.3j, tau, conv)
+        Qr, Pr = rk4_step_by_step(dp, s, zetas, 0.4 - 0.3j, tau, conv)
+        scale = max(np.max(np.abs(Qr)), np.max(np.abs(Pr)))
+        assert np.max(np.abs(Q - Qr)) <= 1e-12 * scale
+        assert np.max(np.abs(P - Pr)) <= 1e-12 * scale
+
+    def test_rhs_calls_fixed_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _rhs(*args)
+
+        monkeypatch.setattr(dynamics, "_rhs", counting)
+        zetas = np.zeros((2, 2))
+        counts = {}
+        for points in (2, self.BLOCK + 1, self.BLOCK + 2, 2 * self.BLOCK + 1):
+            calls.clear()
+            _rk4_batch(DP, EQUATOR, zetas, 0j, np.arange(points) * 0.01, "eq37")
+            counts[points] = len(calls)
+        assert counts[2] == counts[self.BLOCK + 1]
+        assert counts[self.BLOCK + 2] == counts[2 * self.BLOCK + 1] > counts[2]
+
+    def test_peak_memory_within_twice_the_output(self):
+        dp = DimensionlessParams(g=0.05, r=0.5, T=50.0)
+        s = QubitState(0.3, 1.0)
+        tau = time_grid(dp.T, 1e-3)
+        zetas = sample_zetas(s, seed=42, indices=range(100))
+        tracemalloc.start()
+        try:
+            Q, P = _rk4_batch(dp, s, zetas, 0j, tau, "eq37")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Q.shape == P.shape == (100, 50_001)
+        assert peak <= 2 * (Q.nbytes + P.nbytes)
 
 
 class TestEnsemble:

@@ -7,9 +7,11 @@ from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.influence import (
     IDENTITY2,
     SIGMA_X,
+    SIGMA_Y,
     PathFunctionals,
     PathPair,
     bch_product,
+    drive_components,
     influence_closed_form,
     influence_phases,
     path_functionals,
@@ -37,6 +39,25 @@ def random_pair(seed, n=4001, T=2.0 * math.pi):
         return c[0] + c[1] * np.cos(tau) + c[2] * np.sin(tau) + c[3] * np.cos(2 * tau) + c[4] * np.sin(2 * tau)
 
     return PathPair(tau=tau, q=trig(), p=trig(), q_b=trig(), p_b=trig())
+
+
+def sequential_propagator(q, p, T, g, substeps):
+    """Reference: the substep rotations multiplied on one at a time, later ones on the left."""
+    h = T / substeps
+    t_mid = (np.arange(substeps) + 0.5) * h
+    if callable(q):
+        q_mid, p_mid = q(t_mid), p(t_mid)
+    else:
+        grid = np.linspace(0.0, T, q.size)
+        q_mid, p_mid = np.interp(t_mid, grid, q), np.interp(t_mid, grid, p)
+    f_x, f_y = drive_components(t_mid, q_mid, p_mid)
+    U = IDENTITY2.copy()
+    for a_x, a_y in zip(g * h * f_x, -g * h * f_y):
+        theta = math.hypot(a_x, a_y)
+        step = IDENTITY2.copy() if theta == 0.0 else (
+            math.cos(theta) * IDENTITY2 - 1j * math.sin(theta) / theta * (a_x * SIGMA_X + a_y * SIGMA_Y))
+        U = step @ U
+    return U
 
 
 def functionals_from_w(w_x, w_y, w_z=0.0):
@@ -193,6 +214,19 @@ class TestPropagator:
     def test_substeps_validation(self):
         with pytest.raises(InvalidParameterError):
             qubit_propagator_exact(np.zeros(100), np.zeros(100), 1.0, 0.1, substeps=50)
+
+    @pytest.mark.parametrize("substeps", (1, 2, 7, 4000, 4001))
+    def test_matches_sequential_product(self, substeps):
+        # odd and even counts pad differently in the pairwise reduction
+        pair = random_pair(13)
+        T, g = float(pair.tau[-1]), 0.1
+        paths = [(np.cos, lambda t: 0.5 - np.sin(2 * t))]
+        if substeps >= pair.tau.size - 1:
+            paths.append((pair.q, pair.p))
+        for q, p in paths:
+            U = qubit_propagator_exact(q, p, T, g, substeps)
+            assert U.shape == (2, 2)
+            assert np.linalg.norm(U - sequential_propagator(q, p, T, g, substeps)) <= 1e-13
 
 
 class TestVerifyBch:

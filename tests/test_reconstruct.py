@@ -10,6 +10,7 @@ from qubitkick.reconstruct import (
     DegenerateBasisError,
     MeanFit,
     UndersampledError,
+    _circular_variance,
     estimate_nonstationary,
     fit_mean,
     recover_state,
@@ -232,6 +233,14 @@ class TestNonstationaryEstimator:
         for key in ("amplitude_hat", "phase_hat", "eta_st_sq_hat", "eta_st_hat"):
             assert ns[key] == pytest.approx(ref[key], rel=1e-12), key
         assert ns["mode_components"] == pytest.approx(ref["mode_components"], rel=1e-12)
+
+    def test_circular_variance_free_of_cancellation(self):
+        # batch phases agreeing to 1e-4: 1 - |R| against (1 - |R|^2)/(1 + |R|),
+        # with 1 - |R|^2 = (2/B^2) sum_jk sin^2((theta_j - theta_k)/2) free of cancellation
+        theta = 1.0 + 1e-4 * np.random.default_rng(7).normal(size=20)
+        R = abs(np.exp(1j * theta).mean())
+        one_minus_r_sq = 2.0 * np.sum(np.sin(0.5 * (theta[:, None] - theta[None, :])) ** 2) / theta.size**2
+        assert _circular_variance(theta) == pytest.approx(one_minus_r_sq / (1.0 + R), rel=1e-13, abs=0.0)
 
     def test_undersampled_rejected(self):
         cfg = SimConfig(dt=0.02, n_traj=500, seed=40)
