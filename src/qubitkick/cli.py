@@ -120,16 +120,19 @@ def _load_setup(args) -> core.RunSetup:
 
 def _cmd_table1(args) -> int:
     rows = forces.table_comparison()
+    failed = any(not row["degenerate"] and not row["rel_error"] <= 0.05 for row in rows)
+    if args.format == "json" and not args.out:
+        # stdout carries the envelope alone, as for every other subcommand
+        _emit(args, "table1", {}, None, rows)
+        return 1 if failed else 0
     width = 14
     print(f"{'platform':<12} {'quantity':<8} {'computed [N]':>{width}} {'printed [N]':>{width}} {'rel err':>9}")
-    failed = False
     for row in rows:
         if row["degenerate"]:
             comp = "-" if row["computed"] is None else f"{row['computed']:.3e}"
             print(f"{row['platform']:<12} {row['quantity']:<8} {comp:>{width}} {'-':>{width}} {'(degen)':>9}")
             continue
         ok = row["rel_error"] <= 0.05
-        failed |= not ok
         print(f"{row['platform']:<12} {row['quantity']:<8} {row['computed']:>{width}.3e} "
               f"{row['printed']:>{width}.3e} {row['rel_error']:>8.2%}{'' if ok else '  <-- FAIL'}")
     if args.out:

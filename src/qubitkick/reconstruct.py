@@ -22,6 +22,14 @@ With the noise rows b = (B_x, B_y) and k = 2p(1-p) it is
 
 so its tau+tau' mode has amplitude k (kernel units) and phase 2 phi, and
 its stationary amplitude estimates eta_st^2 = 1 - 2 eta_f^2.
+
+Both channels take their error bars by one rule.  The covariance of the
+fitted coefficients is the spread of the per-batch fits over the number of
+batches (NaN below MIN_BATCHES), and a fitted pair (u, v) becomes an
+amplitude and an angle by first-order propagation through hypot and atan2.
+An angle whose amplitude is 0 or under PHASE_MIN_SNR of its own stderr is
+reported as NaN and flagged indeterminate: the first-order phase error
+fails there, and near a pole the phase is noise.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ MAX_CONDITION = 1e8
 MIN_BASIS_RMS = 1e-3
 # batch refits needed for a coefficient covariance
 MIN_BATCHES = 4
+# amplitude over its stderr below which the angle is reported indeterminate
+PHASE_MIN_SNR = 3.0
 MIN_TRAJ_NONSTATIONARY = 10_000
 
 
@@ -65,8 +75,9 @@ class MeanFit:
 class ReconstructionResult:
     """Recovered state parameters with first-order error propagation.
 
-    `p_branches` is the unordered pair {p, 1-p}; `phase_indeterminate` is set
-    at the poles where eta_f = 0 carries no phase information; `unphysical`
+    `p_branches` is the unordered pair {p, 1-p}; `phase_indeterminate` is set,
+    and `phi_hat` and `phi_stderr` are NaN, where eta_f is 0 or under
+    PHASE_MIN_SNR of its stderr, as near the poles; `unphysical`
     flags eta_f estimates significantly above the 1/2 ceiling, or above the
     bare ceiling when the stderrs are NaN (no error estimate available).
     """
@@ -104,12 +115,36 @@ def _check_design(X: np.ndarray, what: str) -> float:
 def _solve(X: np.ndarray, Y: np.ndarray):
     """One least-squares solve of the pooled row Y[0] and the batch rows Y[1:].
 
-    Returns the pooled coefficients and the batch ones, a column per batch,
-    or None below MIN_BATCHES batches: too few refits for a spread, so the
-    caller's stderrs are NaN.
+    Returns the pooled coefficients and their covariance, the spread of the
+    batch coefficients over the number of batches.  Below MIN_BATCHES batches
+    there are too few refits for a spread, and the covariance is all NaN.
     """
     coeffs = np.linalg.lstsq(X, Y.T, rcond=None)[0]
-    return coeffs[:, 0], (coeffs[:, 1:] if coeffs.shape[1] - 1 >= MIN_BATCHES else None)
+    batches = coeffs[:, 1:]
+    if batches.shape[1] < MIN_BATCHES:
+        return coeffs[:, 0], np.full((X.shape[1], X.shape[1]), np.nan)
+    return coeffs[:, 0], np.cov(batches, ddof=1) / batches.shape[1]
+
+
+def _polar(u: float, v: float, cov: np.ndarray):
+    """(amplitude, its stderr, angle, its stderr, indeterminate) of the vector (u, v).
+
+    The stderrs propagate `cov` through hypot and atan2 to first order, so a
+    NaN `cov` gives NaN stderrs and never sets `indeterminate`.  The angle
+    and its stderr are NaN, and `indeterminate` is set, where the amplitude
+    is 0 or under PHASE_MIN_SNR of its stderr.
+    """
+    rho = math.hypot(u, v)
+    if rho == 0.0:
+        # no direction to project on: the larger component spread bounds the amplitude's
+        return 0.0, math.sqrt(max(cov[0, 0], cov[1, 1])), math.nan, math.nan, True
+    radial, tangential = np.array([u, v]) / rho, np.array([-v, u]) / rho
+    # max(x, 0.0) keeps a NaN x and clips rounding below 0 of a rank-deficient cov
+    rho_stderr = math.sqrt(max(float(radial @ cov @ radial), 0.0))
+    if rho < PHASE_MIN_SNR * rho_stderr:
+        return rho, rho_stderr, math.nan, math.nan, True
+    angle_stderr = math.sqrt(max(float(tangential @ cov @ tangential), 0.0)) / rho
+    return rho, rho_stderr, wrap_angle(math.atan2(v, u)), angle_stderr, False
 
 
 def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) -> MeanFit:
@@ -132,8 +167,7 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
         )
     X = response_basis(dp, tau, eom_sign)[:2].T
     condition = _check_design(X, f"drive response under {eom_sign}")
-    coeffs, batches = _solve(X, Y)
-    cov = np.full((2, 2), np.nan) if batches is None else np.cov(batches, ddof=1) / batches.shape[1]
+    coeffs, cov = _solve(X, Y)
     return MeanFit(
         A_c=float(coeffs[0]),
         A_s=float(coeffs[1]),
@@ -151,31 +185,15 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
     Under every convention A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
     so
 
-        eta_f = sqrt(A_c^2 + A_s^2) / (g n),  phi = atan2(A_s, A_c).
+        eta_f = sqrt(A_c^2 + A_s^2) / (g n),  phi = atan2(A_s, A_c),
 
-    The result is stamped with the convention the fit was made under.
+    with stderrs from `fit.cov` by `_polar`.  The result is stamped with the convention the fit was made under.
     """
     if dp.g <= 0.0:
         raise InvalidParameterError("no deterministic signal at g = 0; state not recoverable from the mean")
     scale = 1.0 / (dp.g * dp.n_qubits)
-    u, v = fit.A_c, fit.A_s
-    rho = math.hypot(u, v)
-    eta_f = scale * rho
-    phase_indeterminate = rho == 0.0
-    phi_hat = 0.0 if phase_indeterminate else wrap_angle(math.atan2(v, u))
-
-    if rho > 0.0:
-        j_eta = scale * np.array([u / rho, v / rho])
-        eta_var = float(j_eta @ fit.cov @ j_eta)
-        j_phi = np.array([-v / rho**2, u / rho**2])
-        phi_var = float(j_phi @ fit.cov @ j_phi)
-    else:
-        eta_var = float(scale**2 * max(fit.cov[0, 0], fit.cov[1, 1]))
-        phi_var = float("inf")
-        phase_indeterminate = True
-    # a NaN fit covariance (no error estimate) propagates as NaN stderrs
-    eta_stderr = math.nan if math.isnan(eta_var) else math.sqrt(max(eta_var, 0.0))
-    phi_stderr = math.sqrt(phi_var) if math.isfinite(phi_var) else phi_var
+    rho, rho_stderr, phi_hat, phi_stderr, phase_indeterminate = _polar(fit.A_c, fit.A_s, fit.cov)
+    eta_f, eta_stderr = scale * rho, scale * rho_stderr
 
     disc = 1.0 - 4.0 * eta_f**2
     unphysical = eta_f > 0.5 + (0.0 if math.isnan(eta_stderr) else 2.0 * eta_stderr)
@@ -195,20 +213,11 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
         eta_st_hat=eta_st_hat,
         eta_st_stderr=eta_st_stderr,
         residual_norm=fit.residual_norm,
-        phase_indeterminate=phase_indeterminate or eta_f == 0.0,
+        phase_indeterminate=phase_indeterminate,
         unphysical=unphysical,
         eom_sign=fit.eom_sign,
         diagnostics={"A_c": fit.A_c, "A_s": fit.A_s, "condition": fit.condition},
     )
-
-
-def _circular_variance(theta: np.ndarray) -> float:
-    """1 - |mean e^{i theta}|, as the mean of 2 sin^2 of the deviations from its mean direction.
-
-    Equal to the direct form, without its cancellation when the phases agree.
-    """
-    centre = np.angle(np.exp(1j * theta).mean())
-    return float(np.mean(2.0 * np.sin(0.5 * (theta - centre)) ** 2))
 
 
 def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dict:
@@ -218,9 +227,10 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     its phase (estimating 2 phi), and the stationary amplitude (estimating
     eta_st^2 = 1 - 2p(1-p)).  The noise rows are checked per unit g sqrt(n)
     zeta, so the rule of `fit_mean` holds whatever g; under eq37 they equal
-    the drive rows.  Standard errors come from refits over the per-batch
-    covariances that `run_ensemble` stores; below MIN_BATCHES batches every
-    stderr is NaN.
+    the drive rows.  Standard errors come from the covariance of the refits
+    over the per-batch covariances that `run_ensemble` stores, through
+    `_polar` for the amplitude and phase; below MIN_BATCHES batches every
+    stderr is NaN.  The phase is NaN where `_polar` flags it indeterminate.
     """
     if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
         raise UndersampledError(
@@ -235,25 +245,12 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
     n_batches = stats.batch_cov_qq.shape[0]
     Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
-    (alpha_hat, u, v), batches = _solve(X, Y)
+    (alpha_hat, u, v), cov = _solve(X, Y)
     alpha_hat = float(alpha_hat)
-    k_hat = float(np.hypot(u, v))
-    two_phi_hat = wrap_angle(math.atan2(-v, -u)) if k_hat > 0.0 else 0.0
-
+    k_hat, amplitude_stderr, two_phi_hat, phase_stderr, _ = _polar(-u, -v, cov[1:, 1:])
+    alpha_stderr, *comp_stderr = np.sqrt(np.diag(cov)).tolist()
     eta_st_hat = math.sqrt(max(alpha_hat, 0.0))
-    if batches is not None:
-        alphas, us, vs = batches
-        ks = np.hypot(us, vs)
-        scale = 1.0 / math.sqrt(n_batches)
-        amplitude_stderr = float(np.std(ks, ddof=1)) * scale
-        alpha_stderr = float(np.std(alphas, ddof=1)) * scale
-        comp_stderr = np.std(np.stack([us, vs]), axis=1, ddof=1) * scale
-        circ_var = _circular_variance(np.where(ks > 0.0, np.arctan2(-vs, -us), 0.0))
-        phase_stderr = float(math.sqrt(2.0 * circ_var)) * scale if k_hat > 0 else float("inf")
-        eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
-    else:
-        amplitude_stderr = alpha_stderr = phase_stderr = eta_st_stderr = math.nan
-        comp_stderr = (math.nan, math.nan)
+    eta_st_stderr = alpha_stderr / (2.0 * eta_st_hat) if eta_st_hat > 0 else float("inf")
     return {
         "amplitude_hat": k_hat,
         "amplitude_stderr": amplitude_stderr,
@@ -262,7 +259,7 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
         # raw mode components: the folded amplitude is biased near zero, so
         # consistency-with-zero checks should use these instead
         "mode_components": (float(u), float(v)),
-        "mode_component_stderr": (float(comp_stderr[0]), float(comp_stderr[1])),
+        "mode_component_stderr": tuple(comp_stderr),
         "eta_st_sq_hat": alpha_hat,
         "eta_st_sq_stderr": alpha_stderr,
         "eta_st_hat": eta_st_hat,
@@ -284,13 +281,9 @@ def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
     the estimator spread.  The pooled and batch means share one solve.
     """
     fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), dp, stats.eom_sign)
-    eta_st = None
-    diagnostics_extra = {}
-    if with_nonstationary and stats.n_traj >= MIN_TRAJ_NONSTATIONARY:
-        ns = estimate_nonstationary(stats, dp)
-        eta_st = (ns["eta_st_hat"], ns["eta_st_stderr"])
-        diagnostics_extra = {"nonstationary": ns}
-    result = recover_state(fit, dp, eta_st=eta_st)
-    if diagnostics_extra:
-        result.diagnostics.update(diagnostics_extra)
+    if not (with_nonstationary and stats.n_traj >= MIN_TRAJ_NONSTATIONARY):
+        return recover_state(fit, dp)
+    ns = estimate_nonstationary(stats, dp)
+    result = recover_state(fit, dp, eta_st=(ns["eta_st_hat"], ns["eta_st_stderr"]))
+    result.diagnostics["nonstationary"] = ns
     return result

@@ -50,6 +50,14 @@ class TestTable1:
         assert doc["schema"] == "qubit-kick/2"
         assert len(doc["data"]) == 9
 
+    def test_json_without_out_prints_the_envelope(self, tmp_path):
+        out = tmp_path / "table.json"
+        run_cli("table1", "--out", str(out), "--format", "json")
+        res = run_cli("table1", "--format", "json")
+        assert res.returncode == 0
+        # stdout holds the envelope alone, the same bytes --out writes
+        assert res.stdout == out.read_text()
+
 
 class TestSimulate:
     def test_missing_config_exits_2_naming_path(self):
@@ -186,6 +194,19 @@ class TestReconstruct:
         data = json.loads(out.read_text())["data"]
         assert abs(data["eta_f_hat"] - 0.458) < 0.05
         assert len(data["p_branches"]) == 2
+
+    def test_pole_state_phase_is_null(self, tmp_path):
+        # p = 0: the fitted drive amplitude is noise, under 3 of its stderrs
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text("omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = 0.05\np = 0.0\nphi = 1.0\n"
+                       "n_fock = 40\nT = 40.0\ndt = 0.02\nn_traj = 100000\nseed = 1\n")
+        out = tmp_path / "rec.json"
+        res = run_cli("reconstruct", "--config", str(cfg), "--out", str(out), "--format", "json")
+        assert res.returncode == 0
+        data = json.loads(out.read_text())["data"]
+        assert data["phase_indeterminate"] is True
+        assert data["phi_hat"] is None and data["phi_stderr"] is None
+        assert data["eta_f_stderr"] > 0.0
 
     def test_from_existing_csv(self, config_file, tmp_path):
         stats = tmp_path / "stats.csv"

@@ -10,7 +10,6 @@ from qubitkick.reconstruct import (
     DegenerateBasisError,
     MeanFit,
     UndersampledError,
-    _circular_variance,
     estimate_nonstationary,
     fit_mean,
     recover_state,
@@ -103,6 +102,8 @@ class TestRecoverState:
         result = recover_state(fit, DP)
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.eta_f_hat == pytest.approx(0.51) and result.unphysical
+        # no stderr to compare the amplitude with, so the phase is still reported
+        assert result.phi_hat == 0.0 and not result.phase_indeterminate
 
 
 class TestAllConventions:
@@ -234,14 +235,6 @@ class TestNonstationaryEstimator:
             assert ns[key] == pytest.approx(ref[key], rel=1e-12), key
         assert ns["mode_components"] == pytest.approx(ref["mode_components"], rel=1e-12)
 
-    def test_circular_variance_free_of_cancellation(self):
-        # batch phases agreeing to 1e-4: 1 - |R| against (1 - |R|^2)/(1 + |R|),
-        # with 1 - |R|^2 = (2/B^2) sum_jk sin^2((theta_j - theta_k)/2) free of cancellation
-        theta = 1.0 + 1e-4 * np.random.default_rng(7).normal(size=20)
-        R = abs(np.exp(1j * theta).mean())
-        one_minus_r_sq = 2.0 * np.sum(np.sin(0.5 * (theta[:, None] - theta[None, :])) ** 2) / theta.size**2
-        assert _circular_variance(theta) == pytest.approx(one_minus_r_sq / (1.0 + R), rel=1e-13, abs=0.0)
-
     def test_undersampled_rejected(self):
         cfg = SimConfig(dt=0.02, n_traj=500, seed=40)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
@@ -289,3 +282,83 @@ def test_intensity_identity_between_channels():
     rhs = 1.0 - 2.0 * result.eta_f_hat**2
     combined = ns["eta_st_sq_stderr"] + 4.0 * result.eta_f_hat * result.eta_f_stderr
     assert abs(lhs - rhs) <= 3.0 * combined + 0.01
+
+
+# Coverage: 300 seeds of 10^4 draws per (convention, p) cell.  A z-score
+# from 20 batches follows t(19): sd 1.06 and 94% within 2.  The bounds allow
+# for the spread of 300 seeds: the sd of z lies in [0.87, 1.25], and the
+# share within 2 sigma, binomial with sd 1.4%, in [0.90, 0.98].
+COVERAGE_DP = DimensionlessParams(g=0.05, r=0.5, T=40.0)
+COVERAGE_PHI = 1.0
+COVERAGE_SEEDS = range(300)
+# known misses of the mean channel's eta_f error bar, kept as strict
+# expected failures until its polar map goes past first order
+MEAN_CHANNEL_MISSES = {
+    ("eq35", 0.02, "eta_f"): "eq35 at p <= 0.02: eta_f z sd 3.6-3.8 while the Cartesian "
+                             "(A_c, A_s) z sd is 1.04-1.09; the first-order radial term fails",
+    ("eq37", 0.5, "eta_f"): "p = 1/2, purely tangential noise: eta_f z sd 0.32, bias +0.41 sigma",
+    ("canonical", 0.5, "eta_f"): "p = 1/2, purely tangential noise: eta_f z sd 0.32, bias +0.41 sigma",
+}
+
+
+@pytest.fixture(scope="module")
+def coverage_sweep():
+    """(error, stderr) arrays over the seeds per quantity, one reduction per cell."""
+    cells = {}
+
+    def run(conv, p):
+        if (conv, p) not in cells:
+            k = 2.0 * p * (1.0 - p)
+            rows = []
+            for seed in COVERAGE_SEEDS:
+                stats = run_ensemble(COVERAGE_DP, QubitState(p, COVERAGE_PHI),
+                                     SimConfig(dt=0.05, n_traj=10_000, seed=seed),
+                                     eom_sign=conv, compute_psd=False)
+                result = reconstruct_from_stats(stats, COVERAGE_DP)
+                ns = result.diagnostics["nonstationary"]
+                rows.append({
+                    "eta_f": (result.eta_f_hat - math.sqrt(p * (1.0 - p)), result.eta_f_stderr),
+                    "phi": (math.remainder(result.phi_hat - COVERAGE_PHI, 2 * math.pi), result.phi_stderr),
+                    "k": (ns["amplitude_hat"] - k, ns["amplitude_stderr"]),
+                    "two_phi": (math.remainder(ns["phase_hat"] - 2 * COVERAGE_PHI, 2 * math.pi),
+                                ns["phase_stderr"]),
+                })
+            cells[conv, p] = {key: np.array([row[key] for row in rows]).T for key in rows[0]}
+        return cells[conv, p]
+
+    return run
+
+
+def _coverage_cases():
+    for conv in EOM_CONVENTIONS:
+        for p in (0.3, 0.02, 0.5):
+            # at p = 1/2 the doubled phase has no spread to score (test_equator_doubled_phase_exact)
+            for quantity in ("eta_f", "phi", "k") + (("two_phi",) if p != 0.5 else ()):
+                miss = MEAN_CHANNEL_MISSES.get((conv, p, quantity))
+                yield pytest.param(conv, p, quantity,
+                                   marks=pytest.mark.xfail(reason=miss, strict=True) if miss else ())
+
+
+@pytest.mark.parametrize("conv, p, quantity", list(_coverage_cases()))
+def test_coverage_z_scores_follow_t19(coverage_sweep, conv, p, quantity):
+    error, stderr = coverage_sweep(conv, p)[quantity]
+    # a phase is scored over the seeds that report one
+    reported = ~np.isnan(error)
+    z = error[reported] / stderr[reported]
+    assert reported.mean() >= 0.8
+    assert 0.87 <= np.std(z, ddof=1) <= 1.25
+    assert 0.90 <= np.mean(np.abs(z) <= 2.0) <= 0.98
+
+
+@pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+def test_coverage_equator_doubled_phase_exact(coverage_sweep, conv):
+    # at p = 1/2 the draws' covariance has rank one, along phi
+    error, _ = coverage_sweep(conv, 0.5)["two_phi"]
+    assert np.max(np.abs(error)) <= 1e-12
+
+
+@pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+def test_coverage_doubled_phase_flagged_near_the_pole(coverage_sweep, conv):
+    # p = 0.005: k = 0.01 lies within a few stderrs of 0, so 2 phi is withheld
+    error, stderr = coverage_sweep(conv, 0.005)["two_phi"]
+    assert np.mean(np.isnan(error) & np.isnan(stderr)) >= 0.8
