@@ -58,7 +58,7 @@ from .influence import (
 from .noise import (
     NoiseRealization,
     QuadFormCoeffs,
-    empirical_covariance,
+    empirical_covariance_from_zetas,
     kernel_matrix,
     kernel_rank_check,
     quad_coeffs,

@@ -25,14 +25,7 @@ _DEFAULT_CONFIG = {
     "omega_o_hz": "0.5",
     "omega_q_hz": "1.0",
     "g_override": "0.05",
-    "p": "0.5",
-    "phi": "0.0",
-    "T": "30.0",
-    "dt": "0.01",
-    "n_traj": "1000",
-    "seed": "12345",
-    "n_fock": "40",
-    "n_qubits": "1",
+    **{k: str(v) for k, v in core._CONFIG_DEFAULTS.items()},
 }
 
 
@@ -205,6 +198,8 @@ def _cmd_verify(args) -> int:
         pair = _random_path_pair(setup.sim.seed)
         report = influence.verify_influence_expansion(pair, setup.state, g_values)
     elif args.check == "noise":
+        if args.draws < 2:
+            raise UsageError(f"--draws must be at least 2 for the noise check, got {args.draws}")
         zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(args.draws))
         grid = np.linspace(0.0, 4.0 * np.pi, 33)
         emp = noise.empirical_covariance_from_zetas(zetas, grid)

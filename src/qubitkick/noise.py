@@ -1,15 +1,14 @@
 """Two-time noise kernel and its exact low-rank Gaussian sampler.
 
 The fluctuation exponent is a quadratic form in just two scalars (W_x, W_y),
-so the decoupling noise is driven by a single Gaussian pair (zeta_x, zeta_y)
-with a state-dependent 2x2 covariance.  Each realisation is therefore a
-smooth trigonometric function of rescaled time with an exact derivative:
+so the decoupling noise is driven by one Gaussian pair zeta = (zeta_x, zeta_y)
+with a state-dependent 2x2 covariance Sigma.  Each realisation is the fixed
+trigonometric map lambda(tau) = U(tau) zeta, exact at all times:
 
     lambda_q(tau) = -zeta_x cos(tau) + zeta_y sin(tau)
     lambda_p(tau) =  zeta_x sin(tau) + zeta_y cos(tau)
 
-which makes sampling O(1) per trajectory and exact at all times.  The dense
-discretised kernel is kept only as a validation oracle (rank and PSD checks).
+so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^T.
 """
 
 from __future__ import annotations
@@ -121,10 +120,22 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     return (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
 
 
-def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
-    """Two-time covariance of (lambda_q, lambda_p) as a 2x2 block.
+def _noise_map(tau) -> np.ndarray:
+    """U(tau) with shape tau.shape + (2, 2): rows (lambda_q, lambda_p) per unit (zeta_x, zeta_y)."""
+    c, s = np.cos(tau), np.sin(tau)
+    return np.stack([np.stack([-c, s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
-    Closed form of the state-contracted kernel:
+
+def _on_grid(tau_grid, sigma: np.ndarray) -> np.ndarray:
+    """V sigma V^T, V the (2N, 2) map from (zeta_x, zeta_y) to lambda_q on the grid, then lambda_p."""
+    V = _noise_map(np.asarray(tau_grid, dtype=float)).swapaxes(0, 1).reshape(-1, 2)
+    return V @ sigma @ V.T
+
+
+def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
+    """Two-time covariance U(tau) Sigma U(tau')^T of (lambda_q, lambda_p) as a 2x2 block.
+
+    With Sigma = quad_coeffs(state).matrix(), the covariance of the draws:
 
         K_qq = (1-k) cos(d) - k cos(s + 2 phi)
         K_pp = (1-k) cos(d) + k cos(s + 2 phi)
@@ -135,71 +146,31 @@ def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
     multiplies the stationary part of every entry, including the cross one.
     Scalars give a 2x2 matrix; equal-length arrays give shape (2, 2, n).
     """
-    tau = np.asarray(tau, dtype=float)
-    tau_prime = np.asarray(tau_prime, dtype=float)
-    p, phi = state.p, state.phi
-    k = 2.0 * p * (1.0 - p)
-    st = 1.0 - k
-    d = tau - tau_prime
-    s = tau + tau_prime + 2.0 * phi
-    qq = st * np.cos(d) - k * np.cos(s)
-    pp = st * np.cos(d) + k * np.cos(s)
-    qp = st * np.sin(d) + k * np.sin(s)
-    pq = -st * np.sin(d) + k * np.sin(s)
-    return np.array([[qq, qp], [pq, pp]])
+    U = _noise_map(np.asarray(tau, dtype=float))
+    U_prime = _noise_map(np.asarray(tau_prime, dtype=float))
+    return np.einsum("...ij,jk,...lk->il...", U, quad_coeffs(state).matrix(), U_prime)
 
 
 def kernel_block_matrix(tau_grid, state: QubitState) -> np.ndarray:
-    """Discretised 2N x 2N covariance of stacked (lambda_q, lambda_p) samples."""
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    t1 = tau_grid[:, None]
-    t2 = tau_grid[None, :]
-    blocks = kernel_matrix(t1, t2, state)
-    return np.block([[blocks[0, 0], blocks[0, 1]], [blocks[1, 0], blocks[1, 1]]])
-
-
-def empirical_covariance(realizations, tau_grid) -> np.ndarray:
-    """Unbiased sample covariance of stacked (lambda_q, lambda_p) evaluations.
-
-    Accepts an iterable of NoiseRealization; accumulates first and second
-    moments so arbitrarily many draws fit in memory.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    m = 2 * tau_grid.size
-    total = np.zeros(m)
-    outer = np.zeros((m, m))
-    n = 0
-    for real in realizations:
-        v = np.concatenate([real.lambda_q(tau_grid), real.lambda_p(tau_grid)])
-        total += v
-        outer += np.outer(v, v)
-        n += 1
-    if n < 2:
-        raise InvalidParameterError("empirical covariance needs at least 2 realizations")
-    mean = total / n
-    return (outer - n * np.outer(mean, mean)) / (n - 1)
+    """Discretised 2N x 2N covariance V Sigma V^T of stacked (lambda_q, lambda_p) samples."""
+    return _on_grid(tau_grid, quad_coeffs(state).matrix())
 
 
 def empirical_covariance_from_zetas(zetas: np.ndarray, tau_grid) -> np.ndarray:
-    """Same estimator, vectorised over an (n, 2) array of draws."""
+    """Unbiased sample covariance of stacked (lambda_q, lambda_p) evaluations over
+    an (n, 2) array of draws: V cov(zetas) V^T, in memory of order grid^2, not n."""
     zetas = np.asarray(zetas, dtype=float)
     if zetas.ndim != 2 or zetas.shape[1] != 2 or zetas.shape[0] < 2:
         raise InvalidParameterError("zetas must have shape (n >= 2, 2)")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    c, s = np.cos(tau_grid), np.sin(tau_grid)
-    # rows of U map (zeta_x, zeta_y) to the stacked evaluations
-    U = np.concatenate([np.stack([-c, s], axis=1), np.stack([s, c], axis=1)], axis=0)
-    X = zetas @ U.T
-    X = X - X.mean(axis=0)
-    return (X.T @ X) / (zetas.shape[0] - 1)
+    return _on_grid(tau_grid, np.cov(zetas, rowvar=False))
 
 
 def kernel_rank_check(tau_grid, state: QubitState, psd_tol: float = 1e-10) -> dict:
     """Eigen-spectrum of the discretised kernel: PSD to tolerance, rank <= 2.
 
-    Significant eigenvalues are those above psd_tol * max * N; the analytic
-    kernel is a sum of two separable terms, so at most two can appear (one
-    at the equator, where the form degenerates).
+    Significant eigenvalues are those above psd_tol * max * N; the kernel
+    is V Sigma V^T with V of two columns, so at most two can appear (one at
+    the equator, where Sigma degenerates).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size < 4:

@@ -317,6 +317,11 @@ class TestUsageErrors:
         assert res.returncode == 1
         assert res.stderr.strip()
 
+    @pytest.mark.parametrize("draws", ["1", "0", "-3"])
+    def test_too_few_noise_draws_exits_2(self, draws, capsys):
+        assert cli.main(["verify", "noise", "--draws", draws]) == 2
+        assert "--draws" in capsys.readouterr().err
+
     def test_unwritable_output_path_exits_2(self, config_file, tmp_path):
         res = run_cli("simulate", "--config", config_file,
                       "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.noise import (
     NoiseRealization,
-    empirical_covariance,
     empirical_covariance_from_zetas,
     kernel_block_matrix,
     kernel_matrix,
@@ -111,6 +111,20 @@ class TestKernelMatrix:
             flipped = QubitState(1.0 - s.p, s.phi)
             assert np.array_equal(kernel_matrix(1.0, 0.3, s), kernel_matrix(1.0, 0.3, flipped))
 
+    def test_array_path_matches_scalar_calls_and_the_block(self):
+        rng = np.random.default_rng(13)
+        for s in random_states(14, 10):
+            tau, tau_p = rng.uniform(0, 10, size=(2, 7))
+            stacked = kernel_matrix(tau, tau_p, s)
+            assert stacked.shape == (2, 2, 7)
+            for i in range(7):
+                assert np.array_equal(stacked[:, :, i], kernel_matrix(tau[i], tau_p[i], s))
+            grid = np.linspace(0, 4 * math.pi, 9)
+            t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+            # the block's four N x N quadrants, as (2, 2, N, N)
+            quadrants = kernel_block_matrix(grid, s).reshape(2, grid.size, 2, grid.size).swapaxes(1, 2)
+            assert np.max(np.abs(quadrants - kernel_matrix(t1, t2, s))) <= 1e-14
+
     def test_stationary_at_poles(self):
         # covariance depends only on tau - tau' for pole states
         s = QubitState(1.0, 0.0)
@@ -195,22 +209,25 @@ class TestSampler:
 class TestEmpiricalCovariance:
     def test_needs_two_samples(self):
         with pytest.raises(InvalidParameterError):
-            empirical_covariance([NoiseRealization(1.0, 0.0)], np.linspace(0, 1, 4))
+            empirical_covariance_from_zetas(np.array([[1.0, 0.0]]), np.linspace(0, 1, 4))
 
     def test_duplicated_realization_is_rank_one(self):
-        real = NoiseRealization(0.5, -0.3)
+        zetas = np.tile([0.5, -0.3], (10, 1))
         grid = np.linspace(0, 3, 5)
-        cov = empirical_covariance([real] * 10, grid)
+        cov = empirical_covariance_from_zetas(zetas, grid)
         assert np.max(np.abs(cov)) <= 1e-14  # identical draws carry no spread
 
-    def test_object_and_vectorised_paths_agree(self):
-        state = QubitState(0.3, 1.0)
-        zetas = sample_zetas(state, seed=8, indices=range(50))
-        reals = [NoiseRealization(*z) for z in zetas]
-        grid = np.linspace(0, 6, 5)
-        a = empirical_covariance(reals, grid)
-        b = empirical_covariance_from_zetas(zetas, grid)
-        assert np.allclose(a, b, atol=1e-10)
+    def test_memory_scales_with_the_grid_not_the_draws(self):
+        zetas = sample_zetas(QubitState(0.3, 1.0), seed=12, indices=range(100_000))
+        grid = np.linspace(0, 4 * math.pi, 33)
+        tracemalloc.start()
+        try:
+            empirical_covariance_from_zetas(zetas, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an (n, 2N) array of every draw's path alone would be 52.8 MB
+        assert peak <= 8 * 2**20
 
     def test_faithful_to_kernel(self):
         state = QubitState(0.3, 1.0)
