@@ -4,6 +4,14 @@ Subcommands: table1, simulate, ensemble, verify {bch,influence,noise,oracle},
 reconstruct, bloch-map.  Outputs are written atomically (temp file + rename)
 and CSV carries full double precision so reruns diff byte-identically.
 Exit codes: 0 success, 1 validation failure, 2 usage/configuration error.
+
+Every CSV number is C's "%.17g" of the float64: 17 significant digits,
+trailing zeros and a bare point dropped, the exponent form unless the rounded
+decimal exponent is in [-4, 16], and `nan`, `inf`, `-inf`, `-0` spelled so.
+`_csv` formats whole column blocks at once with `_g17`, a numpy kernel that
+writes those bytes without a per-value call; the values it cannot prove exact
+(non-finite, zeros, extreme exponents, near rounding ties) go to Python's
+"%.17g" one at a time.  `tests/test_cli.py` pins it to the row-wise reference.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,6 +29,7 @@ import numpy as np
 from . import core, dynamics, forces, influence, noise, quantum, reconstruct
 
 SCHEMA = "qubit-kick/2"
+_CSV_BLOCK = 4096  # CSV rows formatted per array pass, bounding scratch memory
 
 _DEFAULT_CONFIG = {
     "omega_o_hz": "0.5",
@@ -51,13 +61,28 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    # "%.17g" formats a float as _fmt does, nan, inf and -0 included
-    row_format = ",".join(["%.17g"] * len(columns))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([",".join(header), *(row_format % row for row in rows)]) + "\n"
+    """CSV text of equal-length float columns, every cell as `_fmt` writes it."""
+    from . import _g17  # imported on first use, not at CLI start-up
+
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns must have equal length, got {lengths}")
+    parts = [(",".join(header) + "\n").encode()]
+    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], dtype=np.uint8)
+    for start in range(0, lengths[0] if columns else 0, _CSV_BLOCK):
+        cells = _g17.format_g17(np.stack([c[start:start + _CSV_BLOCK] for c in columns], axis=-1))
+        cells[..., -1] = seps  # each cell's spare last byte
+        parts.append(cells.tobytes().translate(None, b"\0"))
+    return b"".join(parts).decode()
 
 
 def _jsonable(obj):
+    # scalars first: a simulate envelope holds one float per grid value and column
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
+    if obj is None or type(obj) in (str, int, bool):
+        return obj
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qubitkick import cli, core, dynamics, noise
+from qubitkick import cli, core, dynamics, noise, reconstruct
 
 CMD = [sys.executable, "-m", "qubitkick"]
 
@@ -32,6 +35,143 @@ def config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG)
     return str(path)
+
+
+def reference_csv(header, columns):
+    """The row-wise "%.17g" formatting that `cli._csv` must reproduce byte for byte."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "".join([",".join(header) + "\n", *(",".join("%.17g" % v for v in row) + "\n" for row in rows)])
+
+
+def decade_edges():
+    """+-1 ulp around every decade, where %g switches form and 17 digits carry."""
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.nextafter(decades, 0.0)
+    above = np.nextafter(decades, np.inf)
+    x = np.concatenate([decades, below, above])
+    return np.concatenate([x, -x])
+
+
+def near_ties():
+    """Doubles m 2**k whose value times 10**(16 - e) lies 1/B or 1/(2B) off a half-integer,
+    B the denominator of 2**k 10**(16 - e): the closest a 17-digit rounding comes to a tie."""
+    values = []
+    for k in range(-1074, 971):
+        for e in {math.floor((52 + k) * math.log10(2)), math.floor((53 + k) * math.log10(2))}:
+            scale = Fraction(2) ** k * Fraction(10) ** (16 - e)
+            num, den = scale.numerator, scale.denominator
+            if den < 3:
+                continue
+            half = den // 2
+            for target in ((half + 1, half - 1) if den % 2 == 0 else (half, half + 1)):
+                m = target * pow(num, -1, den) % den
+                m += -(-(2**52 - m) // den) * den if m < 2**52 else 0
+                if m < 2**53 and 10**16 <= m * scale < 10**17:
+                    values.append(math.ldexp(m, k))
+    return np.array(values)
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     1e-280, 1e280, 0.5, 1.0, 2.0**53, 2.0**53 + 2.0, 2.0**63, 2.0**64,
+                     # 18 significant digits ending in 5: ties at 17 digits
+                     1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375, -(1e15 + 0.25)])
+
+
+class TestCsvFormat:
+    def assert_matches(self, header, columns):
+        assert cli._csv(header, columns) == reference_csv(header, columns)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20251018).integers(0, 2**64, size=200_000, dtype=np.uint64,
+                                                        endpoint=False)
+        values = bits.view(np.float64)
+        self.assert_matches(["a", "b", "c", "d"], list(values.reshape(4, -1)))
+
+    def test_decade_edges(self):
+        # 1e-5/1e-4 and 1e16/1e17 among them
+        self.assert_matches(["x"], [decade_edges()])
+
+    def test_near_rounding_ties(self):
+        x = near_ties()
+        assert x.size > 200
+        self.assert_matches(["x", "neg"], [x, -x])
+
+    def test_subnormals_zeros_and_non_finite(self):
+        subnormals = np.random.default_rng(3).integers(1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+        self.assert_matches(["s"], [np.concatenate([SPECIALS, subnormals, -subnormals])])
+        assert cli._csv(["z", "n", "i"], [[-0.0, 0.0], [np.nan, -np.nan], [np.inf, -np.inf]]) == \
+            "z,n,i\n-0,nan,inf\n0,nan,-inf\n"
+
+    @pytest.mark.parametrize("T, dt", ((50.0, 1e-3), (40.0, 0.02), (200.0, 0.02), (30.0, 0.02)))
+    def test_time_grids(self, T, dt):
+        tau = dynamics.time_grid(T, dt)
+        self.assert_matches(["tau", "sin", "scaled"], [tau, np.sin(tau), 1e-3 * tau])
+
+    def test_zero_rows_give_the_header_alone(self):
+        assert cli._csv(["tau", "q"], [np.empty(0), np.empty(0)]) == "tau,q\n"
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            cli._csv(["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.floats())
+    def test_any_float(self, x):
+        assert cli._csv(["x"], [[x]]) == "x\n" + "%.17g\n" % x
+
+
+def reference_jsonable(obj):
+    """The recursive conversion that `cli._jsonable` must reproduce."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return reference_jsonable(obj.item())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return reference_jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+class FloatSubclass(float):
+    pass
+
+
+class TestJsonEnvelope:
+    def test_conversion_matches_reference(self):
+        values = [1.5, -0.0, math.nan, math.inf, -math.inf, np.float64(2.5), np.float64(math.nan),
+                  np.float32(0.1), np.int64(7), FloatSubclass(3.25), FloatSubclass(math.inf), True, False, None, "s", 0,
+                  (1.0, math.nan), np.array([[1.0, math.nan], [math.inf, 2.0]]),
+                  noise.NoiseRealization(0.5, math.nan)]
+        obj = {"values": values, "nested": {"x": values}}
+        assert json.dumps(cli._jsonable(obj)) == json.dumps(reference_jsonable(obj))
+        assert all(type(a) is type(b) for a, b in zip(cli._jsonable(values), reference_jsonable(values)))
+
+    @pytest.mark.parametrize("argv", (
+        ("simulate", "--solver", "rk4"),
+        ("verify", "oracle", "--seed", "3"),
+        ("reconstruct",),
+    ))
+    def test_bytes_match_reference(self, argv, config_file, tmp_path, monkeypatch):
+        seen = []
+        envelope = cli._envelope
+
+        def recording(command, config_echo, data):
+            seen.append((command, config_echo, data))
+            return envelope(command, config_echo, data)
+
+        monkeypatch.setattr(cli, "_envelope", recording)
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--config", config_file, "--format", "json", "--out", str(out)]) == 0
+        [(command, config_echo, data)] = seen
+        doc = {"schema": cli.SCHEMA, "command": command,
+               "config_echo": reference_jsonable(config_echo), "data": reference_jsonable(data)}
+        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestTable1:
@@ -239,6 +379,22 @@ class TestReconstruct:
         # too few for them (eq35: 0.14 in eta_f at p = 1/2)
         assert abs(csv["eta_f_hat"] - 0.5) < 0.05 + 3.0 * inline["eta_f_stderr"]
         assert abs(math.remainder(csv["phi_hat"], 2.0 * math.pi)) < 0.1 + 3.0 * inline["phi_stderr"]
+
+    @pytest.mark.parametrize("conv", dynamics.EOM_CONVENTIONS)
+    def test_csv_round_trip_is_exact(self, config_file, tmp_path, conv):
+        stats_csv = tmp_path / "stats.csv"
+        assert cli.main(["ensemble", "--config", config_file, "--eom-sign", conv,
+                         "--out", str(stats_csv)]) == 0
+        setup = core.load_config(config_file)
+        dp = setup.dimensionless
+        stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=conv)
+        data = cli._read_ensemble_csv(str(stats_csv), conv)
+        assert np.array_equal(data["tau"], stats.tau) and np.array_equal(data["mean_q"], stats.mean_q)
+        out = tmp_path / "rec.json"
+        assert cli.main(["reconstruct", "--config", config_file, "--eom-sign", conv,
+                         "--ensemble-csv", str(stats_csv), "--format", "json", "--out", str(out)]) == 0
+        result = reconstruct.recover_state(reconstruct.fit_mean(stats.tau, stats.mean_q, dp, conv), dp)
+        assert out.read_text() == cli._envelope("reconstruct", setup.raw, result)
 
     def test_missing_csv_exits_2(self, config_file):
         res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", "nope.csv")
