@@ -15,7 +15,7 @@ dp = DimensionlessParams(g=0.05, r=0.5, T=40.0)
 state = QubitState(p=0.3, phi=np.pi / 3)
 config = SimConfig(dt=0.02, n_traj=10_000, seed=20260809)
 
-stats = run_ensemble(dp, state, config, compute_psd=False)
+stats = run_ensemble(dp, state, config)
 model = mean_closed_form(dp, state, stats.tau)
 stderr = np.sqrt(stats.var_q / stats.n_traj)
 z = np.abs(stats.mean_q[1:] - model[1:]) / stderr[1:]
@@ -26,12 +26,12 @@ print(f"worst CLT z-score       : {np.max(z):.2f}   (pointwise 3-sigma band)")
 
 # spectral view needs a longer record to resolve the two tones
 dp_long = DimensionlessParams(g=dp.g, r=dp.r, T=400.0)
-long_stats = run_ensemble(dp_long, state, SimConfig(dt=0.02, n_traj=200, seed=4),
-                          psd_segment=8192)
-peak_order = np.argsort(long_stats.psd)[::-1]
+long_stats = run_ensemble(dp_long, state, SimConfig(dt=0.02, n_traj=200, seed=4))
+omega, psd = long_stats.psd(8192)
+peak_order = np.argsort(psd)[::-1]
 tones = []
 for idx in peak_order:
-    w = long_stats.psd_freq[idx]
+    w = omega[idx]
     if all(abs(w - t) > 0.2 for t in tones):
         tones.append(round(float(w), 3))
     if len(tones) == 2:

@@ -24,7 +24,7 @@ truth = QubitState(p=0.3, phi=1.0)
 config = SimConfig(dt=0.02, n_traj=100_000, seed=777)
 
 print(f"truth: p = {truth.p}, phi = {truth.phi}  ->  eta_f = {truth.eta_f:.4f}, eta_st = {truth.eta_st:.4f}")
-stats = run_ensemble(dp, truth, config, compute_psd=False)
+stats = run_ensemble(dp, truth, config)
 result = reconstruct_from_stats(stats, dp)
 
 print(f"\nmean channel:")

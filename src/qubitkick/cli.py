@@ -124,13 +124,8 @@ def _load_setup(args) -> core.RunSetup:
     else:
         setup = core.realize_config(dict(_DEFAULT_CONFIG))
     if args.seed is not None:
-        setup = core.RunSetup(
-            physical=setup.physical,
-            dimensionless=setup.dimensionless,
-            state=setup.state,
-            sim=dataclasses.replace(setup.sim, seed=args.seed),
-            raw={**setup.raw, "seed": str(args.seed)},
-        )
+        setup = dataclasses.replace(setup, sim=dataclasses.replace(setup.sim, seed=args.seed),
+                                    raw={**setup.raw, "seed": str(args.seed)})
     return setup
 
 
@@ -197,8 +192,8 @@ def _cmd_ensemble(args) -> int:
         _emit(args, "ensemble", setup.raw, csv_text, None)
         if args.out:
             _write_atomic(args.out + ".summary.json", _envelope("ensemble", setup.raw, summary))
-    if args.psd_out and stats.psd is not None:
-        _write_atomic(args.psd_out, _csv(["freq", "psd"], [stats.psd_freq, stats.psd]))
+    if args.psd_out:
+        _write_atomic(args.psd_out, _csv(["freq", "psd"], list(stats.psd())))
     return 0
 
 
@@ -284,8 +279,7 @@ def _cmd_reconstruct(args) -> int:
         fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp, args.eom_sign)
         result = reconstruct.recover_state(fit, dp)
     else:
-        stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=args.eom_sign,
-                                      compute_psd=False)
+        stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=args.eom_sign)
         result = reconstruct.reconstruct_from_stats(stats, dp)
     _emit(args, "reconstruct", setup.raw, None, result)
     return 0
@@ -353,10 +347,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (core.InvalidParameterError, reconstruct.DegenerateBasisError,

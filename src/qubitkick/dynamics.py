@@ -14,9 +14,9 @@ response rows (`response_basis`).  The particular integral is written with
 a sinc so it stays accurate through the resonance |w0| = 1, where it
 degenerates smoothly into the secular tau * e^{i tau} growth.  `_rhs`, RK4
 and `mean_closed_form` stay independent of the map, as its cross-checks.
-RK4 reads w0 and the forcing from `_rhs` alone: one step is the affine map
-z <- m z + c_k, solved over the grid as a blocked scaled cumulative sum, so
-no Python loop runs per step.
+So under both solvers an ensemble is three basis rows and the moments of
+its draws: `run_ensemble` returns them as an `EnsembleStats` record, whose
+mean, (co)variances and `psd(segment)` are contractions of the two.
 
 Conventions (`eom_sign`):
 
@@ -80,28 +80,84 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Aggregated ensemble statistics.
+    """An ensemble as its basis rows and the moments of its draws.
 
-    Two-time covariance is kept on a coarse sub-grid, both pooled and per
-    batch (contiguous index blocks) so downstream fits can bootstrap a
-    standard error.  PSD entries are None when spectral output was skipped.
+    Trajectory i is q_i = Q[0] + zeta_x_i Q[1] + zeta_y_i Q[2], likewise p
+    with P.  Each fixed index batch keeps the count, mean and centred 2x2
+    scatter of its draws.  Every statistic is a contraction of the two: the
+    mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
+    with b = Q[1:].  The two-time covariance is on a coarse sub-grid, pooled
+    and per batch, so downstream fits can bootstrap a standard error.
     """
 
     tau: np.ndarray
-    mean_q: np.ndarray
-    mean_p: np.ndarray
-    var_q: np.ndarray
-    coarse_tau: np.ndarray
-    cov_qq: np.ndarray
-    batch_counts: np.ndarray
-    batch_mean_q: np.ndarray  # per-batch mean of q on the full grid, (B, N)
-    batch_cov_qq: np.ndarray  # per-batch covariance on the coarse grid
-    psd_freq: np.ndarray | None
-    psd: np.ndarray | None
+    Q: np.ndarray  # (3, N): q at zeta = 0, then the responses to the unit draws
+    P: np.ndarray  # (3, N): the same for p
+    batch_counts: np.ndarray  # (B,)
+    batch_means: np.ndarray  # (B, 2)
+    batch_scatters: np.ndarray  # (B, 2, 2)
+    dt: float
     n_traj: int
     seed: int
     eom_sign: str
     solver: str
+
+    def _moments(self):
+        """x_bar and the pooled scatter: within-batch scatters plus the between-batch
+        spread of the means, so no sum of squares is cancelled."""
+        mu = self.batch_counts @ self.batch_means / self.n_traj
+        between = self.batch_means - mu
+        scatter = self.batch_scatters.sum(axis=0) + (self.batch_counts[:, None] * between).T @ between
+        return np.concatenate(([1.0], mu)), scatter
+
+    @property
+    def _coarse_idx(self) -> np.ndarray:
+        N = self.tau.size
+        return np.unique(np.linspace(0, N - 1, min(_COARSE_POINTS, N)).astype(int))
+
+    @property
+    def mean_q(self) -> np.ndarray:
+        return self._moments()[0] @ self.Q
+
+    @property
+    def mean_p(self) -> np.ndarray:
+        return self._moments()[0] @ self.P
+
+    @property
+    def var_q(self) -> np.ndarray:
+        b = self.Q[1:]
+        return np.maximum((((self._moments()[1] / (self.n_traj - 1)) @ b) * b).sum(axis=0), 0.0)
+
+    @property
+    def coarse_tau(self) -> np.ndarray:
+        return self.tau[self._coarse_idx]
+
+    @property
+    def cov_qq(self) -> np.ndarray:
+        bc = self.Q[1:, self._coarse_idx]
+        return bc.T @ (self._moments()[1] / (self.n_traj - 1)) @ bc
+
+    @property
+    def batch_mean_q(self) -> np.ndarray:
+        return self.Q[0] + self.batch_means @ self.Q[1:]  # (B, N)
+
+    @property
+    def batch_cov_qq(self) -> np.ndarray:
+        bc = self.Q[1:, self._coarse_idx]
+        return bc.T @ (self.batch_scatters / np.maximum(self.batch_counts - 1, 1)[:, None, None]) @ bc
+
+    def psd(self, segment: int | None = None):
+        """(omega, psd): the mean Welch PSD of q over `segment` points (default: the grid).
+        The mean periodogram is a quadratic form in M = mean(x x^T), so it is three
+        periodograms of the rows l_k^T Q, where M = sum_k l_k l_k^T."""
+        x_bar, scatter = self._moments()
+        M = np.outer(x_bar, x_bar)
+        M[1:, 1:] += scatter / self.n_traj
+        # M is singular where the draws are (p = 1/2), so clip rounding below zero
+        lam, V = np.linalg.eigh(M)
+        rows = (V * np.sqrt(np.clip(lam, 0.0, None))).T @ self.Q
+        omega, psd = welch_psd(rows, self.tau.size if segment is None else segment, _PSD_OVERLAP, self.dt)
+        return omega, 3.0 * psd  # welch_psd averages its rows; M is their sum
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
@@ -347,11 +403,6 @@ def welch_psd(trajectories, segment_length: int, overlap: float = 0.5, dt: float
     return 2.0 * math.pi * freq, psd / (2.0 * math.pi)
 
 
-def _batch_edges(n_traj: int, n_batches: int) -> np.ndarray:
-    n_batches = max(1, min(n_batches, n_traj))
-    return np.linspace(0, n_traj, n_batches + 1).astype(int)
-
-
 def run_ensemble(
     dp: DimensionlessParams,
     state: QubitState,
@@ -359,20 +410,11 @@ def run_ensemble(
     eom_sign: str = DEFAULT_EOM,
     solver: str = "closed_form",
     n_batches: int = 20,
-    compute_psd: bool = True,
-    psd_segment: int | None = None,
 ) -> EnsembleStats:
-    """Monte Carlo statistics over independent noise draws, from their moments.
+    """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
-    Under every convention and both solvers a trajectory is affine in its
-    draw: q_i = B0 + zeta_x_i Bx + zeta_y_i By, and likewise p.  Three basis
-    solves give B; each fixed index batch keeps only the count, mean and
-    centred 2x2 scatter of its draws, pooled as the within-batch scatters
-    plus the between-batch spread of the means.  Every statistic is then a
-    contraction with B: mean = x_bar . B, variance and covariances
-    b^T Sigma b.  The mean Welch periodogram is a quadratic form
-    in M = mean(x x^T) with x = (1, zeta_x, zeta_y), so it is three
-    periodograms of the rows l_k^T B, where M = sum_k l_k l_k^T.  Memory is
+    Three basis solves give the rows Q and P; each fixed index batch of
+    draws is reduced to its count, mean and centred 2x2 scatter.  Memory is
     O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i)
     (see `sample_zetas`), so a fixed seed gives the same bits whatever the
     batch edges.
@@ -382,19 +424,13 @@ def run_ensemble(
         raise InvalidParameterError(f"unknown solver {solver!r}")
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
+    if not isinstance(n_batches, numbers.Integral) or n_batches < 1:
+        raise InvalidParameterError(f"n_batches must be an integer >= 1 (got {n_batches!r})")
     if solver == "rk4":
         config.check_step(dp.r)
 
     tau = time_grid(dp.T, config.dt)
-    N = tau.size
-    n = config.n_traj
-    coarse_idx = np.unique(np.linspace(0, N - 1, min(_COARSE_POINTS, N)).astype(int))
-    edges = _batch_edges(n, n_batches)
-
-    if compute_psd:
-        seg = psd_segment if psd_segment is not None else N
-        if seg > N:
-            raise InvalidParameterError("psd_segment exceeds the grid length")
+    edges = np.linspace(0, config.n_traj, min(n_batches, config.n_traj) + 1).astype(int)
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -417,33 +453,6 @@ def run_ensemble(
         means[k] = zetas.mean(axis=0)
         dev = zetas - means[k]
         scatters[k] = dev.T @ dev
-    # within-batch scatter plus the between-batch term: no sum of squares is cancelled
-    mu = counts @ means / n
-    between = means - mu
-    scatter = scatters.sum(axis=0) + (counts[:, None] * between).T @ between
-    sigma = scatter / (n - 1)
-
-    x_bar = np.concatenate(([1.0], mu))
-    b = Q[1:]
-    bc = b[:, coarse_idx]
-    batch_mean_q = Q[0] + means @ b
-    batch_cov = bc.T @ (scatters / np.maximum(counts - 1, 1)[:, None, None]) @ bc
-
-    psd_freq = psd_vals = None
-    if compute_psd:
-        M = np.outer(x_bar, x_bar)
-        M[1:, 1:] += scatter / n
-        # M is singular where the draws are (p = 1/2), so clip rounding below zero
-        lam, V = np.linalg.eigh(M)
-        rows = (V * np.sqrt(np.clip(lam, 0.0, None))).T @ Q
-        psd_freq, psd_vals = welch_psd(rows, seg, _PSD_OVERLAP, config.dt)
-        psd_vals = 3.0 * psd_vals  # welch_psd averages its rows; M is their sum
-
-    return EnsembleStats(
-        tau=tau, mean_q=x_bar @ Q, mean_p=x_bar @ P,
-        var_q=np.maximum(((sigma @ b) * b).sum(axis=0), 0.0),
-        coarse_tau=tau[coarse_idx], cov_qq=bc.T @ sigma @ bc,
-        batch_counts=counts, batch_mean_q=batch_mean_q, batch_cov_qq=batch_cov,
-        psd_freq=psd_freq, psd=psd_vals,
-        n_traj=n, seed=config.seed, eom_sign=eom_sign, solver=solver,
-    )
+    return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
+                         batch_scatters=scatters, dt=config.dt, n_traj=config.n_traj,
+                         seed=config.seed, eom_sign=eom_sign, solver=solver)

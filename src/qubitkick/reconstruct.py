@@ -228,7 +228,7 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     eta_st^2 = 1 - 2p(1-p)).  The noise rows are checked per unit g sqrt(n)
     zeta, so the rule of `fit_mean` holds whatever g; under eq37 they equal
     the drive rows.  Standard errors come from the covariance of the refits
-    over the per-batch covariances that `run_ensemble` stores, through
+    over the per-batch covariances of `EnsembleStats`, through
     `_polar` for the amplitude and phase; below MIN_BATCHES batches every
     stderr is NaN.  The phase is NaN where `_polar` flags it indeterminate.
     """
@@ -243,7 +243,7 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     # design of the kernels (S, C, D) on the coarse grid, one column each
     xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
     X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
-    n_batches = stats.batch_cov_qq.shape[0]
+    n_batches = stats.batch_counts.size
     Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
     (alpha_hat, u, v), cov = _solve(X, Y)
     alpha_hat = float(alpha_hat)

@@ -115,7 +115,7 @@ def test_criterion_4_nonstationary_mode_switch():
     for p in (0.0, 1.0, 0.5):
         state = QubitState(p, 0.35)
         cfg = SimConfig(dt=0.02, n_traj=100_000, seed=424242)
-        stats = run_ensemble(dp, state, cfg, compute_psd=False)
+        stats = run_ensemble(dp, state, cfg)
         ns = estimate_nonstationary(stats, dp)
         if p in (0.0, 1.0):
             u, v = ns["mode_components"]
@@ -136,7 +136,7 @@ def test_criterion_5_mean_response_agreement():
     for (p, phi) in ((0.5, 0.0), (0.3, math.pi / 3)):
         state = QubitState(p, phi)
         cfg = SimConfig(dt=0.02, n_traj=10_000, seed=20260809)
-        stats = run_ensemble(dp, state, cfg, compute_psd=False)
+        stats = run_ensemble(dp, state, cfg)
         stderr = np.sqrt(np.maximum(stats.var_q, 0.0) / stats.n_traj)
         resid = np.abs(stats.mean_q - mean_closed_form(dp, state, stats.tau))
         assert resid[0] == 0.0
@@ -176,7 +176,7 @@ def test_criterion_7_reconstruction_round_trip():
     dp = DimensionlessParams(g=0.05, r=0.5, T=40.0)
     truth = QubitState(0.3, 1.0)
     cfg = SimConfig(dt=0.02, n_traj=100_000, seed=777)
-    stats = run_ensemble(dp, truth, cfg, compute_psd=False)
+    stats = run_ensemble(dp, truth, cfg)
     result = reconstruct_from_stats(stats, dp)
     assert abs(result.eta_f_hat - truth.eta_f) / truth.eta_f <= 0.05, result
     assert abs(result.phi_hat - truth.phi) <= 0.05, result
@@ -188,8 +188,7 @@ def test_criterion_7_reconstruction_round_trip():
     # statistically indistinguishable
     recovered = {}
     for p, seed in ((0.2, 1001), (0.8, 2002)):
-        st = run_ensemble(dp, QubitState(p, 1.0), SimConfig(dt=0.02, n_traj=100_000, seed=seed),
-                          compute_psd=False)
+        st = run_ensemble(dp, QubitState(p, 1.0), SimConfig(dt=0.02, n_traj=100_000, seed=seed))
         recovered[p] = reconstruct_from_stats(st, dp, with_nonstationary=False)
     a, b = recovered[0.2], recovered[0.8]
     gap = abs(a.eta_f_hat - b.eta_f_hat)

@@ -54,9 +54,27 @@ def test_sampler_counter_accepts_run_ensemble_calls(tracing, monkeypatch):
     monkeypatch.setattr(dynamics, "sample_zetas", recording_sampler)
     config = SimConfig(dt=0.1, n_traj=50)
     dynamics.run_ensemble(DimensionlessParams(g=0.05, r=0.5, T=5.0), QubitState(0.3, 1.0), config,
-                          n_batches=4, compute_psd=False)
+                          n_batches=4)
     assert len(calls) == 4
     assert sum(c["draws"] for c in calls) == config.n_traj
+
+
+def test_psd_reaches_welch_through_the_module_global(tracing, monkeypatch):
+    # the bench's dynamics.welch probe replaces dynamics._signal as below
+    counted = []
+
+    def recording(*args, **kwargs):
+        result = welch(*args, **kwargs)
+        counted.append(tracing._count_welch(args, kwargs, result, None))
+        return result
+
+    welch = dynamics._signal.welch
+    monkeypatch.setattr(dynamics, "_signal", tracing._WelchModule(dynamics._signal, recording))
+    stats = dynamics.run_ensemble(DimensionlessParams(g=0.05, r=0.5, T=5.0), QubitState(0.3, 1.0),
+                                  SimConfig(dt=0.1, n_traj=50))
+    assert counted == []
+    stats.psd()
+    assert counted == [{"rows": 3}]
 
 
 def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
@@ -76,7 +94,7 @@ def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
     cfg.write_text("omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = 0.05\np = 0.3\nphi = 1.0\n"
                    "T = 3.0\ndt = 0.01\n")
     for solver in ("closed_form", "rk4"):
-        stats = dynamics.run_ensemble(dp, QubitState(0.3, 1.0), config, solver=solver, compute_psd=False)
+        stats = dynamics.run_ensemble(dp, QubitState(0.3, 1.0), config, solver=solver)
         reconstruct_from_stats(stats, dp)
         assert cli.main(["simulate", "--config", str(cfg), "--solver", solver,
                          "--out", str(tmp_path / f"{solver}.csv")]) == 0

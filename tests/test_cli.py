@@ -285,6 +285,24 @@ class TestEnsemble:
         run_cli("ensemble", "--config", config_file, "--out", str(out))
         assert out.read_text().splitlines()[0] == "tau,mean_q,mean_p,var_q"
 
+    def test_welch_runs_only_for_psd_out(self, config_file, tmp_path, monkeypatch):
+        welch = dynamics._signal.welch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Welch ran without --psd-out")
+
+        monkeypatch.setattr(dynamics._signal, "welch", refuse)
+        out = tmp_path / "stats.csv"
+        assert cli.main(["ensemble", "--config", config_file, "--out", str(out)]) == 0
+        assert cli.main(["ensemble", "--config", config_file, "--format", "json",
+                         "--out", str(tmp_path / "stats.json")]) == 0
+        monkeypatch.setattr(dynamics._signal, "welch", welch)
+        psd = tmp_path / "psd.csv"
+        assert cli.main(["ensemble", "--config", config_file, "--out", str(out), "--psd-out", str(psd)]) == 0
+        lines = psd.read_text().splitlines()
+        # one segment over the whole 1501-point grid: 751 one-sided bins
+        assert lines[0] == "freq,psd" and len(lines) == 1 + 751
+
 
 class TestVerify:
     def test_bch_report(self, tmp_path):

@@ -252,7 +252,7 @@ class TestEnsemble:
         # every statistic against explicit trajectories and two-pass estimators
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=300, seed=11, q_init=0.2, p_init=-0.1)
-        stats = run_ensemble(dp, state, cfg, eom_sign=conv, solver=solver, n_batches=7, psd_segment=256)
+        stats = run_ensemble(dp, state, cfg, eom_sign=conv, solver=solver, n_batches=7)
         zetas = sample_zetas(state, cfg.seed, range(cfg.n_traj))
         z0 = complex(cfg.q_init, cfg.p_init)
         if solver == "closed_form":
@@ -262,7 +262,6 @@ class TestEnsemble:
             Q, P = _rk4_batch(dp, state, zetas, z0, stats.tau, conv)
         idx = np.searchsorted(stats.tau, stats.coarse_tau)
         batches = np.split(np.arange(cfg.n_traj), np.cumsum(stats.batch_counts)[:-1])
-        _, psd = welch_psd(Q, 256, 0.5, cfg.dt)
 
         def close(a, b):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -273,7 +272,10 @@ class TestEnsemble:
         close(stats.cov_qq, np.cov(Q[:, idx].T))
         close(stats.batch_mean_q, np.array([Q[i].mean(axis=0) for i in batches]))
         close(stats.batch_cov_qq, np.array([np.cov(Q[i][:, idx].T) for i in batches]))
-        close(stats.psd, psd)
+        for (omega, psd), segment in ((stats.psd(256), 256), (stats.psd(), stats.tau.size)):
+            ref_omega, ref_psd = welch_psd(Q, segment, 0.5, cfg.dt)
+            assert np.array_equal(omega, ref_omega)
+            close(psd, ref_psd)
 
     def test_variance_free_of_cancellation(self):
         # a large initial displacement dominates every trajectory; the
@@ -281,7 +283,7 @@ class TestEnsemble:
         dp = DimensionlessParams(g=0.05, r=0.5, T=40.0)
         s = QubitState(0.3, 1.0)
         cfg = SimConfig(dt=0.02, n_traj=4000, seed=3, q_init=1e3)
-        stats = run_ensemble(dp, s, cfg, compute_psd=False)
+        stats = run_ensemble(dp, s, cfg)
         zetas = sample_zetas(s, cfg.seed, range(cfg.n_traj))
         Q = _closed_form_batch(dp, s, zetas, complex(cfg.q_init), stats.tau, "eq37").real
         ref = np.var(Q, axis=0, ddof=1)[1:]
@@ -290,9 +292,8 @@ class TestEnsemble:
     def test_closed_form_ignores_rk4_step_budget(self):
         # the exact solver has no step error; the coarse grid samples the same mean
         cfg = SimConfig(dt=0.1, n_traj=200, seed=17)
-        coarse = run_ensemble(DP, QubitState(0.3, 1.0), cfg, compute_psd=False)
-        fine = run_ensemble(DP, QubitState(0.3, 1.0), SimConfig(dt=0.02, n_traj=200, seed=17),
-                            compute_psd=False)
+        coarse = run_ensemble(DP, QubitState(0.3, 1.0), cfg)
+        fine = run_ensemble(DP, QubitState(0.3, 1.0), SimConfig(dt=0.02, n_traj=200, seed=17))
         assert np.allclose(coarse.tau, fine.tau[::5], rtol=0.0, atol=1e-12)
         assert np.max(np.abs(coarse.mean_q - fine.mean_q[::5])) <= 1e-12 * np.max(np.abs(fine.mean_q))
         with pytest.raises(InvalidParameterError):
@@ -300,13 +301,13 @@ class TestEnsemble:
 
     def test_variance_starts_at_zero(self):
         cfg = SimConfig(dt=0.02, n_traj=200, seed=12)
-        stats = run_ensemble(DP, QubitState(0.3, 0.0), cfg, compute_psd=False)
+        stats = run_ensemble(DP, QubitState(0.3, 0.0), cfg)
         assert stats.var_q[0] == 0.0
         assert np.all(stats.var_q >= 0.0)
 
     def test_pole_state_mean_consistent_with_zero(self):
         cfg = SimConfig(dt=0.02, n_traj=4000, seed=13)
-        stats = run_ensemble(DP, QubitState(0.0, 0.0), cfg, compute_psd=False)
+        stats = run_ensemble(DP, QubitState(0.0, 0.0), cfg)
         band = 4.0 * np.sqrt(np.maximum(stats.var_q, 1e-30) / stats.n_traj)
         assert np.all(np.abs(stats.mean_q[1:]) <= band[1:] + 1e-12)
 
@@ -315,7 +316,7 @@ class TestEnsemble:
     def test_mean_tracks_closed_form(self, p, phi):
         cfg = SimConfig(dt=0.02, n_traj=4000, seed=14)
         s = QubitState(p, phi)
-        stats = run_ensemble(DP, s, cfg, compute_psd=False)
+        stats = run_ensemble(DP, s, cfg)
         band = 4.0 * np.sqrt(np.maximum(stats.var_q, 1e-30) / stats.n_traj)
         resid = np.abs(stats.mean_q - mean_closed_form(DP, s, stats.tau))
         assert np.all(resid[1:] <= band[1:] + 1e-12)
@@ -325,21 +326,27 @@ class TestEnsemble:
         # invariant (eta_f and the kernel coefficients coincide), so the
         # realised statistics agree to rounding
         cfg = SimConfig(dt=0.02, n_traj=500, seed=15)
-        a = run_ensemble(DP, QubitState(0.2, 1.0), cfg, compute_psd=False)
-        b = run_ensemble(DP, QubitState(0.8, 1.0), cfg, compute_psd=False)
+        a = run_ensemble(DP, QubitState(0.2, 1.0), cfg)
+        b = run_ensemble(DP, QubitState(0.8, 1.0), cfg)
         assert np.allclose(a.mean_q, b.mean_q, atol=1e-12)
         assert np.allclose(a.cov_qq, b.cov_qq, atol=1e-12)
 
     def test_rk4_solver_route(self):
         dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
         cfg = SimConfig(dt=0.02, n_traj=64, seed=16)
-        a = run_ensemble(dp, EQUATOR, cfg, solver="rk4", compute_psd=False)
-        b = run_ensemble(dp, EQUATOR, cfg, solver="closed_form", compute_psd=False)
+        a = run_ensemble(dp, EQUATOR, cfg, solver="rk4")
+        b = run_ensemble(dp, EQUATOR, cfg, solver="closed_form")
         assert np.max(np.abs(a.mean_q - b.mean_q)) <= 1e-8
 
     def test_needs_two_trajectories(self):
         with pytest.raises(InvalidParameterError):
             run_ensemble(DP, EQUATOR, SimConfig(dt=0.02, n_traj=1))
+        # and at least one whole batch; more batches than draws are clamped
+        cfg = SimConfig(dt=0.02, n_traj=10)
+        for n_batches in (0, -3, 2.5, None):
+            with pytest.raises(InvalidParameterError, match="n_batches"):
+                run_ensemble(DP, EQUATOR, cfg, n_batches=n_batches)
+        assert run_ensemble(DP, EQUATOR, cfg, n_batches=50).batch_counts.tolist() == [1] * 10
 
 
 class TestWelchPsd:
@@ -408,7 +415,7 @@ class TestNoiseResponse:
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=21)
         for conv in EOM_CONVENTIONS:
-            stats = run_ensemble(dp, s, cfg, eom_sign=conv, compute_psd=False)
+            stats = run_ensemble(dp, s, cfg, eom_sign=conv)
             b = response_basis(dp, stats.coarse_tau, conv)[2:]
             model = b.T @ quad_coeffs(s).matrix() @ b
             scale = np.max(np.abs(model)) + 1e-30

@@ -119,7 +119,7 @@ class TestAllConventions:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_monte_carlo_roundtrip(self, conv):
         cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
-        stats = run_ensemble(DP, TRUTH, cfg, eom_sign=conv, compute_psd=False)
+        stats = run_ensemble(DP, TRUTH, cfg, eom_sign=conv)
         result = reconstruct_from_stats(stats, DP)
         assert abs(result.eta_f_hat - TRUTH.eta_f) <= 3.0 * result.eta_f_stderr + 0.01
         assert abs(result.phi_hat - TRUTH.phi) <= 3.0 * result.phi_stderr + 0.02
@@ -146,7 +146,7 @@ class TestAllConventions:
 class TestMonteCarloRoundtrip:
     def test_recovery_within_three_stderr(self):
         cfg = SimConfig(dt=0.02, n_traj=20_000, seed=33)
-        stats = run_ensemble(DP, TRUTH, cfg, compute_psd=False)
+        stats = run_ensemble(DP, TRUTH, cfg)
         result = reconstruct_from_stats(stats, DP)
         assert abs(result.eta_f_hat - TRUTH.eta_f) <= 3.0 * result.eta_f_stderr + 0.01
         assert abs(result.phi_hat - TRUTH.phi) <= 3.0 * result.phi_stderr + 0.02
@@ -156,7 +156,7 @@ class TestMonteCarloRoundtrip:
         cfg = SimConfig(dt=0.02, n_traj=20_000, seed=34)
         res = {}
         for p in (0.2, 0.8):
-            stats = run_ensemble(DP, QubitState(p, 1.0), cfg, compute_psd=False)
+            stats = run_ensemble(DP, QubitState(p, 1.0), cfg)
             res[p] = reconstruct_from_stats(stats, DP, with_nonstationary=False)
         # same seed and an exactly p <-> 1-p invariant generator: the two
         # reconstructions agree to solver rounding and share both branches
@@ -167,7 +167,7 @@ class TestMonteCarloRoundtrip:
     def test_few_batches_give_no_stderr(self):
         # below four batches there is no spread to take the error bars from
         cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
-        stats = run_ensemble(DP, TRUTH, cfg, n_batches=3, compute_psd=False)
+        stats = run_ensemble(DP, TRUTH, cfg, n_batches=3)
         result = reconstruct_from_stats(stats, DP)
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.unphysical == (result.eta_f_hat > 0.5)
@@ -177,7 +177,7 @@ class TestMonteCarloRoundtrip:
         errs = []
         for n in sizes:
             cfg = SimConfig(dt=0.02, n_traj=n, seed=35)
-            stats = run_ensemble(DP, TRUTH, cfg, compute_psd=False)
+            stats = run_ensemble(DP, TRUTH, cfg)
             result = reconstruct_from_stats(stats, DP, with_nonstationary=False)
             errs.append(result.eta_f_stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
@@ -188,14 +188,14 @@ class TestNonstationaryEstimator:
     def test_pole_state_amplitude_consistent_with_zero(self):
         cfg = SimConfig(dt=0.02, n_traj=20_000, seed=36)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        stats = run_ensemble(dp, QubitState(0.0, 0.0), cfg, compute_psd=False)
+        stats = run_ensemble(dp, QubitState(0.0, 0.0), cfg)
         ns = estimate_nonstationary(stats, dp)
         assert ns["amplitude_hat"] <= 3.0 * ns["amplitude_stderr"]
 
     def test_equator_amplitude_near_half(self):
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=37)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        stats = run_ensemble(dp, QubitState(0.5, 0.35), cfg, compute_psd=False)
+        stats = run_ensemble(dp, QubitState(0.5, 0.35), cfg)
         ns = estimate_nonstationary(stats, dp)
         assert ns["amplitude_hat"] == pytest.approx(0.5, rel=0.10)
 
@@ -203,7 +203,7 @@ class TestNonstationaryEstimator:
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=38)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         state = QubitState(0.3, 0.7)
-        stats = run_ensemble(dp, state, cfg, compute_psd=False)
+        stats = run_ensemble(dp, state, cfg)
         ns = estimate_nonstationary(stats, dp)
         wrapped = (ns["phase_hat"] - 2.0 * state.phi) % (2 * math.pi)
         dist = min(wrapped, 2 * math.pi - wrapped)
@@ -213,7 +213,7 @@ class TestNonstationaryEstimator:
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=39)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         state = QubitState(0.3, 0.7)
-        stats = run_ensemble(dp, state, cfg, compute_psd=False)
+        stats = run_ensemble(dp, state, cfg)
         ns = estimate_nonstationary(stats, dp)
         assert ns["eta_st_sq_hat"] == pytest.approx(state.eta_st**2, rel=0.05)
 
@@ -223,8 +223,8 @@ class TestNonstationaryEstimator:
         # while the point estimates come from the pooled covariance alone
         cfg = SimConfig(dt=0.02, n_traj=10_000, seed=41)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg, compute_psd=False), dp)
-        stats = run_ensemble(dp, TRUTH, cfg, n_batches=n_batches, compute_psd=False)
+        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg), dp)
+        stats = run_ensemble(dp, TRUTH, cfg, n_batches=n_batches)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ns = estimate_nonstationary(stats, dp)
@@ -238,7 +238,7 @@ class TestNonstationaryEstimator:
     def test_undersampled_rejected(self):
         cfg = SimConfig(dt=0.02, n_traj=500, seed=40)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        stats = run_ensemble(dp, TRUTH, cfg, compute_psd=False)
+        stats = run_ensemble(dp, TRUTH, cfg)
         with pytest.raises(UndersampledError):
             estimate_nonstationary(stats, dp)
 
@@ -249,8 +249,7 @@ class TestCovarianceDegeneracy:
     @staticmethod
     def nonstationary(conv, g, r):
         dp = DimensionlessParams(g=g, r=r, T=40.0)
-        stats = run_ensemble(dp, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=3), eom_sign=conv,
-                             compute_psd=False)
+        stats = run_ensemble(dp, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=3), eom_sign=conv)
         return estimate_nonstationary(stats, dp)
 
     def test_eq37_resonance_refused(self):
@@ -275,7 +274,7 @@ class TestCovarianceDegeneracy:
 def test_intensity_identity_between_channels():
     # eta_st^2 = 1 - 2 eta_f^2 ties the two independent estimates together
     cfg = SimConfig(dt=0.02, n_traj=40_000, seed=41)
-    stats = run_ensemble(DP, TRUTH, cfg, compute_psd=False)
+    stats = run_ensemble(DP, TRUTH, cfg)
     result = reconstruct_from_stats(stats, DP)
     ns = result.diagnostics["nonstationary"]
     lhs = ns["eta_st_sq_hat"]
@@ -313,7 +312,7 @@ def coverage_sweep():
             for seed in COVERAGE_SEEDS:
                 stats = run_ensemble(COVERAGE_DP, QubitState(p, COVERAGE_PHI),
                                      SimConfig(dt=0.05, n_traj=10_000, seed=seed),
-                                     eom_sign=conv, compute_psd=False)
+                                     eom_sign=conv)
                 result = reconstruct_from_stats(stats, COVERAGE_DP)
                 ns = result.diagnostics["nonstationary"]
                 rows.append({
