@@ -27,10 +27,9 @@ from .dynamics import (
     ResonanceError,
     Trajectory,
     deterministic_force,
-    integrate_rk4,
     mean_closed_form,
     run_ensemble,
-    solve_trajectory_closed_form,
+    solve_trajectory,
     welch_psd,
     zero_noise_mean,
 )

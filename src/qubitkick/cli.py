@@ -162,12 +162,8 @@ def _cmd_table1(args) -> int:
 def _cmd_simulate(args) -> int:
     setup = _load_setup(args)
     draw = noise.NoiseRealization(*noise.sample_zetas(setup.state, setup.sim.seed, range(1))[0])
-    if args.solver == "rk4":
-        traj = dynamics.integrate_rk4(setup.dimensionless, setup.state, draw, setup.sim,
-                                      eom_sign=args.eom_sign, index=0)
-    else:
-        traj = dynamics.solve_trajectory_closed_form(setup.dimensionless, setup.state, draw,
-                                                     setup.sim, eom_sign=args.eom_sign, index=0)
+    traj = dynamics.solve_trajectory(setup.dimensionless, setup.state, draw, setup.sim,
+                                     eom_sign=args.eom_sign, solver=args.solver, index=0)
     if args.format == "json":
         rows = zip(traj.tau.tolist(), traj.q.tolist(), traj.p.tolist())
         _emit(args, "simulate", setup.raw, None, {"rows": [dict(tau=t, q=q, p=p) for t, q, p in rows]})
@@ -240,21 +236,26 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _read_ensemble_csv(path: str, eom_sign: str) -> np.ndarray:
-    """Rows of an `ensemble` CSV, refused if its summary names another convention
-    or a `tau`/`mean_q` cell is not a finite number."""
+def _read_ensemble_csv(path: str, eom_sign: str, dp: core.DimensionlessParams) -> np.ndarray:
+    """Rows of an `ensemble` CSV, refused if its summary names another convention or
+    a config of another (g, r, n_qubits), or a `tau`/`mean_q` cell is not a finite number."""
     if not os.path.exists(path):
         raise UsageError(f"ensemble csv not found: {path}")
     summary = path + ".summary.json"
     if os.path.exists(summary):
         try:
             with open(summary, encoding="utf-8") as fh:
-                made_with = json.load(fh)["data"]["eom_sign"]
+                doc = json.load(fh)
+            made_with = doc["data"]["eom_sign"]
+            made = core.realize_config(doc["config_echo"]).dimensionless
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"unreadable ensemble summary {summary}: {exc}") from exc
         if made_with != eom_sign:
             raise UsageError(f"{path} was made with --eom-sign {made_with}, but the fit "
                              f"would use {eom_sign}; pass --eom-sign {made_with}")
+        if (made.g, made.r, made.n_qubits) != (dp.g, dp.r, dp.n_qubits):
+            raise UsageError(f"{path} was made at g = {made.g}, r = {made.r}, n_qubits = {made.n_qubits}, "
+                             f"but --config gives g = {dp.g}, r = {dp.r}, n_qubits = {dp.n_qubits}")
     try:
         data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except (ValueError, IndexError) as exc:
@@ -274,7 +275,7 @@ def _cmd_reconstruct(args) -> int:
     setup = _load_setup(args)
     dp = setup.dimensionless
     if args.ensemble_csv:
-        data = _read_ensemble_csv(args.ensemble_csv, args.eom_sign)
+        data = _read_ensemble_csv(args.ensemble_csv, args.eom_sign, dp)
         # the CSV carries no batch means, so the stderrs come back NaN
         fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp, args.eom_sign)
         result = reconstruct.recover_state(fit, dp)
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1", parents=[common], help="platform force budget vs published values")
     sp = sub.add_parser("simulate", parents=[common], help="solve a single trajectory")
-    sp.add_argument("--solver", choices=("closed_form", "rk4"), default="closed_form")
+    sp.add_argument("--solver", choices=dynamics.SOLVERS, default=dynamics.SOLVERS[0])
     se = sub.add_parser("ensemble", parents=[common], help="Monte Carlo ensemble statistics")
     se.add_argument("--psd-out", dest="psd_out", help="also write the Welch PSD as CSV")
     sv = sub.add_parser("verify", parents=[common], help="consistency and convergence reports")
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--draws", type=int, default=100_000, help="sampler draws for the noise check")
     sr = sub.add_parser("reconstruct", parents=[common], help="infer the qubit state from an ensemble")
     sr.add_argument("--ensemble-csv", dest="ensemble_csv",
-                    help="existing ensemble CSV (tau,mean_q,...); the eom_sign in its "
-                         ".summary.json, if present, must match --eom-sign")
+                    help="existing ensemble CSV (tau,mean_q,...); its .summary.json, if "
+                         "present, must match --eom-sign and the g, r and n_qubits of --config")
     sb = sub.add_parser("bloch-map", parents=[common], help="state-dependence maps over the Bloch sphere")
     sb.add_argument("--resolution", type=int, default=64)
     return parser

@@ -151,6 +151,8 @@ class SimConfig:
             raise InvalidParameterError(f"n_fock must be >= 2, got {self.n_fock}")
         if not (0 <= int(self.seed)):
             raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        if not (math.isfinite(self.q_init) and math.isfinite(self.p_init)):
+            raise InvalidParameterError(f"q_init and p_init must be finite, got {self.q_init}, {self.p_init}")
 
     def check_step(self, r: float) -> None:
         """Default accuracy budget: dt * max(1, r) <= 0.05."""

@@ -14,9 +14,12 @@ response rows (`response_basis`).  The particular integral is written with
 a sinc so it stays accurate through the resonance |w0| = 1, where it
 degenerates smoothly into the secular tau * e^{i tau} growth.  `_rhs`, RK4
 and `mean_closed_form` stay independent of the map, as its cross-checks.
-So under both solvers an ensemble is three basis rows and the moments of
-its draws: `run_ensemble` returns them as an `EnsembleStats` record, whose
-mean, (co)variances and `psd(segment)` are contractions of the two.
+`solve_trajectory` (one draw) and `run_ensemble` (three basis rows) share
+one solve: grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step
+budget and finite check.  So under both solvers an ensemble is three basis
+rows and the moments of its draws, kept as an `EnsembleStats` record whose
+mean, (co)variances and `psd(segment)` are contractions of the two.  The
+reconstruction fits have no free-motion column: they need a start at rest.
 
 Conventions (`eom_sign`):
 
@@ -50,6 +53,7 @@ from .noise import NoiseRealization, sample_zetas
 
 EOM_CONVENTIONS = ("eq37", "eq35", "canonical")
 DEFAULT_EOM = "eq37"
+SOLVERS = ("closed_form", "rk4")
 
 RESONANCE_EPS = 1e-6
 
@@ -190,7 +194,7 @@ def mean_closed_form(dp: DimensionlessParams, state: QubitState, tau) -> np.ndar
     """
     if abs(dp.r - 1.0) < RESONANCE_EPS:
         raise ResonanceError(
-            "mean closed form degenerates at r = 1; use solve_trajectory_closed_form, "
+            "mean closed form degenerates at r = 1; use solve_trajectory, "
             "whose sinc-form particular integral covers the secular case"
         )
     tau = np.asarray(tau, dtype=float)
@@ -247,26 +251,40 @@ def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarra
     return rot * z0 + np.hstack([drive, zetas]) @ R
 
 
-def solve_trajectory_closed_form(
-    dp: DimensionlessParams,
-    state: QubitState,
-    noise: NoiseRealization,
-    config: SimConfig,
-    eom_sign: str = DEFAULT_EOM,
-    index: int | None = None,
-) -> Trajectory:
-    """Exact solution of the linear system for one noise draw.
+def _solve(dp, state, zetas: np.ndarray, config: SimConfig, eom_sign: str, solver: str):
+    """(tau, Q, P): the grid and the (n, N) q and p rows of the draws `zetas` (n, 2) from (q_init, p_init).
 
-    Superposition of the free rotation at |r| and particular responses at
-    the drive frequency 1; uniformly valid through r = 1, where the eq35
-    noise response grows secularly.
+    The one place that checks `eom_sign` and `solver`, holds RK4 to the step
+    budget of `SimConfig.check_step`, and refuses a non-finite row.
     """
     _check_eom(eom_sign)
+    if solver not in SOLVERS:
+        raise InvalidParameterError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     tau = time_grid(dp.T, config.dt)
     z0 = complex(config.q_init, config.p_init)
-    z = _closed_form_batch(dp, state, noise.zetas[None, :], z0, tau, eom_sign)[0]
-    return Trajectory(tau=tau, q=z.real, p=z.imag, seed=config.seed, index=index,
-                      solver="closed_form", eom_sign=eom_sign)
+    if solver == "rk4":
+        config.check_step(dp.r)
+        Q, P = _rk4_batch(dp, state, zetas, z0, tau, eom_sign)
+    else:
+        Z = _closed_form_batch(dp, state, zetas, z0, tau, eom_sign)
+        Q, P = Z.real, Z.imag
+    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
+        raise FloatingPointError(f"non-finite {solver} trajectory")
+    return tau, Q, P
+
+
+def solve_trajectory(dp: DimensionlessParams, state: QubitState, noise: NoiseRealization, config: SimConfig,
+                     eom_sign: str = DEFAULT_EOM, solver: str = "closed_form",
+                     index: int | None = None) -> Trajectory:
+    """One noise draw's trajectory on `time_grid(dp.T, config.dt)` from (q_init, p_init).
+
+    ``closed_form`` is the exact solution, uniformly valid through r = 1,
+    where the eq35 noise response grows secularly; ``rk4`` integrates the
+    first-order system independently, within the step budget.
+    """
+    tau, Q, P = _solve(dp, state, noise.zetas[None, :], config, eom_sign, solver)
+    return Trajectory(tau=tau, q=Q[0], p=P[0], seed=config.seed, index=index,
+                      solver=solver, eom_sign=eom_sign)
 
 
 def zero_noise_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
@@ -362,25 +380,6 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     return Q, P
 
 
-def integrate_rk4(
-    dp: DimensionlessParams,
-    state: QubitState,
-    noise: NoiseRealization,
-    config: SimConfig,
-    eom_sign: str = DEFAULT_EOM,
-    index: int | None = None,
-) -> Trajectory:
-    """Fourth-order integration of the first-order system for one draw."""
-    _check_eom(eom_sign)
-    config.check_step(dp.r)
-    tau = time_grid(dp.T, config.dt)
-    Q, P = _rk4_batch(dp, state, noise.zetas[None, :], complex(config.q_init, config.p_init), tau, eom_sign)
-    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
-        raise FloatingPointError(f"non-finite trajectory (index={index})")
-    return Trajectory(tau=tau, q=Q[0], p=P[0], seed=config.seed, index=index,
-                      solver="rk4", eom_sign=eom_sign)
-
-
 def welch_psd(trajectories, segment_length: int, overlap: float = 0.5, dt: float = 1.0):
     """Hann-windowed averaged periodogram of mean-removed rows.
 
@@ -419,29 +418,14 @@ def run_ensemble(
     (see `sample_zetas`), so a fixed seed gives the same bits whatever the
     batch edges.
     """
-    _check_eom(eom_sign)
-    if solver not in ("closed_form", "rk4"):
-        raise InvalidParameterError(f"unknown solver {solver!r}")
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
     if not isinstance(n_batches, numbers.Integral) or n_batches < 1:
         raise InvalidParameterError(f"n_batches must be an integer >= 1 (got {n_batches!r})")
-    if solver == "rk4":
-        config.check_step(dp.r)
-
-    tau = time_grid(dp.T, config.dt)
     edges = np.linspace(0, config.n_traj, min(n_batches, config.n_traj) + 1).astype(int)
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
-    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    z0 = complex(config.q_init, config.p_init)
-    if solver == "closed_form":
-        Z = _closed_form_batch(dp, state, unit, z0, tau, eom_sign)
-        Q, P = Z.real, Z.imag
-    else:
-        Q, P = _rk4_batch(dp, state, unit, z0, tau, eom_sign)
-    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
-        raise FloatingPointError("non-finite basis trajectory")
+    tau, Q, P = _solve(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config, eom_sign, solver)
     Q[1:] -= Q[0]
     P[1:] -= P[0]
 

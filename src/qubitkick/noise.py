@@ -22,6 +22,8 @@ from .core import InvalidParameterError, QubitState
 
 # covariance entries below this are treated as exactly degenerate
 DEGENERACY_EPS = 1e-14
+# eigenvalue tolerance of `kernel_rank_check`, relative to the largest
+PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,10 @@ def empirical_covariance_from_zetas(zetas: np.ndarray, tau_grid) -> np.ndarray:
     return _on_grid(tau_grid, np.cov(zetas, rowvar=False))
 
 
-def kernel_rank_check(tau_grid, state: QubitState, psd_tol: float = 1e-10) -> dict:
+def kernel_rank_check(tau_grid, state: QubitState) -> dict:
     """Eigen-spectrum of the discretised kernel: PSD to tolerance, rank <= 2.
 
-    Significant eigenvalues are those above psd_tol * max * N; the kernel
+    Significant eigenvalues are those above PSD_TOL * max * N; the kernel
     is V Sigma V^T with V of two columns, so at most two can appear (one at
     the equator, where Sigma degenerates).
     """
@@ -179,12 +181,12 @@ def kernel_rank_check(tau_grid, state: QubitState, psd_tol: float = 1e-10) -> di
     eigenvalues = np.linalg.eigvalsh(sigma)
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    threshold = psd_tol * lam_max * tau_grid.size
+    threshold = PSD_TOL * lam_max * tau_grid.size
     rank = int(np.sum(eigenvalues > threshold))
     return {
         "eigenvalues": eigenvalues[::-1].tolist(),
         "rank": rank,
         "min_eigenvalue": lam_min,
         "max_eigenvalue": lam_max,
-        "psd_ok": bool(lam_min >= -psd_tol * lam_max),
+        "psd_ok": bool(lam_min >= -PSD_TOL * lam_max),
     }

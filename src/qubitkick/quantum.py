@@ -139,7 +139,6 @@ def compare_classical_quantum(
     state: QubitState,
     config: SimConfig,
     g_values=(0.04, 0.02, 0.01),
-    conventions: tuple = EOM_CONVENTIONS,
 ) -> dict:
     """Oracle-vs-effective comparison across couplings and conventions.
 
@@ -161,14 +160,14 @@ def compare_classical_quantum(
     if dp.n_qubits != 1:
         raise InvalidParameterError("the exact model covers a single qubit only")
     tau = time_grid(dp.T, config.dt)
-    errors = {conv: [] for conv in conventions}
+    errors = {conv: [] for conv in EOM_CONVENTIONS}
     var_comparison = {}
     for g in g_values:
         dp_g = DimensionlessParams(g=g, r=dp.r, T=dp.T, n_qubits=dp.n_qubits)
         H = build_hamiltonian(dp_g, ORACLE_N_FOCK)
         psi0 = ground_initial_state(state, ORACLE_N_FOCK)
         oracle = evolve_expectations(H, psi0, tau)
-        for conv in conventions:
+        for conv in EOM_CONVENTIONS:
             mean_cl = zero_noise_mean(dp_g, state, tau, conv)
             errors[conv].append(float(np.max(np.abs(oracle.mean_q - mean_cl))))
         if g == g_values[-1]:
@@ -180,7 +179,7 @@ def compare_classical_quantum(
             }
     log_g = np.log(np.asarray(g_values))
     report = {"g_values": list(g_values), "conventions": {}}
-    for conv in conventions:
+    for conv in EOM_CONVENTIONS:
         errs = np.asarray(errors[conv])
         # pole states confine the dynamics to one excitation sector, so a
         # discrepancy can vanish: all zero has no slope, lone zeros are floored
@@ -194,11 +193,11 @@ def compare_classical_quantum(
         best = min(first, default=None)
         return names[first.index(best)] if first.count(best) == 1 else None
 
-    preferred = verdict(conventions)
+    preferred = verdict(EOM_CONVENTIONS)
     chosen = report["conventions"].get(preferred, {})
     report.update({
         "preferred_sign_convention": preferred,
-        "preferred_among_printed_pair": verdict([c for c in ("eq37", "eq35") if c in errors]),
+        "preferred_among_printed_pair": verdict(["eq37", "eq35"]),
         "max_error": chosen.get("max_error"),
         "scaling_exponent": chosen.get("scaling_exponent"),
         "var_q_comparison": var_comparison,

@@ -278,8 +278,12 @@ def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
     fits rather than from fit residuals: the Monte Carlo noise average lies
     exactly in the span of the fit basis (it has the same zero-IC response
     form as the deterministic mean), so residuals carry no information about
-    the estimator spread.  The pooled and batch means share one solve.
+    the estimator spread.  The pooled and batch means share one solve.  The
+    fit has no column for free motion, so the ensemble must start at rest.
     """
+    if stats.Q[0, 0] != 0.0 or stats.P[0, 0] != 0.0:
+        raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, got "
+                                    f"q_init = {stats.Q[0, 0]}, p_init = {stats.P[0, 0]}")
     fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), dp, stats.eom_sign)
     if not (with_nonstationary and stats.n_traj >= MIN_TRAJ_NONSTATIONARY):
         return recover_state(fit, dp)

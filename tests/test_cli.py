@@ -237,8 +237,8 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--seed", "31", "--out", str(out)).returncode == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         setup = core.load_config(str(cfg))
-        member0 = dynamics.solve_trajectory_closed_form(setup.dimensionless, setup.state,
-                                                        noise.NoiseRealization(*zetas[0]), setup.sim)
+        member0 = dynamics.solve_trajectory(setup.dimensionless, setup.state,
+                                            noise.NoiseRealization(*zetas[0]), setup.sim)
         assert np.array_equal(rows[:, 1], member0.q) and np.array_equal(rows[:, 2], member0.p)
 
     def test_eom_sign_flag_changes_output(self, config_file, tmp_path):
@@ -406,7 +406,7 @@ class TestReconstruct:
         setup = core.load_config(config_file)
         dp = setup.dimensionless
         stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=conv)
-        data = cli._read_ensemble_csv(str(stats_csv), conv)
+        data = cli._read_ensemble_csv(str(stats_csv), conv, dp)
         assert np.array_equal(data["tau"], stats.tau) and np.array_equal(data["mean_q"], stats.mean_q)
         out = tmp_path / "rec.json"
         assert cli.main(["reconstruct", "--config", config_file, "--eom-sign", conv,
@@ -432,6 +432,17 @@ class TestReconstruct:
                       "--out", str(out), "--format", "json")
         assert res.returncode == 0
         assert json.loads(out.read_text())["data"]["eom_sign"] == "eq37"
+
+    @pytest.mark.parametrize("key, value", (("g_override", "0.025"), ("omega_o_hz", "0.7")))
+    def test_csv_config_mismatch_exits_2(self, config_file, tmp_path, capsys, key, value):
+        # read under another g or r, the mean was fitted to the wrong rows and exited 0
+        stats = tmp_path / "stats.csv"
+        assert cli.main(["ensemble", "--config", config_file, "--out", str(stats)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text("".join(f"{key} = {value}\n" if line.startswith(key) else line + "\n"
+                                 for line in CONFIG.splitlines()))
+        assert cli.main(["reconstruct", "--config", str(other), "--ensemble-csv", str(stats)]) == 2
+        assert str(stats) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, reason", (("time,q\n0,0\n1,1\n", "'tau'"),
                                               ("tau,mean_q\n0,1\n1,2,3\n", "unreadable")))

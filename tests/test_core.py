@@ -132,12 +132,10 @@ class TestDimensionlessParams:
 
 class TestSimConfig:
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SimConfig(dt=0.0)
-        with pytest.raises(InvalidParameterError):
-            SimConfig(n_traj=0)
-        with pytest.raises(InvalidParameterError):
-            SimConfig(n_fock=1)
+        for bad in (dict(dt=0.0), dict(dt=math.nan), dict(n_traj=0), dict(n_fock=1),
+                    dict(q_init=math.nan), dict(q_init=-math.inf), dict(p_init=math.inf)):
+            with pytest.raises(InvalidParameterError):
+                SimConfig(**bad)
 
     def test_step_budget(self):
         SimConfig(dt=0.05).check_step(1.0)

@@ -14,11 +14,10 @@ from qubitkick.dynamics import (
     _rhs,
     _rk4_batch,
     deterministic_force,
-    integrate_rk4,
     mean_closed_form,
     response_basis,
     run_ensemble,
-    solve_trajectory_closed_form,
+    solve_trajectory,
     time_grid,
     welch_psd,
     zero_noise_mean,
@@ -83,14 +82,14 @@ class TestClosedFormSolver:
         # g = 0 from (1, 0): q = cos(r tau), p = -sin(r tau)
         dp = DimensionlessParams(g=0.0, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.01, q_init=1.0, p_init=0.0)
-        traj = solve_trajectory_closed_form(dp, EQUATOR, ZERO_NOISE, cfg)
+        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg)
         assert np.allclose(traj.q, np.cos(0.5 * traj.tau), atol=1e-12)
         assert np.allclose(traj.p, -np.sin(0.5 * traj.tau), atol=1e-12)
 
     def test_zero_draw_equals_mean(self):
         cfg = SimConfig(dt=0.01)
         s = QubitState(0.3, 1.0)
-        traj = solve_trajectory_closed_form(DP, s, ZERO_NOISE, cfg)
+        traj = solve_trajectory(DP, s, ZERO_NOISE, cfg)
         assert np.allclose(traj.q, mean_closed_form(DP, s, traj.tau), atol=1e-13)
 
     def test_matches_rk4_for_random_draws(self):
@@ -108,11 +107,11 @@ class TestClosedFormSolver:
     def test_linearity_in_noise_and_force(self):
         cfg = SimConfig(dt=0.01)
         s = QubitState(0.3, 0.7)
-        det = solve_trajectory_closed_form(DP, s, ZERO_NOISE, cfg)
+        det = solve_trajectory(DP, s, ZERO_NOISE, cfg)
         draw = NoiseRealization(0.8, -0.5)
-        full = solve_trajectory_closed_form(DP, s, draw, cfg)
+        full = solve_trajectory(DP, s, draw, cfg)
         noise_part = full.q - det.q
-        double = solve_trajectory_closed_form(DP, s, NoiseRealization(1.6, -1.0), cfg)
+        double = solve_trajectory(DP, s, NoiseRealization(1.6, -1.0), cfg)
         assert np.allclose(double.q - det.q, 2.0 * noise_part, atol=1e-12)
 
     def test_qubit_count_scales_force_and_noise(self):
@@ -121,16 +120,16 @@ class TestClosedFormSolver:
         cfg = SimConfig(dt=0.02)
         dp1 = DimensionlessParams(g=0.05, r=0.5, T=20.0, n_qubits=1)
         dp4 = DimensionlessParams(g=0.05, r=0.5, T=20.0, n_qubits=4)
-        det1 = solve_trajectory_closed_form(dp1, s, ZERO_NOISE, cfg).q
-        det4 = solve_trajectory_closed_form(dp4, s, ZERO_NOISE, cfg).q
+        det1 = solve_trajectory(dp1, s, ZERO_NOISE, cfg).q
+        det4 = solve_trajectory(dp4, s, ZERO_NOISE, cfg).q
         assert np.allclose(det4, 4.0 * det1, atol=1e-13)
         draw = NoiseRealization(0.8, -0.5)
-        noise1 = solve_trajectory_closed_form(dp1, s, draw, cfg).q - det1
-        noise4 = solve_trajectory_closed_form(dp4, s, draw, cfg).q - det4
+        noise1 = solve_trajectory(dp1, s, draw, cfg).q - det1
+        noise4 = solve_trajectory(dp4, s, draw, cfg).q - det4
         assert np.allclose(noise4, 2.0 * noise1, atol=1e-13)
 
     def test_provenance_fields(self):
-        traj = solve_trajectory_closed_form(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01, seed=5), index=3)
+        traj = solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01, seed=5), index=3)
         assert traj.solver == "closed_form"
         assert traj.seed == 5 and traj.index == 3
         assert traj.eom_sign == "eq37"
@@ -143,8 +142,8 @@ class TestRk4:
         draw = NoiseRealization(0.6, -0.2)
 
         def err(dt):
-            ref = solve_trajectory_closed_form(dp, s, draw, SimConfig(dt=dt))
-            rk = integrate_rk4(dp, s, draw, SimConfig(dt=dt))
+            ref = solve_trajectory(dp, s, draw, SimConfig(dt=dt))
+            rk = solve_trajectory(dp, s, draw, SimConfig(dt=dt), solver="rk4")
             return np.max(np.abs(ref.q - rk.q))
 
         assert err(0.02) / err(0.01) >= 12.0
@@ -153,7 +152,7 @@ class TestRk4:
         # undriven harmonic invariant q^2 + p^2 over T = 100 at dt = 1e-3
         dp = DimensionlessParams(g=0.0, r=0.5, T=100.0)
         cfg = SimConfig(dt=1e-3, q_init=1.0, p_init=0.0)
-        traj = integrate_rk4(dp, EQUATOR, ZERO_NOISE, cfg)
+        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg, solver="rk4")
         energy = traj.q**2 + traj.p**2
         assert np.max(np.abs(energy - energy[0])) <= 1e-9
 
@@ -162,8 +161,8 @@ class TestRk4:
         dp = DimensionlessParams(g=0.05, r=1.0, T=20.0)
         draw = NoiseRealization(1.0, 0.5)
         cfg = SimConfig(dt=1e-3)
-        closed = solve_trajectory_closed_form(dp, EQUATOR, draw, cfg, eom_sign="eq35")
-        rk = integrate_rk4(dp, EQUATOR, draw, cfg, eom_sign="eq35")
+        closed = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35")
+        rk = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35", solver="rk4")
         assert np.max(np.abs(closed.q - rk.q)) <= 1e-6
         env = np.abs(closed.q + 1j * closed.p)
         assert env[-1] > 2.0 * env[env.size // 4]  # secular envelope growth
@@ -171,7 +170,7 @@ class TestRk4:
     def test_step_budget_enforced(self):
         dp = DimensionlessParams(g=0.0, r=2.0, T=1.0)
         with pytest.raises(InvalidParameterError):
-            integrate_rk4(dp, EQUATOR, ZERO_NOISE, SimConfig(dt=0.05))
+            solve_trajectory(dp, EQUATOR, ZERO_NOISE, SimConfig(dt=0.05), solver="rk4")
 
 
 def rk4_step_by_step(dp, state, zetas, z0, tau, eom_sign):
@@ -364,7 +363,7 @@ class TestWelchPsd:
         rows = []
         for _ in range(8):
             cfg = SimConfig(dt=0.05, q_init=float(rng.normal()), p_init=float(rng.normal()))
-            rows.append(solve_trajectory_closed_form(dp, EQUATOR, ZERO_NOISE, cfg).q)
+            rows.append(solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg).q)
         freq, psd = welch_psd(np.array(rows), segment_length=2048, overlap=0.5, dt=0.05)
         assert abs(freq[np.argmax(psd)] - 0.5) <= freq[1] - freq[0]
 
@@ -372,7 +371,7 @@ class TestWelchPsd:
         # deterministic drive at frequency 1 on top of the free tone at r
         dp = DimensionlessParams(g=0.05, r=0.5, T=400.0)
         cfg = SimConfig(dt=0.05, q_init=0.3, p_init=0.0)
-        traj = solve_trajectory_closed_form(dp, EQUATOR, ZERO_NOISE, cfg)
+        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg)
         freq, psd = welch_psd(traj.q, segment_length=4096, overlap=0.5, dt=0.05)
         df = freq[1] - freq[0]
 
@@ -455,4 +454,24 @@ def test_time_grid_is_uniform_and_spans_horizon():
 
 def test_unknown_convention_rejected():
     with pytest.raises(InvalidParameterError):
-        solve_trajectory_closed_form(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), eom_sign="bogus")
+        solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), eom_sign="bogus")
+
+
+def test_unknown_solver_rejected():
+    with pytest.raises(InvalidParameterError, match="unknown solver"):
+        solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), solver="euler")
+    with pytest.raises(InvalidParameterError, match="unknown solver"):
+        run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver="euler")
+
+
+def test_non_finite_rows_refused_under_both_solvers(monkeypatch):
+    # one finite check covers the single trajectory and the ensemble rows
+    monkeypatch.setattr(dynamics, "_closed_form_batch",
+                        lambda dp, state, zetas, z0, tau, eom_sign: np.full((len(zetas), tau.size), np.nan + 0j))
+    monkeypatch.setattr(dynamics, "_rk4_batch",
+                        lambda dp, state, zetas, z0, tau, eom_sign: (np.full((len(zetas), tau.size), np.inf),) * 2)
+    for solver in dynamics.SOLVERS:
+        with pytest.raises(FloatingPointError):
+            solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), solver=solver)
+        with pytest.raises(FloatingPointError):
+            run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver=solver)

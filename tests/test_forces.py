@@ -12,7 +12,7 @@ from qubitkick.core import (
     SimConfig,
     derive_dimensionless,
 )
-from qubitkick.dynamics import solve_trajectory_closed_form
+from qubitkick.dynamics import solve_trajectory
 from qubitkick.forces import (
     PLATFORMS,
     bloch_map,
@@ -114,7 +114,7 @@ class TestDimensionalConsistency:
         dp = derive_dimensionless(pp, T_si=2.0 / (pp.omega_q / TWO_PI) * 1e-3)
         draw = NoiseRealization(0.6, -0.8)
         cfg = SimConfig(dt=0.005)
-        traj = solve_trajectory_closed_form(dp, state, draw, cfg, eom_sign="eq37")
+        traj = solve_trajectory(dp, state, draw, cfg, eom_sign="eq37")
         tau = traj.tau
         t = tau / pp.omega_q
 

@@ -172,6 +172,13 @@ class TestMonteCarloRoundtrip:
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.unphysical == (result.eta_f_hat > 0.5)
 
+    @pytest.mark.parametrize("start", [dict(q_init=1.0), dict(q_init=10.0), dict(p_init=-0.5)])
+    def test_start_away_from_rest_refused(self, start):
+        # the free motion has no column in the mean fit: from q = 1 it read eta_f 15.5 (truth 0.46)
+        stats = run_ensemble(DP, TRUTH, SimConfig(dt=0.02, n_traj=2_000, seed=3, **start))
+        with pytest.raises(InvalidParameterError, match="at rest"):
+            reconstruct_from_stats(stats, DP)
+
     def test_stderr_shrinks_as_root_n(self):
         sizes = (1_000, 10_000, 100_000)
         errs = []
