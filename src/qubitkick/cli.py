@@ -35,7 +35,7 @@ _DEFAULT_CONFIG = {
     "omega_o_hz": "0.5",
     "omega_q_hz": "1.0",
     "g_override": "0.05",
-    **{k: str(v) for k, v in core._CONFIG_DEFAULTS.items()},
+    **{k: str(v) for k, v in core._CONFIG.items() if v is not None},
 }
 
 
@@ -116,6 +116,15 @@ def _emit(args, command: str, config_echo: dict, csv_text: str | None, data) -> 
         sys.stdout.write(payload)
 
 
+def _emit_table(args, command: str, config_echo: dict, header: list[str], columns: list) -> None:
+    """`_emit` equal-length columns as CSV, or as json `{"rows": [{header: value, ...}, ...]}`."""
+    if args.format == "json":
+        rows = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
+        _emit(args, command, config_echo, None, {"rows": rows})
+    else:
+        _emit(args, command, config_echo, _csv(header, columns), None)
+
+
 def _load_setup(args) -> core.RunSetup:
     if args.config:
         if not os.path.exists(args.config):
@@ -124,8 +133,7 @@ def _load_setup(args) -> core.RunSetup:
     else:
         setup = core.realize_config(dict(_DEFAULT_CONFIG))
     if args.seed is not None:
-        setup = dataclasses.replace(setup, sim=dataclasses.replace(setup.sim, seed=args.seed),
-                                    raw={**setup.raw, "seed": str(args.seed)})
+        setup = core.realize_config({**setup.raw, "seed": str(args.seed)})
     return setup
 
 
@@ -164,11 +172,7 @@ def _cmd_simulate(args) -> int:
     draw = noise.NoiseRealization(*noise.sample_zetas(setup.state, setup.sim.seed, range(1))[0])
     traj = dynamics.solve_trajectory(setup.dimensionless, setup.state, draw, setup.sim,
                                      eom_sign=args.eom_sign, solver=args.solver, index=0)
-    if args.format == "json":
-        rows = zip(traj.tau.tolist(), traj.q.tolist(), traj.p.tolist())
-        _emit(args, "simulate", setup.raw, None, {"rows": [dict(tau=t, q=q, p=p) for t, q, p in rows]})
-    else:
-        _emit(args, "simulate", setup.raw, _csv(["tau", "q", "p"], [traj.tau, traj.q, traj.p]), None)
+    _emit_table(args, "simulate", setup.raw, ["tau", "q", "p"], [traj.tau, traj.q, traj.p])
     return 0
 
 
@@ -288,11 +292,9 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_bloch_map(args) -> int:
     bmap = forces.bloch_map(args.resolution)
-    csv_text = _csv(
-        ["theta", "phi", "eta_f", "eta_st"],
-        [bmap.theta.ravel(), bmap.phi.ravel(), bmap.eta_f.ravel(), bmap.eta_st.ravel()],
-    )
-    _emit(args, "bloch-map", {"resolution": args.resolution}, csv_text, None)
+    header = ["theta", "phi", "eta_f", "eta_st"]
+    _emit_table(args, "bloch-map", {"resolution": args.resolution}, header,
+                [getattr(bmap, name).ravel() for name in header])
     return 0
 
 

@@ -8,6 +8,7 @@ time in units of 1/omega_q (rescaled time tau = omega_q * t).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -145,12 +146,10 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise InvalidParameterError(f"dt must be strictly positive, got {self.dt}")
-        if self.n_traj < 1:
-            raise InvalidParameterError(f"n_traj must be >= 1, got {self.n_traj}")
-        if self.n_fock < 2:
-            raise InvalidParameterError(f"n_fock must be >= 2, got {self.n_fock}")
-        if not (0 <= int(self.seed)):
-            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        for name, low in (("n_traj", 1), ("seed", 0), ("n_fock", 2)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v!r}")
         if not (math.isfinite(self.q_init) and math.isfinite(self.p_init)):
             raise InvalidParameterError(f"q_init and p_init must be finite, got {self.q_init}, {self.p_init}")
 
@@ -172,32 +171,29 @@ def derive_dimensionless(pp: PhysicalParams, T_si: float, n_qubits: int = 1) -> 
 
 # --- flat key=value run configuration ------------------------------------
 
-_CONFIG_KEYS = {
-    "mass_kg",
-    "omega_o_hz",
-    "omega_q_hz",
-    "coupling_hz",
-    "p",
-    "phi",
-    "g_override",
-    "T",
-    "dt",
-    "n_traj",
-    "seed",
-    "n_fock",
-    "n_qubits",
+# each key's default (None: none); a key with an int default takes integers only
+_CONFIG = {
+    "mass_kg": None, "omega_o_hz": None, "omega_q_hz": None, "coupling_hz": None, "g_override": None,
+    "p": 0.5, "phi": 0.0, "T": 30.0, "dt": 0.01, "n_traj": 1000, "seed": 12345, "n_fock": 40, "n_qubits": 1,
 }
 
-_CONFIG_DEFAULTS = {
-    "p": 0.5,
-    "phi": 0.0,
-    "T": 30.0,
-    "dt": 0.01,
-    "n_traj": 1000,
-    "seed": 12345,
-    "n_fock": 40,
-    "n_qubits": 1,
-}
+
+def _number(key: str, value):
+    """The value of config key `key` as a float, or as an int for the integer keys."""
+    if key not in _CONFIG:
+        raise InvalidParameterError(f"unknown config key {key!r} = {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"config key {key!r} must be a number, got {value!r}") from None
+    if type(_CONFIG[key]) is not int:
+        return x
+    if not x.is_integer():
+        raise InvalidParameterError(f"config key {key!r} must be an integer, got {value!r}")
+    try:
+        return int(value)  # exact for long integer strings
+    except ValueError:
+        return int(x)  # "1e4"
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def parse_config_text(text: str) -> dict:
             raise InvalidParameterError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, val = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
         values[key] = val.strip()
     return values
@@ -245,48 +241,31 @@ def load_config(path: str) -> RunSetup:
 
 
 def realize_config(raw: dict) -> RunSetup:
-    vals = dict(_CONFIG_DEFAULTS)
-    vals.update(raw)
+    """Build the records from `key: value` pairs over the `_CONFIG` defaults.
 
-    def fget(key):
-        return float(vals[key]) if key in vals else None
+    Each value is parsed by `_number`, so an unknown key, a non-numeric
+    value or a non-integral value for an integer key is refused by name.
+    `raw` of the result holds the values as given, over the defaults.
+    """
+    given = {k: v for k, v in _CONFIG.items() if v is not None}
+    given.update(raw)
+    vals = {k: _number(k, v) for k, v in given.items()}
 
-    physical = None
-    omega_o = fget("omega_o_hz")
-    omega_q = fget("omega_q_hz")
-    coupling = fget("coupling_hz")
-    if omega_o is not None:
-        omega_o *= TWO_PI
-    if omega_q is not None:
-        omega_q *= TWO_PI
-    if coupling is not None:
-        coupling *= TWO_PI
-    if vals.get("mass_kg") is not None and omega_o and omega_q:
-        physical = PhysicalParams(
-            mass=float(vals["mass_kg"]),
-            omega_o=omega_o,
-            omega_q=omega_q,
-            Omega=coupling if coupling is not None else 0.0,
-        )
-
-    if omega_o and omega_q:
-        r = omega_o / omega_q
-    else:
+    omega_o, omega_q, coupling = (TWO_PI * vals[k] if k in vals else None
+                                  for k in ("omega_o_hz", "omega_q_hz", "coupling_hz"))
+    if not (omega_o and omega_q):
         raise InvalidParameterError("config must provide omega_o_hz and omega_q_hz")
-
-    if "g_override" in vals and vals["g_override"] is not None:
-        g = float(vals["g_override"])
-    elif coupling is not None and omega_q:
+    physical = None
+    if "mass_kg" in vals:
+        physical = PhysicalParams(vals["mass_kg"], omega_o, omega_q, coupling if coupling is not None else 0.0)
+    if "g_override" in vals:
+        g = vals["g_override"]
+    elif coupling is not None:
         g = coupling / (2.0 * math.sqrt(2.0) * omega_q)
     else:
         raise InvalidParameterError("config must provide coupling_hz or g_override")
 
-    dp = DimensionlessParams(g=g, r=r, T=float(vals["T"]), n_qubits=int(vals["n_qubits"]))
-    state = QubitState(p=float(vals["p"]), phi=float(vals["phi"]))
-    sim = SimConfig(
-        dt=float(vals["dt"]),
-        n_traj=int(float(vals["n_traj"])),
-        seed=int(float(vals["seed"])),
-        n_fock=int(float(vals["n_fock"])),
-    )
-    return RunSetup(physical=physical, dimensionless=dp, state=state, sim=sim, raw=dict(vals))
+    dp = DimensionlessParams(g=g, r=omega_o / omega_q, T=vals["T"], n_qubits=vals["n_qubits"])
+    state = QubitState(p=vals["p"], phi=vals["phi"])
+    sim = SimConfig(dt=vals["dt"], n_traj=vals["n_traj"], seed=vals["seed"], n_fock=vals["n_fock"])
+    return RunSetup(physical=physical, dimensionless=dp, state=state, sim=sim, raw=given)

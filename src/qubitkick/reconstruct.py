@@ -156,9 +156,16 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     MIN_BATCHES batches their spread gives `cov`; otherwise `cov` is NaN,
     because the Monte Carlo mean lies in the span of the basis and its
     residuals say nothing about the estimator spread.
+
+    The fit has no column for free motion, so a grid from tau = 0, where the
+    drive rows are exactly 0, is refused unless every mean starts at exactly 0.
+    That catches a `q_init` offset, not a `p_init` one, whose mean starts at 0.
     """
     tau = np.asarray(tau, dtype=float)
     Y = np.atleast_2d(np.asarray(mean_q, dtype=float))
+    if tau[0] == 0.0 and np.any(Y[:, 0] != 0.0):
+        raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
+                                    f"got mean_q = {Y[0, 0]} at tau = 0")
     span_needed = MIN_PERIODS * 2.0 * math.pi / min(1.0, dp.r)
     if tau[-1] - tau[0] < span_needed:
         raise InvalidParameterError(

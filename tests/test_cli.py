@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +29,21 @@ seed = 7
 """
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, **kwargs)
+def run_cli(*args):
+    """`cli.main` run in this process with its output captured, as a finished subprocess.
+
+    An uncaught exception exits 1 with its traceback on stderr, as the
+    interpreter would; `TestUsageErrors.test_unknown_command` runs the real
+    `python -m qubitkick` to pin the module's exit code.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(CMD + list(args), code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture()
@@ -486,9 +502,22 @@ class TestBlochMap:
         assert len(lines) == 1 + 16 * 16
 
 
+    def test_json_rows_match_csv(self, tmp_path):
+        csv_out, json_out = tmp_path / "map.csv", tmp_path / "map.json"
+        assert run_cli("bloch-map", "--resolution", "8", "--out", str(csv_out)).returncode == 0
+        res = run_cli("bloch-map", "--resolution", "8", "--format", "json", "--out", str(json_out))
+        assert res.returncode == 0
+        rows = json.loads(json_out.read_text())["data"]["rows"]
+        assert len(rows) == 8 * 8
+        table = np.loadtxt(csv_out, delimiter=",", skiprows=1)
+        header = ["theta", "phi", "eta_f", "eta_st"]
+        assert np.array_equal([[row[k] for k in header] for row in rows], table)
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
-        assert run_cli("frobnicate").returncode == 2
+        res = subprocess.run(CMD + ["frobnicate"], capture_output=True, text=True)
+        assert res.returncode == 2
 
     def test_unknown_flag(self):
         assert run_cli("table1", "--bogus").returncode == 2
@@ -501,6 +530,13 @@ class TestUsageErrors:
         res = run_cli("reconstruct", "--config", str(cfg))
         assert res.returncode == 1
         assert res.stderr.strip()
+
+    def test_malformed_config_value_exits_1(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace("p = 0.5", "p = abc"))
+        res = run_cli("reconstruct", "--config", str(cfg))
+        assert res.returncode == 1
+        assert "error: config key 'p'" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("draws", ["1", "0", "-3"])
     def test_too_few_noise_draws_exits_2(self, draws, capsys):

@@ -133,7 +133,9 @@ class TestDimensionlessParams:
 class TestSimConfig:
     def test_validation(self):
         for bad in (dict(dt=0.0), dict(dt=math.nan), dict(n_traj=0), dict(n_fock=1),
-                    dict(q_init=math.nan), dict(q_init=-math.inf), dict(p_init=math.inf)):
+                    dict(q_init=math.nan), dict(q_init=-math.inf), dict(p_init=math.inf),
+                    dict(n_traj=2.5), dict(n_traj=math.nan), dict(n_traj=100.0), dict(seed=1.5),
+                    dict(seed=-1), dict(n_fock=40.0)):
             with pytest.raises(InvalidParameterError):
                 SimConfig(**bad)
 
@@ -187,3 +189,30 @@ class TestConfigFile:
     def test_missing_coupling_rejected(self):
         with pytest.raises(InvalidParameterError):
             realize_config({"omega_o_hz": "0.5", "omega_q_hz": "1.0"})
+
+    BASE = {"omega_o_hz": "0.5", "omega_q_hz": "1.0", "g_override": "0.05"}
+
+    @pytest.mark.parametrize("key, value", (("p", "abc"), ("n_qubits", "1.5"), ("n_traj", "2.5"),
+                                            ("seed", "1.7"), ("n_traj", "inf"), ("n_traj", "nan")))
+    def test_malformed_value_refused_by_key(self, tmp_path, key, value):
+        # these crashed with a bare ValueError/OverflowError or ran 2 draws / seed 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**self.BASE, key: value}.items()))
+        with pytest.raises(InvalidParameterError, match=f"config key '{key}'.*'{value}'"):
+            load_config(str(cfg))
+
+    def test_integer_keys_take_exponent_form(self):
+        setup = realize_config({**self.BASE, "n_traj": "1e4", "seed": "7", "n_fock": "4e1"})
+        assert setup.sim.n_traj == 10000 and type(setup.sim.n_traj) is int
+        assert setup.sim.seed == 7 and setup.sim.n_fock == 40
+        assert setup.raw["n_traj"] == "1e4"  # the echo keeps the value as given
+
+    def test_defaults_fill_the_echo(self):
+        setup = realize_config(self.BASE)
+        assert setup.raw == {**self.BASE, "p": 0.5, "phi": 0.0, "T": 30.0, "dt": 0.01,
+                             "n_traj": 1000, "seed": 12345, "n_fock": 40, "n_qubits": 1}
+        assert realize_config(setup.raw) == setup
+
+    def test_unknown_key_in_dict_refused(self):
+        with pytest.raises(InvalidParameterError, match="'bogus'"):
+            realize_config({**self.BASE, "bogus": "1"})

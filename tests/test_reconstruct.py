@@ -179,6 +179,14 @@ class TestMonteCarloRoundtrip:
         with pytest.raises(InvalidParameterError, match="at rest"):
             reconstruct_from_stats(stats, DP)
 
+    def test_fit_mean_refuses_a_mean_off_rest_at_tau_0(self):
+        # from q = 1 the fit read eta_f 15.49 (truth 0.458) without complaint
+        stats = run_ensemble(DP, TRUTH, SimConfig(dt=0.02, n_traj=20_000, seed=3, q_init=1.0))
+        with pytest.raises(InvalidParameterError, match="at rest"):
+            fit_mean(stats.tau, stats.mean_q, DP)
+        # the same mean on a grid past tau = 0 carries no such anchor
+        fit_mean(stats.tau[1:], stats.mean_q[1:], DP)
+
     def test_stderr_shrinks_as_root_n(self):
         sizes = (1_000, 10_000, 100_000)
         errs = []
