@@ -3,7 +3,10 @@
 Subcommands: table1, simulate, ensemble, verify {bch,influence,noise,oracle},
 reconstruct, bloch-map.  Outputs are written atomically (temp file + rename)
 and CSV carries full double precision so reruns diff byte-identically.
-Exit codes: 0 success, 1 validation failure, 2 usage/configuration error.
+Exit codes: 0 success; 1 a refused parameter or config value (a malformed or
+out-of-range config key, among others) or a failed check or fit; 2 a usage
+error: a bad flag or flag value, a missing config file, an unreadable or
+mismatched ensemble CSV, or an output path that cannot be written.
 
 Every CSV number is C's "%.17g" of the float64: 17 significant digits,
 trailing zeros and a bare point dropped, the exponent form unless the rounded
@@ -291,6 +294,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bloch_map(args) -> int:
+    if args.resolution < forces.MIN_BLOCH_RESOLUTION:
+        raise UsageError(f"--resolution must be at least {forces.MIN_BLOCH_RESOLUTION}, "
+                         f"got {args.resolution}")
     bmap = forces.bloch_map(args.resolution)
     header = ["theta", "phi", "eta_f", "eta_st"]
     _emit_table(args, "bloch-map", {"resolution": args.resolution}, header,

@@ -413,8 +413,10 @@ def run_ensemble(
     """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
     Three basis solves give the rows Q and P; each fixed index batch of
-    draws is reduced to its count, mean and centred 2x2 scatter.  Memory is
-    O(grid) at any n_traj.  Draw i uses the stream derived from (seed, i)
+    draws is reduced to its count, mean and centred 2x2 scatter, on the two
+    contiguous component rows `sample_zetas(...).T`: a pairwise-summed mean
+    per row, then one 2x2 Gram of the centred rows.  Memory is O(grid) at any
+    n_traj.  Draw i uses the stream derived from (seed, i)
     (see `sample_zetas`), so a fixed seed gives the same bits whatever the
     batch edges.
     """
@@ -433,10 +435,10 @@ def run_ensemble(
     means = np.empty((counts.size, 2))
     scatters = np.empty((counts.size, 2, 2))
     for k, (i0, i1) in enumerate(zip(edges[:-1], edges[1:])):
-        zetas = sample_zetas(state, config.seed, range(int(i0), int(i1)))
-        means[k] = zetas.mean(axis=0)
-        dev = zetas - means[k]
-        scatters[k] = dev.T @ dev
+        rows = sample_zetas(state, config.seed, range(int(i0), int(i1))).T
+        means[k] = rows.mean(axis=1)
+        dev = rows - means[k][:, None]
+        scatters[k] = dev @ dev.T
     return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
                          batch_scatters=scatters, dt=config.dt, n_traj=config.n_traj,
                          seed=config.seed, eom_sign=eom_sign, solver=solver)

@@ -157,10 +157,14 @@ class BlochMap:
     eta_st: np.ndarray
 
 
+# coarsest (theta, phi) grid `bloch_map` accepts
+MIN_BLOCH_RESOLUTION = 8
+
+
 def bloch_map(resolution: int = 64) -> BlochMap:
     """eta_f and eta_st on a (theta, phi) grid of the given resolution."""
-    if resolution < 8:
-        raise InvalidParameterError("bloch map resolution must be >= 8")
+    if resolution < MIN_BLOCH_RESOLUTION:
+        raise InvalidParameterError(f"bloch map resolution must be >= {MIN_BLOCH_RESOLUTION}")
     theta = np.linspace(0.0, math.pi, resolution)
     phi = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")

@@ -111,6 +111,10 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     PCG64(seed), a Box-Muller normal pair times `zeta_cholesky(state)`.  A
     block is one `advance` plus one vector draw, so any contiguous split of
     the indices gives the same bits.
+
+    The result is the `.T` view of a C-ordered (2, n) block, so `.T` of it is
+    two contiguous component rows (zeta_x, zeta_y) that reduce without
+    strided access.
     """
     if not isinstance(indices, range) or indices.step != 1 or indices.start < 0:
         raise InvalidParameterError(f"indices must be range(i0, i1) with i0 >= 0, got {indices!r}")
@@ -118,8 +122,9 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # finite: u < 1
     angle = 2.0 * math.pi * u[:, 1]
     L = zeta_cholesky(state)
-    # elementwise, so a row's bits do not depend on the block it is drawn in
-    return (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
+    # zeta_j = x L[j, 0] + y L[j, 1] elementwise, so a draw's bits do not
+    # depend on the block it is drawn in
+    return ((radius * np.cos(angle)) * L[:, :1] + (radius * np.sin(angle)) * L[:, 1:]).T
 
 
 def _noise_map(tau) -> np.ndarray:

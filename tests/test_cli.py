@@ -543,6 +543,11 @@ class TestUsageErrors:
         assert cli.main(["verify", "noise", "--draws", draws]) == 2
         assert "--draws" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", ["7", "0", "-3"])
+    def test_too_coarse_bloch_map_exits_2(self, resolution, capsys):
+        assert cli.main(["bloch-map", "--resolution", resolution]) == 2
+        assert "--resolution" in capsys.readouterr().err
+
     def test_unwritable_output_path_exits_2(self, config_file, tmp_path):
         res = run_cli("simulate", "--config", config_file,
                       "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"))

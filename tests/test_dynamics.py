@@ -288,6 +288,23 @@ class TestEnsemble:
         ref = np.var(Q, axis=0, ddof=1)[1:]
         assert np.max(np.abs(stats.var_q[1:] - ref)) <= 1e-9 * np.max(ref)
 
+    def test_batch_moments_match_exact_sums(self):
+        # a batch's mean and scatter against exactly rounded sums (math.fsum)
+        # of the same draws; a sequential sum over 5000 draws misses by ~1e-16
+        dp = DimensionlessParams(g=0.05, r=0.5, T=1.0)
+        state = QubitState(0.3, 1.0)
+        mean_err = 0.0
+        for seed in range(40):
+            cfg = SimConfig(dt=0.02, n_traj=5000, seed=seed)
+            stats = run_ensemble(dp, state, cfg, n_batches=1)
+            zetas = sample_zetas(state, seed, range(cfg.n_traj))
+            mu = np.array([math.fsum(col) / cfg.n_traj for col in zetas.T])
+            dev = zetas - mu
+            scatter = np.array([[math.fsum(dev[:, j] * dev[:, k]) for k in range(2)] for j in range(2)])
+            mean_err = max(mean_err, np.max(np.abs(stats.batch_means[0] - mu)))
+            assert np.max(np.abs(stats.batch_scatters[0] - scatter)) <= 1e-15 * np.max(np.abs(scatter))
+        assert mean_err <= 2e-17
+
     def test_closed_form_ignores_rk4_step_budget(self):
         # the exact solver has no step error; the coarse grid samples the same mean
         cfg = SimConfig(dt=0.1, n_traj=200, seed=17)

@@ -171,6 +171,23 @@ class TestSampler:
             assert sample_zetas(state, 123, range(i0, i1)).tobytes() == whole[i0:i1].tobytes()
         assert sample_zetas(state, 123, range(n, n)).shape == (0, 2)
 
+    @pytest.mark.parametrize("state", (QubitState(0.0, 0.0), QubitState(0.5, 0.0), QubitState(0.5, 1.0),
+                                       QubitState(0.3, 1.0)), ids=("pole", "equator", "equator-phi1", "p=0.3"))
+    @pytest.mark.parametrize("indices", (range(0, 1), range(0, 5000), range(777, 9000), range(42, 42)),
+                             ids=("one", "batch", "offset", "empty"))
+    def test_draws_match_row_wise_reference(self, state, indices):
+        # the broadcast (n, 2) formula on row-ordered uniforms: the (2, n)
+        # block must keep every bit and hand out contiguous component rows
+        u = np.random.Generator(np.random.PCG64(5).advance(2 * indices.start)).random((len(indices), 2))
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        angle = 2.0 * math.pi * u[:, 1]
+        L = zeta_cholesky(state)
+        ref = (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
+        zetas = sample_zetas(state, 5, indices)
+        assert zetas.shape == ref.shape == (len(indices), 2)
+        assert zetas.tobytes() == ref.tobytes()
+        assert zetas.T.flags.c_contiguous
+
     @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 5), range(5, 0, -1), [0, 1, 2],
                                          np.arange(3), (0, 1)])
     def test_stepped_negative_or_non_range_indices_refused(self, indices):
