@@ -323,8 +323,10 @@ def _rhs(dp, state, zetas, tau, q, p, eom_sign):
     c, s = np.cos(tau), np.sin(tau)
     lam_q = rt_n * (-zx * c + zy * s)
     lam_p = rt_n * (zx * s + zy * c)
-    cf = np.cos(tau + state.phi)
-    sf = np.sin(tau + state.phi)
+    # cos(tau + phi) and sin(tau + phi) by angle addition, so a stage makes two trig calls
+    cos_phi, sin_phi = math.cos(state.phi), math.sin(state.phi)
+    cf = c * cos_phi - s * sin_phi
+    sf = s * cos_phi + c * sin_phi
     if eom_sign == "eq37":
         dq = r * p
         dp_ = -r * q + (g * (1.0 - r) / r) * (eta * cf - lam_q)

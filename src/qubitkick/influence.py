@@ -5,14 +5,18 @@ integral leaves an overlap <psi| U(X) U(X')^dag |psi>, where U depends on
 the oscillator path only through three scalar functionals per path.  This
 module computes those functionals by quadrature, evaluates the weak-coupling
 phases of the overlap, and provides a brute-force time-ordered propagator so
-the expansion can be checked against the exact product.  The propagator
-builds all its per-substep 2x2 rotations at once and reduces them pairwise,
-keeping the time order.
+the expansion can be checked against the exact product.  Each substep of
+the propagator is an SU(2) rotation about an axis in the x-y plane, kept as
+a real unit quaternion; one pairwise scan of quaternion products, later
+factors on the left, covers every substep and every coupling of a g ladder
+at once.  So a convergence check samples each path once, whatever the
+number of couplings it fits a slope to.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,17 +172,39 @@ def pauli_exponential(coef: float, sigma: np.ndarray) -> np.ndarray:
     return math.cos(coef) * IDENTITY2 + 1j * math.sin(coef) * sigma
 
 
-def qubit_propagator_exact(q, p, T: float, g: float, substeps: int) -> np.ndarray:
+def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a b of quaternion arrays stacked on axis 0 as (w, x, y, z)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw])
+
+
+def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     """Time-ordered product of per-step rotations generated by g (f_x sx - f_y sy).
 
     `q` and `p` may be callables of rescaled time (evaluated exactly at
     substep midpoints) or arrays sampled on a uniform grid over [0, T]
     (linearly interpolated to midpoints).  With arrays, `substeps` must be
-    at least the number of grid intervals.  The result is unitary to
-    rounding because each factor is an exact 2x2 rotation.
+    at least the number of grid intervals.  `g` is a scalar, giving one
+    (2, 2) propagator, or a 1-D ladder, giving (len(g), 2, 2): the path is
+    sampled once for the whole ladder.
+
+    Substep k is exp(-i (a_x sx + a_y sy)), the real unit quaternion
+    (cos theta, sinc theta a_x, sinc theta a_y, 0) with theta = |a|, since
+    w I - i (x sx + y sy + z sz) multiplies as the quaternion (w, x, y, z).
+    The substeps, padded once to a power of two with identities, are
+    reduced pairwise with later factors on the left.  The result is unitary
+    to rounding because each factor is an exact rotation.
     """
-    if substeps < 1:
-        raise InvalidParameterError("substeps must be >= 1")
+    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise InvalidParameterError(f"substeps must be an integer >= 1 (got {substeps!r})")
+    substeps = int(substeps)
+    g = np.asarray(g, dtype=float)
+    if g.ndim > 1:
+        raise InvalidParameterError(f"g must be a scalar or a 1-D ladder, got shape {g.shape}")
     h = T / substeps
     t_mid = (np.arange(substeps) + 0.5) * h
     if callable(q) and callable(p):
@@ -193,20 +219,25 @@ def qubit_propagator_exact(q, p, T: float, g: float, substeps: int) -> np.ndarra
         q_mid = np.interp(t_mid, grid, q_arr)
         p_mid = np.interp(t_mid, grid, p_arr)
     f_x, f_y = drive_components(t_mid, q_mid, p_mid)
-    # substep k is exp(-i (a_x sx + a_y sy)) = cos(theta) I - i sinc(theta) (a_x sx + a_y sy)
-    a_x, a_y = g * h * f_x, -g * h * f_y
-    theta = np.hypot(a_x, a_y)
-    b = -1j * np.sinc(theta / np.pi)
-    U = np.empty((substeps, 2, 2), dtype=complex)
-    U[:, 0, 0] = U[:, 1, 1] = np.cos(theta)
-    U[:, 0, 1] = b * (a_x - 1j * a_y)
-    U[:, 1, 0] = b * (a_x + 1j * a_y)
-    # time-ordered product, later factors on the left, reduced pairwise
-    while U.shape[0] > 1:
-        if U.shape[0] % 2:
-            U = np.concatenate([U, IDENTITY2[None]])
-        U = U[1::2] @ U[0::2]
-    return U[0]
+    a_x = np.multiply.outer(g * h, f_x)
+    a_y = np.multiply.outer(-g * h, f_y)
+    theta = np.multiply.outer(np.abs(g) * h, np.hypot(f_x, f_y))
+    sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+    # (4, *g.shape, 2^k): the tail past `substeps` stays the identity
+    quat = np.zeros((4, *g.shape, 1 << (substeps - 1).bit_length()))
+    quat[0] = 1.0
+    quat[0, ..., :substeps] = np.cos(theta)
+    quat[1, ..., :substeps] = sinc * a_x
+    quat[2, ..., :substeps] = sinc * a_y
+    while quat.shape[-1] > 1:
+        quat = _quaternion_product(quat[..., 1::2], quat[..., 0::2])
+    w, x, y, z = quat[..., 0]
+    U = np.empty((*g.shape, 2, 2), dtype=complex)
+    U[..., 0, 0] = w - 1j * z
+    U[..., 0, 1] = -y - 1j * x
+    U[..., 1, 0] = y - 1j * x
+    U[..., 1, 1] = w + 1j * z
+    return U
 
 
 def _check_g_values(g_values) -> np.ndarray:
@@ -232,17 +263,19 @@ def bch_product(f: PathFunctionals, g: float) -> np.ndarray:
 
 
 def _against_exact(pair: PathPair, g_values, substeps: int | None, error) -> dict:
-    """`error(g, f, exact)` at each checked g, with exact = U(X) U(X')^dag, and its log-log slope."""
+    """`error(g, f, exact)` at each checked g, and its log-log slope.
+
+    exact = U(X) U(X')^dag, from one ladder call per path for all the g.
+    """
     g_values = _check_g_values(g_values)
     if substeps is None:
         substeps = pair.tau.size - 1
     f = path_functionals(pair)
     T = float(pair.tau[-1])
-    errors = []
-    for g in g_values:
-        U_f = qubit_propagator_exact(pair.q, pair.p, T, g, substeps)
-        U_b = qubit_propagator_exact(pair.q_b, pair.p_b, T, g, substeps)
-        errors.append(error(g, f, U_f @ U_b.conj().T))
+    U_f = qubit_propagator_exact(pair.q, pair.p, T, g_values, substeps)
+    U_b = qubit_propagator_exact(pair.q_b, pair.p_b, T, g_values, substeps)
+    exact = U_f @ U_b.conj().transpose(0, 2, 1)
+    errors = [error(g, f, U) for g, U in zip(g_values, exact)]
     return {
         "g": g_values.tolist(),
         "error": errors,

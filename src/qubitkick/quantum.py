@@ -117,12 +117,10 @@ def evolve_expectations(H: np.ndarray, psi0: np.ndarray, tau) -> OracleExpectati
     I2 = np.eye(2, dtype=complex)
     Q = np.kron(I2, q)
     P = np.kron(I2, p)
-    Q2 = Q @ Q
-    mean_q = np.einsum("ti,ij,tj->t", psi_t.conj(), Q, psi_t).real
-    mean_p = np.einsum("ti,ij,tj->t", psi_t.conj(), P, psi_t).real
-    mean_q2 = np.einsum("ti,ij,tj->t", psi_t.conj(), Q2, psi_t).real
+    # <psi|A|psi> at every time: the BLAS product psi^dag A per operator, then a row dot with psi
+    bra_ops = psi_t.conj() @ np.stack([Q, P, Q @ Q, H])
+    mean_q, mean_p, mean_q2, e_t = np.einsum("ktj,tj->kt", bra_ops, psi_t).real
     norms = np.linalg.norm(psi_t, axis=1)
-    e_t = np.einsum("ti,ij,tj->t", psi_t.conj(), H, psi_t).real
     return OracleExpectations(
         tau=tau,
         mean_q=mean_q,

@@ -108,7 +108,8 @@ def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
 
 
 def test_propagator_counter_reads_substeps(tracing, monkeypatch):
-    # the counter reads `substeps` from args[4] of every forward and backward call
+    # the counter reads `substeps` from args[4] of the forward and the backward
+    # call, each of which covers the whole g ladder
     counted = []
     propagator = influence.qubit_propagator_exact
 
@@ -124,4 +125,4 @@ def test_propagator_counter_reads_substeps(tracing, monkeypatch):
         for substeps, expected in ((None, 200), (333, 333)):
             counted.clear()
             verify(pair, QubitState(0.3, 1.0), g_values, substeps)
-            assert counted == [({"substeps": expected}, (2, 2))] * (2 * len(g_values))
+            assert counted == [({"substeps": expected}, (len(g_values), 2, 2))] * 2

@@ -21,6 +21,8 @@ from qubitkick.influence import (
 )
 
 G_LADDER = (0.1, 0.05, 0.025, 0.0125)
+# a propagator ladder: either sign of g, and the decoupled g = 0
+LADDER = [0.1, -0.07, 0.0, 0.025, 0.0125]
 
 
 def make_pair(tau, q, p, q_b=None, p_b=None):
@@ -215,9 +217,31 @@ class TestPropagator:
         with pytest.raises(InvalidParameterError):
             qubit_propagator_exact(np.zeros(100), np.zeros(100), 1.0, 0.1, substeps=50)
 
+    @pytest.mark.parametrize("substeps", (2.5, 0))
+    def test_non_integral_or_nonpositive_substeps_refused(self, substeps):
+        with pytest.raises(InvalidParameterError, match="substeps"):
+            qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, substeps)
+
+    def test_numpy_integer_substeps_accepted(self):
+        U = qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, np.int64(7))
+        assert np.array_equal(U, qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, 7))
+
+    def test_two_dimensional_g_refused(self):
+        with pytest.raises(InvalidParameterError, match="g must be"):
+            qubit_propagator_exact(np.cos, np.sin, 1.0, np.full((2, 2), 0.1), 8)
+
+    def test_ladder_matches_scalar_calls(self):
+        pair = random_pair(14)
+        T = float(pair.tau[-1])
+        ladder = qubit_propagator_exact(pair.q, pair.p, T, LADDER, 4000)
+        assert ladder.shape == (len(LADDER), 2, 2)
+        for g, U in zip(LADDER, ladder):
+            assert np.abs(U - qubit_propagator_exact(pair.q, pair.p, T, g, 4000)).max() <= 1e-15
+
     @pytest.mark.parametrize("substeps", (1, 2, 7, 4000, 4001))
     def test_matches_sequential_product(self, substeps):
-        # odd and even counts pad differently in the pairwise reduction
+        # odd and even counts pad differently in the pairwise reduction; a
+        # ladder call gives every coupling's propagator at once
         pair = random_pair(13)
         T, g = float(pair.tau[-1]), 0.1
         paths = [(np.cos, lambda t: 0.5 - np.sin(2 * t))]
@@ -227,6 +251,11 @@ class TestPropagator:
             U = qubit_propagator_exact(q, p, T, g, substeps)
             assert U.shape == (2, 2)
             assert np.linalg.norm(U - sequential_propagator(q, p, T, g, substeps)) <= 1e-13
+            ladder = qubit_propagator_exact(q, p, T, LADDER, substeps)
+            for g_k, U_k in zip(LADDER, ladder):
+                assert np.linalg.norm(U_k - sequential_propagator(q, p, T, g_k, substeps)) <= 1e-13
+                assert np.linalg.norm(U_k.conj().T @ U_k - IDENTITY2) <= 1e-13
+            assert np.array_equal(ladder[LADDER.index(0.0)], IDENTITY2)
 
 
 class TestVerifyBch:

@@ -112,6 +112,27 @@ class TestEvolution:
         assert np.max(np.abs(small.mean_p - wide.mean_p)) <= 1e-14
         assert np.max(np.abs(small.var_q - wide.var_q)) <= 1e-13
 
+    @pytest.mark.parametrize("n_fock", (ORACLE_N_FOCK, 10))
+    def test_moments_match_three_operand_reference(self, n_fock):
+        H = build_hamiltonian(DP, n_fock)
+        psi0 = ground_initial_state(QubitState(0.3, 1.0), n_fock)
+        tau = np.linspace(0, DP.T, 401)
+        out = evolve_expectations(H, psi0, tau)
+        energies, V = np.linalg.eigh(H)
+        psi_t = (np.exp(-1j * np.outer(tau, energies)) * (V.conj().T @ psi0)) @ V.T
+        _, _, q, p = fock_operators(n_fock)
+        Q, P = np.kron(np.eye(2), q), np.kron(np.eye(2), p)
+
+        def expect(A):
+            return np.einsum("ti,ij,tj->t", psi_t.conj(), A, psi_t).real
+
+        mean_q = expect(Q)
+        e_t = expect(H)
+        assert np.max(np.abs(out.mean_q - mean_q)) <= 1e-14
+        assert np.max(np.abs(out.mean_p - expect(P))) <= 1e-14
+        assert np.max(np.abs(out.var_q - (expect(Q @ Q) - mean_q**2))) <= 1e-14
+        assert abs(out.energy_drift - np.abs(e_t - e_t[0]).max()) <= 1e-14
+
     def test_truncation_breach_raises_with_suggestion(self):
         dp = DimensionlessParams(g=0.05, r=0.05, T=60.0)
         H = build_hamiltonian(dp, n_fock=2)
