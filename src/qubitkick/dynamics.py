@@ -8,12 +8,19 @@ of them exactly:
 
 with per-trajectory constant coefficients, linear in four unit inputs:
 (A_c, A_s) = n g eta_f (cos(phi), sin(phi)) and the draws (zeta_x, zeta_y).
-So a convention is w0 plus one 4x2 map to (D_minus, D_plus), and a
-trajectory is its rotated initial condition plus its inputs times four
-response rows (`response_basis`).  The particular integral is written with
-a sinc so it stays accurate through the resonance |w0| = 1, where it
-degenerates smoothly into the secular tau * e^{i tau} growth.  `_rhs`, RK4
-and `mean_closed_form` stay independent of the map, as its cross-checks.
+So a convention is w0 plus one 4x2 map K to (D_minus, D_plus), and a
+trajectory is its rotated initial condition e^{i w0 tau} z0 plus (u K) times
+two tone factors, u its four inputs.  The tone of the drive e^{-+i tau} is
+the free rotation times its phase integral,
+
+    e^{i w0 tau} int_0^tau e^{i theta s} ds = tau e^{i (w0 -+ 1) tau/2} sinc(theta tau/2),
+    theta = -+1 - w0,
+
+one exponential and one sinc per tone.  The sinc keeps it uniform through
+the resonance |w0| = 1, where it degenerates smoothly into the secular
+tau * e^{i tau} growth.  K times the tones gives the four response rows
+(`response_basis`).  `_rhs`, RK4 and `mean_closed_form` stay independent of
+the map, as its cross-checks.
 `solve_trajectory` (one draw) and `run_ensemble` (three basis rows) share
 one solve: grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step
 budget and finite check.  So under both solvers an ensemble is three basis
@@ -105,6 +112,7 @@ class EnsembleStats:
     seed: int
     eom_sign: str
     solver: str
+    made_at: tuple[float, float, int]  # (g, r, n_qubits) of the dynamics that made Q and P
 
     def _moments(self):
         """x_bar and the pooled scatter: within-batch scatters plus the between-batch
@@ -128,9 +136,24 @@ class EnsembleStats:
         return self._moments()[0] @ self.P
 
     @property
+    def draw_mean(self) -> np.ndarray:
+        """The draws' pooled mean (2,)."""
+        return self._moments()[0][1:]
+
+    @property
+    def draw_cov(self) -> np.ndarray:
+        """M = scatter / (n - 1), the draws' pooled sample covariance (2, 2)."""
+        return self._moments()[1] / (self.n_traj - 1)
+
+    @property
+    def batch_draw_cov(self) -> np.ndarray:
+        """Each batch's scatter over (count - 1), (B, 2, 2)."""
+        return self.batch_scatters / np.maximum(self.batch_counts - 1, 1)[:, None, None]
+
+    @property
     def var_q(self) -> np.ndarray:
         b = self.Q[1:]
-        return np.maximum((((self._moments()[1] / (self.n_traj - 1)) @ b) * b).sum(axis=0), 0.0)
+        return np.maximum(((self.draw_cov @ b) * b).sum(axis=0), 0.0)
 
     @property
     def coarse_tau(self) -> np.ndarray:
@@ -139,7 +162,7 @@ class EnsembleStats:
     @property
     def cov_qq(self) -> np.ndarray:
         bc = self.Q[1:, self._coarse_idx]
-        return bc.T @ (self._moments()[1] / (self.n_traj - 1)) @ bc
+        return bc.T @ self.draw_cov @ bc
 
     @property
     def batch_mean_q(self) -> np.ndarray:
@@ -148,7 +171,7 @@ class EnsembleStats:
     @property
     def batch_cov_qq(self) -> np.ndarray:
         bc = self.Q[1:, self._coarse_idx]
-        return bc.T @ (self.batch_scatters / np.maximum(self.batch_counts - 1, 1)[:, None, None]) @ bc
+        return bc.T @ self.batch_draw_cov @ bc
 
     def psd(self, segment: int | None = None):
         """(omega, psd): the mean Welch PSD of q over `segment` points (default: the grid).
@@ -206,17 +229,6 @@ def mean_closed_form(dp: DimensionlessParams, state: QubitState, tau) -> np.ndar
     )
 
 
-def phase_integral(theta, tau):
-    """int_0^tau e^{i theta s} ds = tau e^{i theta tau / 2} sinc(theta tau / 2).
-
-    Entire in theta; at theta = 0 it reduces exactly to the secular tau.
-    """
-    theta = np.asarray(theta, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    x = 0.5 * theta * tau
-    return tau * np.exp(1j * x) * np.sinc(x / np.pi)
-
-
 def _input_map(dp: DimensionlessParams, eom_sign: str):
     """Free frequency w0 and the 4x2 map K from the unit inputs to (D_minus, D_plus).
 
@@ -236,19 +248,34 @@ def _input_map(dp: DimensionlessParams, eom_sign: str):
     raise InvalidParameterError(f"unknown eom_sign {eom_sign!r}")
 
 
-def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
-    """Free rotation e^{i w0 tau} and the zero-IC responses z to the unit inputs, (4, len(tau))."""
+def _tones(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
+    """Free frequency w0, the input map K and the two tones, (2, len(tau)).
+
+    Tone k is the free rotation times the phase integral of its drive,
+    e^{i w0 tau} int_0^tau e^{i theta s} ds = tau e^{i (w0 + s_k) tau/2} sinc(theta tau/2)
+    with s_k = -1, +1 and theta = s_k - w0: one exponential and one sinc.
+    """
     w0, K = _input_map(dp, eom_sign)
-    rot = np.exp(1j * w0 * tau)
-    return rot, rot * (K @ np.stack([phase_integral(-1.0 - w0, tau), phase_integral(1.0 - w0, tau)]))
+    s, half = np.array([[-1.0], [1.0]]), 0.5 * tau
+    return w0, K, tau * np.exp(1j * (w0 + s) * half) * np.sinc((s - w0) * half / math.pi)
+
+
+def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str) -> np.ndarray:
+    """Zero-IC responses z to the unit inputs, K @ tones; complex (4, len(tau))."""
+    _, K, tones = _tones(dp, tau, eom_sign)
+    return K @ tones
 
 
 def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_sign: str) -> np.ndarray:
-    """Exact trajectories rot z0 + u R, u = (A_c, A_s, zeta_x, zeta_y) per draw; complex (n, len(tau))."""
-    rot, R = _response_rows(dp, tau, eom_sign)
+    """Exact trajectories e^{i w0 tau} z0 + (u K) tones, u = (A_c, A_s, zeta_x, zeta_y) per draw;
+    complex (n, len(tau)).  The inputs meet K before the tones, so the grid is touched once."""
+    w0, K, tones = _tones(dp, tau, eom_sign)
     amp = dp.n_qubits * dp.g * state.eta_f
     drive = np.broadcast_to([amp * math.cos(state.phi), amp * math.sin(state.phi)], (zetas.shape[0], 2))
-    return rot * z0 + np.hstack([drive, zetas]) @ R
+    Z = (np.hstack([drive, zetas]) @ K) @ tones
+    if z0 != 0:
+        Z += z0 * np.exp(1j * w0 * tau)
+    return Z
 
 
 def _solve(dp, state, zetas: np.ndarray, config: SimConfig, eom_sign: str, solver: str):
@@ -311,19 +338,20 @@ def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) ->
     _check_eom(eom_sign)
     if dp.g <= 0.0:
         raise InvalidParameterError("no response to the qubit at g = 0")
-    return _response_rows(dp, np.asarray(tau, dtype=float), eom_sign)[1].real
+    return _response_rows(dp, np.asarray(tau, dtype=float), eom_sign).real
 
 
-def _rhs(dp, state, zetas, tau, q, p, eom_sign):
-    """First-order right-hand side, vectorised over a batch axis."""
+def _rhs(dp, state, zetas, trig, q, p, eom_sign):
+    """First-order right-hand side at the stage times whose (cos tau, sin tau) is `trig`,
+    vectorised over a batch axis."""
     g, r, n = dp.g, dp.r, dp.n_qubits
     eta = n * state.eta_f
     rt_n = math.sqrt(n)
     zx, zy = zetas[..., 0], zetas[..., 1]
-    c, s = np.cos(tau), np.sin(tau)
+    c, s = trig
     lam_q = rt_n * (-zx * c + zy * s)
     lam_p = rt_n * (zx * s + zy * c)
-    # cos(tau + phi) and sin(tau + phi) by angle addition, so a stage makes two trig calls
+    # cos(tau + phi) and sin(tau + phi) by angle addition, so no stage makes a trig call
     cos_phi, sin_phi = math.cos(state.phi), math.sin(state.phi)
     cf = c * cos_phi - s * sin_phi
     sf = s * cos_phi + c * sin_phi
@@ -354,8 +382,8 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     N = tau.size
     h = float(tau[1] - tau[0])
     # the dp response to z = 1 less that to z = 0
-    w0 = (_rhs(dp, state, np.zeros(2), 0.0, 1.0, 0.0, eom_sign)[1]
-          - _rhs(dp, state, np.zeros(2), 0.0, 0.0, 0.0, eom_sign)[1])
+    w0 = (_rhs(dp, state, np.zeros(2), (1.0, 0.0), 1.0, 0.0, eom_sign)[1]
+          - _rhs(dp, state, np.zeros(2), (1.0, 0.0), 0.0, 0.0, eom_sign)[1])
     # log m for m = 1 + x + x^2/2 + x^3/6 + x^4/24, x = i y, y = w0 h, from
     # |m|^2 = 1 - y^6/72 + y^8/576 and arg m: m itself is rounded by ~eps,
     # which m^N would carry as N eps
@@ -369,15 +397,20 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     Q[:, 0], P[:, 0] = z0.real, z0.imag
     z = np.full((n, 1), z0)
     for i0 in range(0, N - 1, _RK4_BLOCK):
-        t = tau[i0:min(i0 + _RK4_BLOCK, N - 1)]
-        k1q, k1p = _rhs(dp, state, zetas, t, 0.0, 0.0, eom_sign)
-        k2q, k2p = _rhs(dp, state, zetas, t + 0.5 * h, 0.5 * h * k1q, 0.5 * h * k1p, eom_sign)
-        k3q, k3p = _rhs(dp, state, zetas, t + 0.5 * h, 0.5 * h * k2q, 0.5 * h * k2p, eom_sign)
-        k4q, k4p = _rhs(dp, state, zetas, t + h, h * k3q, h * k3p, eom_sign)
+        t = tau[i0:min(i0 + _RK4_BLOCK, N - 1) + 1]  # the block's grid points, its last step's end included
+        steps = t.size - 1
+        # one trig pair per distinct stage time: k1 and k4 on the grid, k2 and k3 at the midpoints
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        mid = t[:-1] + 0.5 * h
+        trig_mid = (np.cos(mid), np.sin(mid))
+        k1q, k1p = _rhs(dp, state, zetas, (cos_t[:-1], sin_t[:-1]), 0.0, 0.0, eom_sign)
+        k2q, k2p = _rhs(dp, state, zetas, trig_mid, 0.5 * h * k1q, 0.5 * h * k1p, eom_sign)
+        k3q, k3p = _rhs(dp, state, zetas, trig_mid, 0.5 * h * k2q, 0.5 * h * k2p, eom_sign)
+        k4q, k4p = _rhs(dp, state, zetas, (cos_t[1:], sin_t[1:]), h * k3q, h * k3p, eom_sign)
         c = (h / 6.0) * ((k1q + 2.0 * k2q + 2.0 * k3q + k4q) + 1j * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-        mj = powers[: t.size]
+        mj = powers[:steps]
         z = mj * (z + np.cumsum(c / mj, axis=1))
-        Q[:, i0 + 1:i0 + 1 + t.size], P[:, i0 + 1:i0 + 1 + t.size] = z.real, z.imag
+        Q[:, i0 + 1:i0 + 1 + steps], P[:, i0 + 1:i0 + 1 + steps] = z.real, z.imag
         z = z[:, -1:]  # carried into the next block
     return Q, P
 
@@ -443,4 +476,5 @@ def run_ensemble(
         scatters[k] = dev @ dev.T
     return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
                          batch_scatters=scatters, dt=config.dt, n_traj=config.n_traj,
-                         seed=config.seed, eom_sign=eom_sign, solver=solver)
+                         seed=config.seed, eom_sign=eom_sign, solver=solver,
+                         made_at=(dp.g, dp.r, dp.n_qubits))

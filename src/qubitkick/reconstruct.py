@@ -1,18 +1,23 @@
 """Infer the qubit state from classical ensemble statistics.
 
-Both channels are fitted on `dynamics.response_basis`, the rows every
+Both channels rest on `dynamics.response_basis`, the rows every
 closed-form trajectory is built from: the zero-initial-condition q response
 of the convention in force to the unit inputs (A_c, A_s, zeta_x, zeta_y).
-Each channel checks its pair of rows by one degeneracy rule, then solves
-the pooled and the per-batch statistics at once.
+Each channel checks its pair of rows by one degeneracy rule.  An ensemble
+kept as `EnsembleStats` is its basis rows Q and, per batch, the count, mean
+and scatter of its draws, so both in-memory fits are fixed maps of those
+moments; `fit_mean` fits a bare mean on a grid, as a CSV carries it.
 
 The ensemble mean is A_c D_c + A_s D_s on the two drive rows, so ordinary
 least squares gives A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
 and the superposition intensity eta_f and the phase phi follow by
-reparametrisation.  Only the unordered pair {p, 1-p} is
-identifiable at first order: every first-order observable is symmetric
-under p <-> 1-p, and the second-order term that would break the tie is
-excluded from the dynamics.  Results therefore always carry both branches.
+reparametrisation.  The mean x_bar . Q with x_bar = (1, mean zeta) is linear
+in x_bar, so one solve of the three rows of Q gives a 2x3 map G, and the
+coefficients of the pooled and of each batch's mean are G x_bar.  Only the
+unordered pair {p, 1-p} is identifiable at first order: every first-order
+observable is symmetric under p <-> 1-p, and the second-order term that
+would break the tie is excluded from the dynamics.  Results therefore
+always carry both branches.
 
 The two-time covariance of the q residuals adds an independent channel.
 With the noise rows b = (B_x, B_y) and k = 2p(1-p) it is
@@ -21,7 +26,14 @@ With the noise rows b = (B_x, B_y) and k = 2p(1-p) it is
     S = B_x B_x' + B_y B_y',  C = B_x B_x' - B_y B_y',  D = B_x B_y' + B_y B_x',
 
 so its tau+tau' mode has amplitude k (kernel units) and phase 2 phi, and
-its stationary amplitude estimates eta_st^2 = 1 - 2 eta_f^2.
+its stationary amplitude estimates eta_st^2 = 1 - 2 eta_f^2.  The sample
+covariance of q is b^T M b' with M the draws' sample covariance, and
+b^T M b' = alpha S + u C + v D exactly for
+
+    alpha = (M_xx + M_yy) / 2,  u = (M_xx - M_yy) / 2,  v = M_xy,
+
+so the least-squares fit of (S, C, D) to the covariance is that map of M,
+taken pooled and per batch without a design.
 
 Both channels take their error bars by one rule.  The covariance of the
 fitted coefficients is the spread of the per-batch fits over the number of
@@ -112,18 +124,44 @@ def _check_design(X: np.ndarray, what: str) -> float:
     return condition
 
 
-def _solve(X: np.ndarray, Y: np.ndarray):
-    """One least-squares solve of the pooled row Y[0] and the batch rows Y[1:].
+def _batch_cov(batch_coeffs: np.ndarray) -> np.ndarray:
+    """Covariance of pooled coefficients from the per-batch ones, one batch a column.
 
-    Returns the pooled coefficients and their covariance, the spread of the
-    batch coefficients over the number of batches.  Below MIN_BATCHES batches
-    there are too few refits for a spread, and the covariance is all NaN.
+    It is the spread of the batch coefficients over the number of batches.
+    Below MIN_BATCHES batches there are too few refits for a spread, and the
+    covariance is all NaN.
     """
-    coeffs = np.linalg.lstsq(X, Y.T, rcond=None)[0]
-    batches = coeffs[:, 1:]
-    if batches.shape[1] < MIN_BATCHES:
-        return coeffs[:, 0], np.full((X.shape[1], X.shape[1]), np.nan)
-    return coeffs[:, 0], np.cov(batches, ddof=1) / batches.shape[1]
+    k, n_batches = batch_coeffs.shape
+    if n_batches < MIN_BATCHES:
+        return np.full((k, k), np.nan)
+    return np.cov(batch_coeffs, ddof=1) / n_batches
+
+
+def _drive_design(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str):
+    """(X, condition): the two drive rows on `tau` as the columns of X.
+
+    Refuses a grid shorter than MIN_PERIODS periods of the slower tone, and
+    a pair of rows that `_check_design` refuses.
+    """
+    span_needed = MIN_PERIODS * 2.0 * math.pi / min(1.0, dp.r)
+    if tau[-1] - tau[0] < span_needed:
+        raise InvalidParameterError(
+            f"grid must cover >= {MIN_PERIODS} periods of the slower tone "
+            f"(need span {span_needed:.1f}, got {tau[-1] - tau[0]:.1f})"
+        )
+    X = response_basis(dp, tau, eom_sign)[:2].T
+    return X, _check_design(X, f"drive response under {eom_sign}")
+
+
+def _check_made_at(stats: EnsembleStats, dp: DimensionlessParams) -> None:
+    """Refuse a `dp` whose (g, r, n_qubits) differs from the ensemble's; the fits
+    would invert other dynamics.  A different T is fine: the grid is in `stats`."""
+    given = (dp.g, dp.r, dp.n_qubits)
+    if stats.made_at != given:
+        raise InvalidParameterError(
+            f"the ensemble was made at (g, r, n_qubits) = {stats.made_at}, "
+            f"but the fit was given {given}"
+        )
 
 
 def _polar(u: float, v: float, cov: np.ndarray):
@@ -166,20 +204,13 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     if tau[0] == 0.0 and np.any(Y[:, 0] != 0.0):
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {Y[0, 0]} at tau = 0")
-    span_needed = MIN_PERIODS * 2.0 * math.pi / min(1.0, dp.r)
-    if tau[-1] - tau[0] < span_needed:
-        raise InvalidParameterError(
-            f"grid must cover >= {MIN_PERIODS} periods of the slower tone "
-            f"(need span {span_needed:.1f}, got {tau[-1] - tau[0]:.1f})"
-        )
-    X = response_basis(dp, tau, eom_sign)[:2].T
-    condition = _check_design(X, f"drive response under {eom_sign}")
-    coeffs, cov = _solve(X, Y)
+    X, condition = _drive_design(tau, dp, eom_sign)
+    coeffs = np.linalg.lstsq(X, Y.T, rcond=None)[0]
     return MeanFit(
-        A_c=float(coeffs[0]),
-        A_s=float(coeffs[1]),
-        cov=cov,
-        residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs)),
+        A_c=float(coeffs[0, 0]),
+        A_s=float(coeffs[1, 0]),
+        cov=_batch_cov(coeffs[:, 1:]),
+        residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs[:, 0])),
         condition=condition,
         eom_sign=eom_sign,
     )
@@ -227,18 +258,31 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
     )
 
 
+def _mode_components(M: np.ndarray) -> np.ndarray:
+    """(alpha, u, v) of the covariance M (..., 2, 2), stacked on the first axis.
+
+    v takes the mean of the two off-diagonal entries, as the fit of the
+    symmetric D kernel does.
+    """
+    xx, yy = M[..., 0, 0], M[..., 1, 1]
+    return np.array([0.5 * (xx + yy), 0.5 * (xx - yy), 0.5 * (M[..., 0, 1] + M[..., 1, 0])])
+
+
 def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dict:
-    """Fit the tau+tau' covariance mode of the q residuals.
+    """The tau+tau' covariance mode of the q residuals, from the draws' covariance.
 
     Returns the non-stationary amplitude (kernel units, estimating 2p(1-p)),
     its phase (estimating 2 phi), and the stationary amplitude (estimating
-    eta_st^2 = 1 - 2p(1-p)).  The noise rows are checked per unit g sqrt(n)
-    zeta, so the rule of `fit_mean` holds whatever g; under eq37 they equal
-    the drive rows.  Standard errors come from the covariance of the refits
-    over the per-batch covariances of `EnsembleStats`, through
-    `_polar` for the amplitude and phase; below MIN_BATCHES batches every
-    stderr is NaN.  The phase is NaN where `_polar` flags it indeterminate.
+    eta_st^2 = 1 - 2p(1-p)).  The components (alpha, u, v) are the map of the
+    pooled M = scatter/(n-1) in the module docstring, and the same map of
+    each batch's scatter over (count - 1) gives their stderrs.  The noise
+    rows are still checked, per unit g sqrt(n) zeta, so the rule of
+    `fit_mean` holds whatever g; under eq37 they equal the drive rows, and
+    the channel refuses where they vanish (r = 1).  The amplitude and phase
+    come through `_polar`; below MIN_BATCHES batches every stderr is NaN.
+    The phase is NaN where `_polar` flags it indeterminate.
     """
+    _check_made_at(stats, dp)
     if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
         raise UndersampledError(
             f"covariance-mode fit needs n_traj >= {MIN_TRAJ_NONSTATIONARY} "
@@ -247,13 +291,8 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
     _check_design(np.stack([bx, by], axis=1) / (dp.g * math.sqrt(dp.n_qubits)),
                   f"noise response under {stats.eom_sign}")
-    # design of the kernels (S, C, D) on the coarse grid, one column each
-    xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
-    X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
-    n_batches = stats.batch_counts.size
-    Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
-    (alpha_hat, u, v), cov = _solve(X, Y)
-    alpha_hat = float(alpha_hat)
+    alpha_hat, u, v = _mode_components(stats.draw_cov).tolist()
+    cov = _batch_cov(_mode_components(stats.batch_draw_cov))
     k_hat, amplitude_stderr, two_phi_hat, phase_stderr, _ = _polar(-u, -v, cov[1:, 1:])
     alpha_stderr, *comp_stderr = np.sqrt(np.diag(cov)).tolist()
     eta_st_hat = math.sqrt(max(alpha_hat, 0.0))
@@ -265,14 +304,14 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
         "phase_stderr": phase_stderr,
         # raw mode components: the folded amplitude is biased near zero, so
         # consistency-with-zero checks should use these instead
-        "mode_components": (float(u), float(v)),
+        "mode_components": (u, v),
         "mode_component_stderr": tuple(comp_stderr),
         "eta_st_sq_hat": alpha_hat,
         "eta_st_sq_stderr": alpha_stderr,
         "eta_st_hat": eta_st_hat,
         "eta_st_stderr": eta_st_stderr,
         "n_traj": stats.n_traj,
-        "n_batches": n_batches,
+        "n_batches": stats.batch_counts.size,
         "eom_sign": stats.eom_sign,
     }
 
@@ -281,17 +320,31 @@ def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
                            with_nonstationary: bool = True) -> ReconstructionResult:
     """Full pipeline: mean fit plus (optionally) the covariance-mode channel.
 
-    The coefficient covariance is taken from the spread of the batch means'
-    fits rather than from fit residuals: the Monte Carlo noise average lies
-    exactly in the span of the fit basis (it has the same zero-IC response
-    form as the deterministic mean), so residuals carry no information about
-    the estimator spread.  The pooled and batch means share one solve.  The
-    fit has no column for free motion, so the ensemble must start at rest.
+    One least-squares solve of the three basis rows Q onto the drive rows
+    gives the 2x3 map G, and the coefficients of the pooled mean and of each
+    batch mean are G (1, mean zeta).  The coefficient covariance is taken
+    from the spread of the batch coefficients rather than from fit
+    residuals: the Monte Carlo noise average lies exactly in the span of the
+    fit basis (it has the same zero-IC response form as the deterministic
+    mean), so residuals carry no information about the estimator spread.
+    The fit has no column for free motion, so the ensemble must start at
+    rest, and `dp` must give the (g, r, n_qubits) the ensemble was made at.
     """
+    _check_made_at(stats, dp)
     if stats.Q[0, 0] != 0.0 or stats.P[0, 0] != 0.0:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, got "
                                     f"q_init = {stats.Q[0, 0]}, p_init = {stats.P[0, 0]}")
-    fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), dp, stats.eom_sign)
+    X, condition = _drive_design(stats.tau, dp, stats.eom_sign)
+    G = np.linalg.lstsq(X, stats.Q.T, rcond=None)[0]
+    coeffs = G[:, 0] + G[:, 1:] @ stats.draw_mean
+    fit = MeanFit(
+        A_c=float(coeffs[0]),
+        A_s=float(coeffs[1]),
+        cov=_batch_cov(G[:, :1] + G[:, 1:] @ stats.batch_means.T),
+        residual_norm=float(np.linalg.norm(stats.mean_q - X @ coeffs)),
+        condition=condition,
+        eom_sign=stats.eom_sign,
+    )
     if not (with_nonstationary and stats.n_traj >= MIN_TRAJ_NONSTATIONARY):
         return recover_state(fit, dp)
     ns = estimate_nonstationary(stats, dp)

@@ -6,8 +6,11 @@ break `bench/run.py --trace 1` without failing any library test.  The file
 is loaded from its path and only read.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -126,3 +129,36 @@ def test_propagator_counter_reads_substeps(tracing, monkeypatch):
             counted.clear()
             verify(pair, QubitState(0.3, 1.0), g_values, substeps)
             assert counted == [({"substeps": expected}, (len(g_values), 2, 2))] * 2
+
+
+def test_write_counter_reads_every_written_size(tracing, monkeypatch, tmp_path):
+    # the cli.write probe counts the text it is passed, so each CLI output must
+    # reach _write_atomic as one str whose UTF-8 length is the file's size
+    counted = []
+    write = cli._write_atomic
+
+    def recording(*args, **kwargs):
+        write(*args, **kwargs)
+        path = args[0] if args else kwargs["path"]
+        counted.append((os.path.basename(path), tracing._count_text(args, kwargs, None, None)["out_bytes"],
+                        os.path.getsize(path)))
+
+    monkeypatch.setattr(cli, "_write_atomic", recording)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = 0.05\np = 0.3\nphi = 1.0\n"
+                   "T = 30.0\ndt = 0.05\nn_traj = 400\nseed = 3\n")
+    out = str(tmp_path) + os.sep
+    commands = (
+        ["simulate", "--config", str(cfg), "--out", out + "sim.csv"],
+        ["ensemble", "--config", str(cfg), "--out", out + "ens.csv", "--psd-out", out + "psd.csv"],
+        ["reconstruct", "--config", str(cfg), "--format", "json", "--out", out + "rec.json"],
+        ["verify", "bch", "--format", "json", "--out", out + "bch.json"],
+        ["table1", "--out", out + "table1.csv"],
+    )
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert sorted(name for name, _, _ in counted) == sorted(
+        ["sim.csv", "ens.csv", "ens.csv.summary.json", "psd.csv", "rec.json", "bch.json", "table1.csv"])
+    for name, out_bytes, size in counted:
+        assert out_bytes == size > 0, name

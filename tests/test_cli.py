@@ -514,6 +514,23 @@ class TestBlochMap:
         assert np.array_equal([[row[k] for k in header] for row in rows], table)
 
 
+class TestParser:
+    def test_built_once_and_reused_after_failures(self, config_file, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run_cli("simulate", "--config", config_file, "--out", str(first)).returncode == 0
+        # a usage error part-way through options that would change the output
+        assert run_cli("simulate", "--config", config_file, "--solver", "rk4", "--eom-sign", "eq35",
+                       "--bogus").returncode == 2
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("p = 0.5", "p = abc"))
+        assert run_cli("simulate", "--config", str(bad), "--solver", "rk4").returncode == 1
+        res = run_cli("simulate", "--help")
+        assert res.returncode == 0 and "--solver" in res.stdout
+        assert run_cli("simulate", "--config", config_file, "--out", str(again)).returncode == 0
+        assert again.read_bytes() == first.read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         res = subprocess.run(CMD + ["frobnicate"], capture_output=True, text=True)

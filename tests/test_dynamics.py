@@ -179,11 +179,14 @@ def rk4_step_by_step(dp, state, zetas, z0, tau, eom_sign):
     q = np.full(zetas.shape[0], z0.real)
     p = np.full(zetas.shape[0], z0.imag)
     Q, P = [q], [p]
+    def trig(t):
+        return np.cos(t), np.sin(t)
+
     for t in tau[:-1]:
-        k1q, k1p = _rhs(dp, state, zetas, t, q, p, eom_sign)
-        k2q, k2p = _rhs(dp, state, zetas, t + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, eom_sign)
-        k3q, k3p = _rhs(dp, state, zetas, t + 0.5 * dt, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, eom_sign)
-        k4q, k4p = _rhs(dp, state, zetas, t + dt, q + dt * k3q, p + dt * k3p, eom_sign)
+        k1q, k1p = _rhs(dp, state, zetas, trig(t), q, p, eom_sign)
+        k2q, k2p = _rhs(dp, state, zetas, trig(t + 0.5 * dt), q + 0.5 * dt * k1q, p + 0.5 * dt * k1p, eom_sign)
+        k3q, k3p = _rhs(dp, state, zetas, trig(t + 0.5 * dt), q + 0.5 * dt * k2q, p + 0.5 * dt * k2p, eom_sign)
+        k4q, k4p = _rhs(dp, state, zetas, trig(t + dt), q + dt * k3q, p + dt * k3p, eom_sign)
         q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         Q.append(q)
@@ -458,6 +461,50 @@ class TestResponseBasis:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError):
                 response_basis(dp, time_grid(dp.T, 0.1))
+
+
+def phase_integral(theta, tau):
+    """Reference: int_0^tau e^{i theta s} ds = tau e^{i theta tau / 2} sinc(theta tau / 2),
+    entire in theta; at theta = 0 it reduces exactly to the secular tau."""
+    x = 0.5 * theta * tau
+    return tau * np.exp(1j * x) * np.sinc(x / np.pi)
+
+
+def reference_rows(dp, tau, conv):
+    """(rotation, rows): e^{i w0 tau} and the rotation times K applied to the two phase integrals."""
+    w0, K = dynamics._input_map(dp, conv)
+    rot = np.exp(1j * w0 * tau)
+    return rot, rot * (K @ np.stack([phase_integral(-1.0 - w0, tau), phase_integral(1.0 - w0, tau)]))
+
+
+class TestTwoToneRows:
+    """The closed-form rows from two tone factors against the rotated phase integrals."""
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    @pytest.mark.parametrize("r", (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.7))
+    @pytest.mark.parametrize("T", (40.0, 1000.0))
+    def test_rows_match_phase_integral_form(self, conv, r, T):
+        dp = DimensionlessParams(g=0.05, r=r, T=T)
+        tau = time_grid(dp.T, 0.05)
+        rows = dynamics._response_rows(dp, tau, conv)
+        _, ref = reference_rows(dp, tau, conv)
+        for row, ref_row in zip(rows, ref):
+            assert np.max(np.abs(row - ref_row)) <= 1e-12 * np.max(np.abs(ref_row))
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    @pytest.mark.parametrize("z0", (0j, 0.4 - 0.3j))
+    def test_trajectories_match_phase_integral_form(self, conv, z0):
+        dp = DimensionlessParams(g=0.05, r=1.0, T=1000.0, n_qubits=2)
+        tau = time_grid(dp.T, 0.05)
+        state = QubitState(0.3, 1.0)
+        zetas = np.array([[0.0, 0.0], [0.4, -1.3], [-0.9, 0.2]])
+        rot, ref = reference_rows(dp, tau, conv)
+        amp = dp.n_qubits * dp.g * state.eta_f
+        inputs = np.hstack([np.tile([amp * math.cos(state.phi), amp * math.sin(state.phi)], (3, 1)), zetas])
+        expected = rot * z0 + inputs @ ref
+        Z = _closed_form_batch(dp, state, zetas, z0, tau, conv)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.max(np.abs(Z - expected), axis=1, keepdims=True) <= 1e-12 * scale)
 
 
 def test_time_grid_is_uniform_and_spans_horizon():

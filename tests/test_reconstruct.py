@@ -1,11 +1,19 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from qubitkick.dynamics import EOM_CONVENTIONS, mean_closed_form, run_ensemble, time_grid, zero_noise_mean
+from qubitkick.dynamics import (
+    EOM_CONVENTIONS,
+    mean_closed_form,
+    response_basis,
+    run_ensemble,
+    time_grid,
+    zero_noise_mean,
+)
 from qubitkick.reconstruct import (
     DegenerateBasisError,
     MeanFit,
@@ -284,6 +292,75 @@ class TestCovarianceDegeneracy:
         ns = self.nonstationary(conv, 0.01, 0.5)
         k = 2.0 * TRUTH.p * (1.0 - TRUTH.p)
         assert abs(ns["amplitude_hat"] - k) <= 5.0 * ns["amplitude_stderr"]
+
+
+def scd_fit(stats, dp):
+    """Reference: least squares of the pooled and batch covariances on the coarse grid onto
+    the kernels (S, C, D) of the noise rows; (alpha, u, v) per column, pooled first."""
+    bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
+    xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
+    X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
+    n_batches = stats.batch_counts.size
+    Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
+    return np.linalg.lstsq(X, Y.T, rcond=None)[0]
+
+
+class TestMomentMaps:
+    """Both in-memory channels are fixed maps of the draws' moments."""
+
+    DP = DimensionlessParams(g=0.05, r=0.5, T=40.0)
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_covariance_components_equal_the_map_of_M(self, conv):
+        stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=5), eom_sign=conv)
+        ref = scd_fit(stats, self.DP)
+        ns = estimate_nonstationary(stats, self.DP)
+        pooled = np.array([ns["eta_st_sq_hat"], *ns["mode_components"]])
+        assert np.max(np.abs(pooled - ref[:, 0])) <= 1e-13 * np.max(np.abs(ref[:, 0]))
+        # the identity itself: alpha, u, v = (M_xx + M_yy)/2, (M_xx - M_yy)/2, M_xy, pooled and per batch
+        for M, col in zip([stats.draw_cov, *stats.batch_draw_cov], ref.T):
+            mapped = np.array([(M[0, 0] + M[1, 1]) / 2, (M[0, 0] - M[1, 1]) / 2, M[0, 1]])
+            assert np.max(np.abs(mapped - col)) <= 1e-13 * np.max(np.abs(col))
+        batches = ref[:, 1:]
+        stderr = np.sqrt(np.diag(np.cov(batches, ddof=1) / batches.shape[1]))
+        got = np.array([ns["eta_st_sq_stderr"], *ns["mode_component_stderr"]])
+        assert np.max(np.abs(got - stderr) / stderr) <= 1e-10
+
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_mean_coefficients_equal_fit_mean_on_the_stacked_means(self, conv):
+        stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=2_000, seed=6), eom_sign=conv)
+        result = reconstruct_from_stats(stats, self.DP)
+        fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), self.DP, conv)
+        ref = recover_state(fit, self.DP)
+        scale = math.hypot(fit.A_c, fit.A_s)
+        assert abs(result.diagnostics["A_c"] - fit.A_c) <= 1e-13 * scale
+        assert abs(result.diagnostics["A_s"] - fit.A_s) <= 1e-13 * scale
+        assert result.diagnostics["condition"] == pytest.approx(fit.condition, rel=1e-13)
+        for key in ("eta_f_hat", "eta_f_stderr", "phi_hat", "phi_stderr"):
+            assert getattr(result, key) == pytest.approx(getattr(ref, key), rel=1e-13), key
+        assert result.residual_norm == pytest.approx(fit.residual_norm, rel=1e-10, abs=1e-14)
+
+
+class TestMismatchedDynamics:
+    """The fits refuse a dp other than the one the ensemble was made at."""
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return run_ensemble(DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=7))
+
+    @pytest.mark.parametrize("field, value", [("g", 0.025), ("r", 0.7), ("n_qubits", 2)])
+    @pytest.mark.parametrize("fit", [reconstruct_from_stats, estimate_nonstationary])
+    def test_other_g_r_or_n_qubits_refused(self, stats, fit, field, value):
+        # at g = 0.025 the fit read eta_f 0.909, at r = 0.7 it read 0.259 (truth 0.458)
+        other = DimensionlessParams(**{"g": DP.g, "r": DP.r, "T": DP.T, field: value})
+        made, given = (DP.g, DP.r, DP.n_qubits), (other.g, other.r, other.n_qubits)
+        with pytest.raises(InvalidParameterError, match=f"{re.escape(str(made))}.*{re.escape(str(given))}"):
+            fit(stats, other)
+
+    def test_other_horizon_accepted(self, stats):
+        # the grid travels with the record, so T is not the fit's to check
+        other = DimensionlessParams(g=DP.g, r=DP.r, T=20.0)
+        assert reconstruct_from_stats(stats, other).eta_f_hat == reconstruct_from_stats(stats, DP).eta_f_hat
 
 
 def test_intensity_identity_between_channels():
