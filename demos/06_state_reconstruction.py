@@ -25,7 +25,7 @@ config = SimConfig(dt=0.02, n_traj=100_000, seed=777)
 
 print(f"truth: p = {truth.p}, phi = {truth.phi}  ->  eta_f = {truth.eta_f:.4f}, eta_st = {truth.eta_st:.4f}")
 stats = run_ensemble(dp, truth, config)
-result = reconstruct_from_stats(stats, dp)
+result = reconstruct_from_stats(stats)
 
 print(f"\nmean channel:")
 print(f"   eta_f = {result.eta_f_hat:.4f} +- {result.eta_f_stderr:.4f}")

@@ -286,10 +286,10 @@ def _cmd_reconstruct(args) -> int:
         data = _read_ensemble_csv(args.ensemble_csv, args.eom_sign, dp)
         # the CSV carries no batch means, so the stderrs come back NaN
         fit = reconstruct.fit_mean(data["tau"], data["mean_q"], dp, args.eom_sign)
-        result = reconstruct.recover_state(fit, dp)
+        result = reconstruct.recover_state(fit)
     else:
         stats = dynamics.run_ensemble(dp, setup.state, setup.sim, eom_sign=args.eom_sign)
-        result = reconstruct.reconstruct_from_stats(stats, dp)
+        result = reconstruct.reconstruct_from_stats(stats)
     _emit(args, "reconstruct", setup.raw, None, result)
     return 0
 

@@ -98,7 +98,9 @@ class EnsembleStats:
     scatter of its draws.  Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
     with b = Q[1:].  The two-time covariance is on a coarse sub-grid, pooled
-    and per batch, so downstream fits can bootstrap a standard error.
+    and per batch; the `ensemble` summary reports the pooled one, and no fit
+    reads either, since the fits map the draws' moments directly.  `dp` is
+    the dynamics the rows were solved at, so a fit needs no more than the record.
     """
 
     tau: np.ndarray
@@ -108,11 +110,14 @@ class EnsembleStats:
     batch_means: np.ndarray  # (B, 2)
     batch_scatters: np.ndarray  # (B, 2, 2)
     dt: float
-    n_traj: int
     seed: int
     eom_sign: str
     solver: str
-    made_at: tuple[float, float, int]  # (g, r, n_qubits) of the dynamics that made Q and P
+    dp: DimensionlessParams
+
+    @property
+    def n_traj(self) -> int:
+        return int(self.batch_counts.sum())
 
     def _moments(self):
         """x_bar and the pooled scatter: within-batch scatters plus the between-batch
@@ -147,8 +152,11 @@ class EnsembleStats:
 
     @property
     def batch_draw_cov(self) -> np.ndarray:
-        """Each batch's scatter over (count - 1), (B, 2, 2)."""
-        return self.batch_scatters / np.maximum(self.batch_counts - 1, 1)[:, None, None]
+        """Each batch's scatter over (count - 1), (B, 2, 2); NaN for a batch of one draw,
+        which carries no covariance."""
+        dof = (self.batch_counts - 1)[:, None, None]
+        return np.divide(self.batch_scatters, dof, out=np.full(self.batch_scatters.shape, np.nan),
+                         where=dof > 0)
 
     @property
     def var_q(self) -> np.ndarray:
@@ -475,6 +483,5 @@ def run_ensemble(
         dev = rows - means[k][:, None]
         scatters[k] = dev @ dev.T
     return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
-                         batch_scatters=scatters, dt=config.dt, n_traj=config.n_traj,
-                         seed=config.seed, eom_sign=eom_sign, solver=solver,
-                         made_at=(dp.g, dp.r, dp.n_qubits))
+                         batch_scatters=scatters, dt=config.dt, seed=config.seed,
+                         eom_sign=eom_sign, solver=solver, dp=dp)

@@ -4,9 +4,11 @@ Both channels rest on `dynamics.response_basis`, the rows every
 closed-form trajectory is built from: the zero-initial-condition q response
 of the convention in force to the unit inputs (A_c, A_s, zeta_x, zeta_y).
 Each channel checks its pair of rows by one degeneracy rule.  An ensemble
-kept as `EnsembleStats` is its basis rows Q and, per batch, the count, mean
-and scatter of its draws, so both in-memory fits are fixed maps of those
-moments; `fit_mean` fits a bare mean on a grid, as a CSV carries it.
+kept as `EnsembleStats` is its basis rows Q, the dynamics `dp` they were
+solved at and, per batch, the count, mean and scatter of its draws, so both
+in-memory fits are fixed maps of those moments and take the record alone.
+`fit_mean` fits a bare mean on a grid, as a CSV carries it, so it takes the
+dynamics as an argument; the `MeanFit` it returns carries them on.
 
 The ensemble mean is A_c D_c + A_s D_s on the two drive rows, so ordinary
 least squares gives A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
@@ -47,7 +49,7 @@ fails there, and near a pole the phase is noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +82,7 @@ class MeanFit:
     cov: np.ndarray
     residual_norm: float
     condition: float
+    dp: DimensionlessParams  # the dynamics the coefficients were fitted at
     eom_sign: str = DEFAULT_EOM
 
 
@@ -153,17 +156,6 @@ def _drive_design(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str):
     return X, _check_design(X, f"drive response under {eom_sign}")
 
 
-def _check_made_at(stats: EnsembleStats, dp: DimensionlessParams) -> None:
-    """Refuse a `dp` whose (g, r, n_qubits) differs from the ensemble's; the fits
-    would invert other dynamics.  A different T is fine: the grid is in `stats`."""
-    given = (dp.g, dp.r, dp.n_qubits)
-    if stats.made_at != given:
-        raise InvalidParameterError(
-            f"the ensemble was made at (g, r, n_qubits) = {stats.made_at}, "
-            f"but the fit was given {given}"
-        )
-
-
 def _polar(u: float, v: float, cov: np.ndarray):
     """(amplitude, its stderr, angle, its stderr, indeterminate) of the vector (u, v).
 
@@ -212,21 +204,23 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
         cov=_batch_cov(coeffs[:, 1:]),
         residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs[:, 0])),
         condition=condition,
+        dp=dp,
         eom_sign=eom_sign,
     )
 
 
-def recover_state(fit: MeanFit, dp: DimensionlessParams,
-                  eta_st: tuple[float, float] | None = None) -> ReconstructionResult:
+def recover_state(fit: MeanFit) -> ReconstructionResult:
     """Map fitted mean coefficients back to (eta_f, phi) and the p branches.
 
     Under every convention A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
-    so
+    with g and n those of `fit.dp`, so
 
         eta_f = sqrt(A_c^2 + A_s^2) / (g n),  phi = atan2(A_s, A_c),
 
-    with stderrs from `fit.cov` by `_polar`.  The result is stamped with the convention the fit was made under.
+    with stderrs from `fit.cov` by `_polar`.  The result is stamped with the
+    convention the fit was made under and carries no covariance channel.
     """
+    dp = fit.dp
     if dp.g <= 0.0:
         raise InvalidParameterError("no deterministic signal at g = 0; state not recoverable from the mean")
     scale = 1.0 / (dp.g * dp.n_qubits)
@@ -238,18 +232,14 @@ def recover_state(fit: MeanFit, dp: DimensionlessParams,
     root = math.sqrt(max(disc, 0.0))
     branches = ((1.0 - root) / 2.0, (1.0 + root) / 2.0)
 
-    eta_st_hat = eta_st_stderr = None
-    if eta_st is not None:
-        eta_st_hat, eta_st_stderr = eta_st
-
     return ReconstructionResult(
         eta_f_hat=eta_f,
         eta_f_stderr=eta_stderr,
         phi_hat=phi_hat,
         phi_stderr=phi_stderr,
         p_branches=branches,
-        eta_st_hat=eta_st_hat,
-        eta_st_stderr=eta_st_stderr,
+        eta_st_hat=None,
+        eta_st_stderr=None,
         residual_norm=fit.residual_norm,
         phase_indeterminate=phase_indeterminate,
         unphysical=unphysical,
@@ -268,7 +258,7 @@ def _mode_components(M: np.ndarray) -> np.ndarray:
     return np.array([0.5 * (xx + yy), 0.5 * (xx - yy), 0.5 * (M[..., 0, 1] + M[..., 1, 0])])
 
 
-def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dict:
+def estimate_nonstationary(stats: EnsembleStats) -> dict:
     """The tau+tau' covariance mode of the q residuals, from the draws' covariance.
 
     Returns the non-stationary amplitude (kernel units, estimating 2p(1-p)),
@@ -280,9 +270,10 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     `fit_mean` holds whatever g; under eq37 they equal the drive rows, and
     the channel refuses where they vanish (r = 1).  The amplitude and phase
     come through `_polar`; below MIN_BATCHES batches every stderr is NaN.
-    The phase is NaN where `_polar` flags it indeterminate.
+    The phase is NaN where `_polar` flags it indeterminate.  A batch of one
+    draw has no scatter, so its covariance is NaN and so is every stderr.
     """
-    _check_made_at(stats, dp)
+    dp = stats.dp
     if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
         raise UndersampledError(
             f"covariance-mode fit needs n_traj >= {MIN_TRAJ_NONSTATIONARY} "
@@ -316,9 +307,9 @@ def estimate_nonstationary(stats: EnsembleStats, dp: DimensionlessParams) -> dic
     }
 
 
-def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
-                           with_nonstationary: bool = True) -> ReconstructionResult:
-    """Full pipeline: mean fit plus (optionally) the covariance-mode channel.
+def reconstruct_from_stats(stats: EnsembleStats) -> ReconstructionResult:
+    """Full pipeline: the mean fit, plus the covariance-mode channel from
+    MIN_TRAJ_NONSTATIONARY draws on, at the dynamics `stats.dp`.
 
     One least-squares solve of the three basis rows Q onto the drive rows
     gives the 2x3 map G, and the coefficients of the pooled mean and of each
@@ -327,14 +318,12 @@ def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
     residuals: the Monte Carlo noise average lies exactly in the span of the
     fit basis (it has the same zero-IC response form as the deterministic
     mean), so residuals carry no information about the estimator spread.
-    The fit has no column for free motion, so the ensemble must start at
-    rest, and `dp` must give the (g, r, n_qubits) the ensemble was made at.
+    The fit has no column for free motion, so the ensemble must start at rest.
     """
-    _check_made_at(stats, dp)
     if stats.Q[0, 0] != 0.0 or stats.P[0, 0] != 0.0:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, got "
                                     f"q_init = {stats.Q[0, 0]}, p_init = {stats.P[0, 0]}")
-    X, condition = _drive_design(stats.tau, dp, stats.eom_sign)
+    X, condition = _drive_design(stats.tau, stats.dp, stats.eom_sign)
     G = np.linalg.lstsq(X, stats.Q.T, rcond=None)[0]
     coeffs = G[:, 0] + G[:, 1:] @ stats.draw_mean
     fit = MeanFit(
@@ -343,11 +332,12 @@ def reconstruct_from_stats(stats: EnsembleStats, dp: DimensionlessParams,
         cov=_batch_cov(G[:, :1] + G[:, 1:] @ stats.batch_means.T),
         residual_norm=float(np.linalg.norm(stats.mean_q - X @ coeffs)),
         condition=condition,
+        dp=stats.dp,
         eom_sign=stats.eom_sign,
     )
-    if not (with_nonstationary and stats.n_traj >= MIN_TRAJ_NONSTATIONARY):
-        return recover_state(fit, dp)
-    ns = estimate_nonstationary(stats, dp)
-    result = recover_state(fit, dp, eta_st=(ns["eta_st_hat"], ns["eta_st_stderr"]))
-    result.diagnostics["nonstationary"] = ns
-    return result
+    result = recover_state(fit)
+    if stats.n_traj < MIN_TRAJ_NONSTATIONARY:
+        return result
+    ns = estimate_nonstationary(stats)
+    return replace(result, eta_st_hat=ns["eta_st_hat"], eta_st_stderr=ns["eta_st_stderr"],
+                   diagnostics={**result.diagnostics, "nonstationary": ns})

@@ -116,7 +116,7 @@ def test_criterion_4_nonstationary_mode_switch():
         state = QubitState(p, 0.35)
         cfg = SimConfig(dt=0.02, n_traj=100_000, seed=424242)
         stats = run_ensemble(dp, state, cfg)
-        ns = estimate_nonstationary(stats, dp)
+        ns = estimate_nonstationary(stats)
         if p in (0.0, 1.0):
             u, v = ns["mode_components"]
             su, sv = ns["mode_component_stderr"]
@@ -177,7 +177,7 @@ def test_criterion_7_reconstruction_round_trip():
     truth = QubitState(0.3, 1.0)
     cfg = SimConfig(dt=0.02, n_traj=100_000, seed=777)
     stats = run_ensemble(dp, truth, cfg)
-    result = reconstruct_from_stats(stats, dp)
+    result = reconstruct_from_stats(stats)
     assert abs(result.eta_f_hat - truth.eta_f) / truth.eta_f <= 0.05, result
     assert abs(result.phi_hat - truth.phi) <= 0.05, result
     assert len(result.p_branches) == 2
@@ -189,7 +189,7 @@ def test_criterion_7_reconstruction_round_trip():
     recovered = {}
     for p, seed in ((0.2, 1001), (0.8, 2002)):
         st = run_ensemble(dp, QubitState(p, 1.0), SimConfig(dt=0.02, n_traj=100_000, seed=seed))
-        recovered[p] = reconstruct_from_stats(st, dp, with_nonstationary=False)
+        recovered[p] = reconstruct_from_stats(st)
     a, b = recovered[0.2], recovered[0.8]
     gap = abs(a.eta_f_hat - b.eta_f_hat)
     assert gap <= 3.0 * math.hypot(a.eta_f_stderr, b.eta_f_stderr)

@@ -98,7 +98,7 @@ def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
                    "T = 3.0\ndt = 0.01\n")
     for solver in ("closed_form", "rk4"):
         stats = dynamics.run_ensemble(dp, QubitState(0.3, 1.0), config, solver=solver)
-        reconstruct_from_stats(stats, dp)
+        reconstruct_from_stats(stats)
         assert cli.main(["simulate", "--config", str(cfg), "--solver", solver,
                          "--out", str(tmp_path / f"{solver}.csv")]) == 0
     assert {attr for attr, _, _ in counted} == {"_closed_form_batch", "_rk4_batch"}

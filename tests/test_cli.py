@@ -427,7 +427,7 @@ class TestReconstruct:
         out = tmp_path / "rec.json"
         assert cli.main(["reconstruct", "--config", config_file, "--eom-sign", conv,
                          "--ensemble-csv", str(stats_csv), "--format", "json", "--out", str(out)]) == 0
-        result = reconstruct.recover_state(reconstruct.fit_mean(stats.tau, stats.mean_q, dp, conv), dp)
+        result = reconstruct.recover_state(reconstruct.fit_mean(stats.tau, stats.mean_q, dp, conv))
         assert out.read_text() == cli._envelope("reconstruct", setup.raw, result)
 
     def test_missing_csv_exits_2(self, config_file):

@@ -1,13 +1,16 @@
+import inspect
 import math
-import re
+import typing
 import warnings
 
 import numpy as np
 import pytest
 
+from qubitkick import reconstruct
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from qubitkick.dynamics import (
     EOM_CONVENTIONS,
+    EnsembleStats,
     mean_closed_form,
     response_basis,
     run_ensemble,
@@ -67,7 +70,7 @@ class TestFitMean:
 
 class TestRecoverState:
     def test_noiseless_roundtrip(self):
-        result = recover_state(synthetic_fit(), DP)
+        result = recover_state(synthetic_fit())
         assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
         assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
         assert min(result.p_branches) == pytest.approx(0.3, abs=1e-9)
@@ -75,39 +78,41 @@ class TestRecoverState:
 
     def test_equator_branches_coincide(self):
         dp = DimensionlessParams(g=0.05, r=0.5, T=40.0)
-        result = recover_state(synthetic_fit(dp, QubitState(0.5, 0.7)), dp)
+        result = recover_state(synthetic_fit(dp, QubitState(0.5, 0.7)))
         assert result.p_branches[0] == pytest.approx(0.5, abs=1e-6)
         assert result.p_branches[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_pole_state_indeterminate_phase(self):
-        result = recover_state(synthetic_fit(DP, QubitState(0.0, 0.0)), DP)
+        result = recover_state(synthetic_fit(DP, QubitState(0.0, 0.0)))
         assert result.eta_f_hat == pytest.approx(0.0, abs=1e-12)
         assert result.p_branches == pytest.approx((0.0, 1.0), abs=1e-9)
         assert result.phase_indeterminate
 
     def test_zero_coupling_rejected(self):
-        dp_fit = DimensionlessParams(g=0.05, r=0.5, T=40.0)
-        dp_zero = DimensionlessParams(g=0.0, r=0.5, T=40.0)
-        with pytest.raises(InvalidParameterError):
-            recover_state(synthetic_fit(dp_fit), dp_zero)
+        # a fit can only carry g = 0 if built by hand: the drive rows vanish there
+        fit = MeanFit(A_c=0.01, A_s=0.0, cov=1e-12 * np.eye(2), residual_norm=0.0, condition=1.0,
+                      dp=DimensionlessParams(g=0.0, r=0.5, T=40.0))
+        with pytest.raises(InvalidParameterError, match="g = 0"):
+            recover_state(fit)
 
     def test_unphysical_flag(self):
         # inflate the coefficients so eta_f lands far above 1/2
-        fit = MeanFit(A_c=0.1, A_s=0.0, cov=1e-12 * np.eye(2), residual_norm=0.0, condition=1.0)
-        result = recover_state(fit, DimensionlessParams(g=0.05, r=0.5, T=40.0))
+        fit = MeanFit(A_c=0.1, A_s=0.0, cov=1e-12 * np.eye(2), residual_norm=0.0, condition=1.0, dp=DP)
+        result = recover_state(fit)
         assert result.unphysical
         assert result.p_branches == (0.5, 0.5)
 
     def test_convention_stamp(self):
-        assert recover_state(synthetic_fit(), DP).eom_sign == "eq37"
+        assert recover_state(synthetic_fit()).eom_sign == "eq37"
         tau = time_grid(DP.T, 0.02)
         fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, "eq35"), DP, "eq35")
         assert fit.eom_sign == "eq35"
-        assert recover_state(fit, DP).eom_sign == "eq35"
+        assert recover_state(fit).eom_sign == "eq35"
 
     def test_missing_covariance_tested_against_bare_ceiling(self):
-        fit = MeanFit(A_c=0.0255, A_s=0.0, cov=np.full((2, 2), np.nan), residual_norm=0.0, condition=1.0)
-        result = recover_state(fit, DP)
+        fit = MeanFit(A_c=0.0255, A_s=0.0, cov=np.full((2, 2), np.nan), residual_norm=0.0, condition=1.0,
+                      dp=DP)
+        result = recover_state(fit)
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.eta_f_hat == pytest.approx(0.51) and result.unphysical
         # no stderr to compare the amplitude with, so the phase is still reported
@@ -119,7 +124,7 @@ class TestAllConventions:
     def test_noiseless_roundtrip(self, conv):
         tau = time_grid(DP.T, 0.02)
         fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, conv), DP, conv)
-        result = recover_state(fit, DP)
+        result = recover_state(fit)
         assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
         assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
         assert result.eom_sign == conv
@@ -128,7 +133,7 @@ class TestAllConventions:
     def test_monte_carlo_roundtrip(self, conv):
         cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
         stats = run_ensemble(DP, TRUTH, cfg, eom_sign=conv)
-        result = reconstruct_from_stats(stats, DP)
+        result = reconstruct_from_stats(stats)
         assert abs(result.eta_f_hat - TRUTH.eta_f) <= 3.0 * result.eta_f_stderr + 0.01
         assert abs(result.phi_hat - TRUTH.phi) <= 3.0 * result.phi_stderr + 0.02
         assert result.eom_sign == conv
@@ -146,7 +151,7 @@ class TestAllConventions:
         tau = time_grid(dp.T, 0.02)
         fit = fit_mean(tau, zero_noise_mean(dp, TRUTH, tau, "canonical"), dp, "canonical")
         assert fit.condition < 1.1
-        result = recover_state(fit, dp)
+        result = recover_state(fit)
         assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
         assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
 
@@ -155,7 +160,7 @@ class TestMonteCarloRoundtrip:
     def test_recovery_within_three_stderr(self):
         cfg = SimConfig(dt=0.02, n_traj=20_000, seed=33)
         stats = run_ensemble(DP, TRUTH, cfg)
-        result = reconstruct_from_stats(stats, DP)
+        result = reconstruct_from_stats(stats)
         assert abs(result.eta_f_hat - TRUTH.eta_f) <= 3.0 * result.eta_f_stderr + 0.01
         assert abs(result.phi_hat - TRUTH.phi) <= 3.0 * result.phi_stderr + 0.02
         assert "nonstationary" in result.diagnostics
@@ -165,7 +170,7 @@ class TestMonteCarloRoundtrip:
         res = {}
         for p in (0.2, 0.8):
             stats = run_ensemble(DP, QubitState(p, 1.0), cfg)
-            res[p] = reconstruct_from_stats(stats, DP, with_nonstationary=False)
+            res[p] = reconstruct_from_stats(stats)
         # same seed and an exactly p <-> 1-p invariant generator: the two
         # reconstructions agree to solver rounding and share both branches
         assert res[0.2].eta_f_hat == pytest.approx(res[0.8].eta_f_hat, abs=1e-10)
@@ -176,7 +181,7 @@ class TestMonteCarloRoundtrip:
         # below four batches there is no spread to take the error bars from
         cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
         stats = run_ensemble(DP, TRUTH, cfg, n_batches=3)
-        result = reconstruct_from_stats(stats, DP)
+        result = reconstruct_from_stats(stats)
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.unphysical == (result.eta_f_hat > 0.5)
 
@@ -185,7 +190,7 @@ class TestMonteCarloRoundtrip:
         # the free motion has no column in the mean fit: from q = 1 it read eta_f 15.5 (truth 0.46)
         stats = run_ensemble(DP, TRUTH, SimConfig(dt=0.02, n_traj=2_000, seed=3, **start))
         with pytest.raises(InvalidParameterError, match="at rest"):
-            reconstruct_from_stats(stats, DP)
+            reconstruct_from_stats(stats)
 
     def test_fit_mean_refuses_a_mean_off_rest_at_tau_0(self):
         # from q = 1 the fit read eta_f 15.49 (truth 0.458) without complaint
@@ -201,7 +206,7 @@ class TestMonteCarloRoundtrip:
         for n in sizes:
             cfg = SimConfig(dt=0.02, n_traj=n, seed=35)
             stats = run_ensemble(DP, TRUTH, cfg)
-            result = reconstruct_from_stats(stats, DP, with_nonstationary=False)
+            result = reconstruct_from_stats(stats)
             errs.append(result.eta_f_stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
@@ -212,14 +217,14 @@ class TestNonstationaryEstimator:
         cfg = SimConfig(dt=0.02, n_traj=20_000, seed=36)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         stats = run_ensemble(dp, QubitState(0.0, 0.0), cfg)
-        ns = estimate_nonstationary(stats, dp)
+        ns = estimate_nonstationary(stats)
         assert ns["amplitude_hat"] <= 3.0 * ns["amplitude_stderr"]
 
     def test_equator_amplitude_near_half(self):
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=37)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         stats = run_ensemble(dp, QubitState(0.5, 0.35), cfg)
-        ns = estimate_nonstationary(stats, dp)
+        ns = estimate_nonstationary(stats)
         assert ns["amplitude_hat"] == pytest.approx(0.5, rel=0.10)
 
     def test_phase_estimates_doubled_angle(self):
@@ -227,7 +232,7 @@ class TestNonstationaryEstimator:
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         state = QubitState(0.3, 0.7)
         stats = run_ensemble(dp, state, cfg)
-        ns = estimate_nonstationary(stats, dp)
+        ns = estimate_nonstationary(stats)
         wrapped = (ns["phase_hat"] - 2.0 * state.phi) % (2 * math.pi)
         dist = min(wrapped, 2 * math.pi - wrapped)
         assert dist < 0.1
@@ -237,20 +242,21 @@ class TestNonstationaryEstimator:
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         state = QubitState(0.3, 0.7)
         stats = run_ensemble(dp, state, cfg)
-        ns = estimate_nonstationary(stats, dp)
+        ns = estimate_nonstationary(stats)
         assert ns["eta_st_sq_hat"] == pytest.approx(state.eta_st**2, rel=0.05)
 
-    @pytest.mark.parametrize("n_batches", (1, 3))
+    @pytest.mark.parametrize("n_batches", (1, 3, 10_000))
     def test_few_batches_give_nan_stderrs(self, n_batches):
-        # below four batches there is no spread to take the error bars from,
-        # while the point estimates come from the pooled covariance alone
+        # below four batches there is no spread to take the error bars from, and
+        # a batch of one draw has no scatter (its covariance read 0, so every
+        # stderr read 0.0); the point estimates come from the pooled covariance alone
         cfg = SimConfig(dt=0.02, n_traj=10_000, seed=41)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg), dp)
+        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg))
         stats = run_ensemble(dp, TRUTH, cfg, n_batches=n_batches)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ns = estimate_nonstationary(stats, dp)
+            ns = estimate_nonstationary(stats)
         for key in ("amplitude_stderr", "phase_stderr", "eta_st_sq_stderr", "eta_st_stderr"):
             assert math.isnan(ns[key]), key
         assert all(math.isnan(s) for s in ns["mode_component_stderr"])
@@ -263,7 +269,7 @@ class TestNonstationaryEstimator:
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         stats = run_ensemble(dp, TRUTH, cfg)
         with pytest.raises(UndersampledError):
-            estimate_nonstationary(stats, dp)
+            estimate_nonstationary(stats)
 
 
 class TestCovarianceDegeneracy:
@@ -273,7 +279,7 @@ class TestCovarianceDegeneracy:
     def nonstationary(conv, g, r):
         dp = DimensionlessParams(g=g, r=r, T=40.0)
         stats = run_ensemble(dp, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=3), eom_sign=conv)
-        return estimate_nonstationary(stats, dp)
+        return estimate_nonstationary(stats)
 
     def test_eq37_resonance_refused(self):
         # every response row of eq37 vanishes at r = 1, the noise rows as the drive rows
@@ -314,7 +320,7 @@ class TestMomentMaps:
     def test_covariance_components_equal_the_map_of_M(self, conv):
         stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=5), eom_sign=conv)
         ref = scd_fit(stats, self.DP)
-        ns = estimate_nonstationary(stats, self.DP)
+        ns = estimate_nonstationary(stats)
         pooled = np.array([ns["eta_st_sq_hat"], *ns["mode_components"]])
         assert np.max(np.abs(pooled - ref[:, 0])) <= 1e-13 * np.max(np.abs(ref[:, 0]))
         # the identity itself: alpha, u, v = (M_xx + M_yy)/2, (M_xx - M_yy)/2, M_xy, pooled and per batch
@@ -329,9 +335,9 @@ class TestMomentMaps:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_mean_coefficients_equal_fit_mean_on_the_stacked_means(self, conv):
         stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=2_000, seed=6), eom_sign=conv)
-        result = reconstruct_from_stats(stats, self.DP)
+        result = reconstruct_from_stats(stats)
         fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), self.DP, conv)
-        ref = recover_state(fit, self.DP)
+        ref = recover_state(fit)
         scale = math.hypot(fit.A_c, fit.A_s)
         assert abs(result.diagnostics["A_c"] - fit.A_c) <= 1e-13 * scale
         assert abs(result.diagnostics["A_s"] - fit.A_s) <= 1e-13 * scale
@@ -341,33 +347,42 @@ class TestMomentMaps:
         assert result.residual_norm == pytest.approx(fit.residual_norm, rel=1e-10, abs=1e-14)
 
 
-class TestMismatchedDynamics:
-    """The fits refuse a dp other than the one the ensemble was made at."""
+class TestOwnDynamics:
+    """The fits read the dynamics from the record, so each inverts the dynamics that made it."""
 
-    @pytest.fixture(scope="class")
-    def stats(self):
-        return run_ensemble(DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=7))
-
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("field, value", [("g", 0.025), ("r", 0.7), ("n_qubits", 2)])
-    @pytest.mark.parametrize("fit", [reconstruct_from_stats, estimate_nonstationary])
-    def test_other_g_r_or_n_qubits_refused(self, stats, fit, field, value):
-        # at g = 0.025 the fit read eta_f 0.909, at r = 0.7 it read 0.259 (truth 0.458)
-        other = DimensionlessParams(**{"g": DP.g, "r": DP.r, "T": DP.T, field: value})
-        made, given = (DP.g, DP.r, DP.n_qubits), (other.g, other.r, other.n_qubits)
-        with pytest.raises(InvalidParameterError, match=f"{re.escape(str(made))}.*{re.escape(str(given))}"):
-            fit(stats, other)
+    def test_round_trip_away_from_the_module_dynamics(self, field, value, conv):
+        # each dp differs from DP in one field, so a fit that fell back on DP would miss
+        dp = DimensionlessParams(**{"g": DP.g, "r": DP.r, "T": DP.T, field: value})
+        stats = run_ensemble(dp, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=7), eom_sign=conv)
+        assert stats.dp == dp
+        result = reconstruct_from_stats(stats)
+        assert abs(result.eta_f_hat - TRUTH.eta_f) <= 5.0 * result.eta_f_stderr
+        ns = result.diagnostics["nonstationary"]
+        k = 2.0 * TRUTH.p * (1.0 - TRUTH.p)
+        assert abs(ns["amplitude_hat"] - k) <= 5.0 * ns["amplitude_stderr"]
 
-    def test_other_horizon_accepted(self, stats):
-        # the grid travels with the record, so T is not the fit's to check
-        other = DimensionlessParams(g=DP.g, r=DP.r, T=20.0)
-        assert reconstruct_from_stats(stats, other).eta_f_hat == reconstruct_from_stats(stats, DP).eta_f_hat
+
+def test_fits_of_a_record_or_a_mean_fit_take_no_dynamics():
+    # a record or a MeanFit carries its dp, so a second one could only disagree with it
+    guarded = []
+    for name, func in inspect.getmembers(reconstruct, inspect.isfunction):
+        if name.startswith("_") or func.__module__ != reconstruct.__name__:
+            continue
+        hints = typing.get_type_hints(func)
+        params = list(inspect.signature(func).parameters)
+        if hints.get(params[0]) in (EnsembleStats, MeanFit):
+            guarded.append(name)
+            assert DimensionlessParams not in [hints.get(p) for p in params], name
+    assert {"reconstruct_from_stats", "estimate_nonstationary", "recover_state"} <= set(guarded)
 
 
 def test_intensity_identity_between_channels():
     # eta_st^2 = 1 - 2 eta_f^2 ties the two independent estimates together
     cfg = SimConfig(dt=0.02, n_traj=40_000, seed=41)
     stats = run_ensemble(DP, TRUTH, cfg)
-    result = reconstruct_from_stats(stats, DP)
+    result = reconstruct_from_stats(stats)
     ns = result.diagnostics["nonstationary"]
     lhs = ns["eta_st_sq_hat"]
     rhs = 1.0 - 2.0 * result.eta_f_hat**2
@@ -405,7 +420,7 @@ def coverage_sweep():
                 stats = run_ensemble(COVERAGE_DP, QubitState(p, COVERAGE_PHI),
                                      SimConfig(dt=0.05, n_traj=10_000, seed=seed),
                                      eom_sign=conv)
-                result = reconstruct_from_stats(stats, COVERAGE_DP)
+                result = reconstruct_from_stats(stats)
                 ns = result.diagnostics["nonstationary"]
                 rows.append({
                     "eta_f": (result.eta_f_hat - math.sqrt(p * (1.0 - p)), result.eta_f_stderr),
