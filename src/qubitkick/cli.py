@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: table1, simulate, ensemble, verify {bch,influence,noise,oracle},
-reconstruct, bloch-map.  Outputs are written atomically (temp file + rename)
-and CSV carries full double precision so reruns diff byte-identically.
+Subcommands: table1, simulate, ensemble, verify bch, verify influence,
+verify noise, verify oracle, reconstruct, bloch-map.  `build_parser` is the
+one command table: each command accepts only the flags it declares there,
+and any other flag exits 2.  Outputs are written atomically (temp file +
+rename) and CSV carries full double precision so reruns diff byte-identically.
 Exit codes: 0 success; 1 a refused parameter or config value (a malformed or
 out-of-range config key, among others) or a failed check or fit; 2 a usage
 error: a bad flag or flag value, a missing config file, an unreadable or
@@ -136,8 +138,9 @@ def _load_setup(args) -> core.RunSetup:
         setup = core.load_config(args.config)
     else:
         setup = core.realize_config(dict(_DEFAULT_CONFIG))
-    if args.seed is not None:
-        setup = core.realize_config({**setup.raw, "seed": str(args.seed)})
+    seed = getattr(args, "seed", None)  # `verify oracle` draws nothing and takes no --seed
+    if seed is not None:
+        setup = core.realize_config({**setup.raw, "seed": str(seed)})
     return setup
 
 
@@ -212,35 +215,42 @@ def _random_path_pair(seed: int, n_grid: int = 4001, T: float = 2.0 * np.pi) -> 
     return influence.PathPair(tau=tau, q=trig(rng), p=trig(rng), q_b=trig(rng), p_b=trig(rng))
 
 
+_G_VALUES = (0.1, 0.05, 0.025, 0.0125)  # couplings of the bch and influence convergence checks
+
+
+def _bch_report(args, setup: core.RunSetup) -> dict:
+    return influence.verify_bch(_random_path_pair(setup.sim.seed), setup.state, _G_VALUES)
+
+
+def _influence_report(args, setup: core.RunSetup) -> dict:
+    return influence.verify_influence_expansion(_random_path_pair(setup.sim.seed), setup.state, _G_VALUES)
+
+
+def _noise_report(args, setup: core.RunSetup) -> dict:
+    if args.draws < 2:
+        raise UsageError(f"--draws must be at least 2 for the noise check, got {args.draws}")
+    zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(args.draws))
+    grid = np.linspace(0.0, 4.0 * np.pi, 33)
+    emp = noise.empirical_covariance_from_zetas(zetas, grid)
+    kern = noise.kernel_block_matrix(grid, setup.state)
+    rank_info = noise.kernel_rank_check(np.linspace(0.0, 4.0 * np.pi, 64), setup.state)
+    return {
+        "state": {"p": setup.state.p, "phi": setup.state.phi},
+        "max_cov_error": float(np.max(np.abs(emp - kern))),
+        "rank": rank_info["rank"],
+        "min_eigenvalue": rank_info["min_eigenvalue"],
+        "n_draws": args.draws,
+    }
+
+
+def _oracle_report(args, setup: core.RunSetup) -> dict:
+    return quantum.compare_classical_quantum(setup.dimensionless, setup.state, setup.sim)
+
+
 def _cmd_verify(args) -> int:
+    """Every `verify` check: its parser names the `report` this emits as JSON."""
     setup = _load_setup(args)
-    g_values = (0.1, 0.05, 0.025, 0.0125)
-    if args.check == "bch":
-        pair = _random_path_pair(setup.sim.seed)
-        report = influence.verify_bch(pair, setup.state, g_values)
-    elif args.check == "influence":
-        pair = _random_path_pair(setup.sim.seed)
-        report = influence.verify_influence_expansion(pair, setup.state, g_values)
-    elif args.check == "noise":
-        if args.draws < 2:
-            raise UsageError(f"--draws must be at least 2 for the noise check, got {args.draws}")
-        zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(args.draws))
-        grid = np.linspace(0.0, 4.0 * np.pi, 33)
-        emp = noise.empirical_covariance_from_zetas(zetas, grid)
-        kern = noise.kernel_block_matrix(grid, setup.state)
-        rank_info = noise.kernel_rank_check(np.linspace(0.0, 4.0 * np.pi, 64), setup.state)
-        report = {
-            "state": {"p": setup.state.p, "phi": setup.state.phi},
-            "max_cov_error": float(np.max(np.abs(emp - kern))),
-            "rank": rank_info["rank"],
-            "min_eigenvalue": rank_info["min_eigenvalue"],
-            "n_draws": args.draws,
-        }
-    elif args.check == "oracle":
-        report = quantum.compare_classical_quantum(setup.dimensionless, setup.state, setup.sim)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown verify check {args.check!r}")
-    _emit(args, f"verify {args.check}", setup.raw, None, report)
+    _emit(args, f"verify {args.check}", setup.raw, None, args.report(args, setup))
     return 0
 
 
@@ -305,50 +315,65 @@ def _cmd_bloch_map(args) -> int:
     return 0
 
 
+# every flag a command can take; a command declares the ones it accepts below
+_FLAGS = {
+    "--config": {"help": "flat key=value run configuration file"},
+    "--seed": {"type": int, "help": "master seed (overrides config)"},
+    "--threads": {"type": int,
+                  "help": "accepted for compatibility; has no effect (ensembles reduce from moments)"},
+    "--out": {"help": "output path (written atomically)"},
+    "--format": {"choices": ("csv", "json"), "default": "csv",
+                 "help": "csv or a json envelope; reconstruct and verify always write json"},
+    "--eom-sign": {"choices": dynamics.EOM_CONVENTIONS, "default": dynamics.DEFAULT_EOM,
+                   "help": "equation-of-motion sign convention"},
+    "--solver": {"choices": dynamics.SOLVERS, "default": dynamics.SOLVERS[0]},
+    "--psd-out": {"help": "also write the Welch PSD as CSV"},
+    "--draws": {"type": int, "default": 100_000, "help": "sampler draws (at least 2)"},
+    "--ensemble-csv": {"help": "existing ensemble CSV (tau,mean_q,...); its .summary.json, if "
+                               "present, must match --eom-sign and the g, r and n_qubits of --config"},
+    "--resolution": {"type": int, "default": 64},
+}
+_RUN = ("--config", "--seed", "--out", "--format", "--eom-sign")
+
+
+def _add_command(subparsers, name: str, handler, help: str, flags, **defaults) -> None:
+    parser = subparsers.add_parser(name, help=help)
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(handler=handler, **defaults)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; `parse_args` keeps no state between calls."""
+    """The command table: each command and `verify` check names its handler and the flags
+    it accepts.  Built once per process; `parse_args` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qubitkick",
         description="Qubit-induced forces on a classical oscillator: simulation, "
                     "verification, and state reconstruction.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value run configuration file")
-    common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument("--threads", type=int,
-                        help="accepted for compatibility; has no effect (ensembles reduce from moments)")
-    common.add_argument("--out", help="output path (written atomically)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--eom-sign", dest="eom_sign", choices=dynamics.EOM_CONVENTIONS,
-                        default=dynamics.DEFAULT_EOM, help="equation-of-motion sign convention")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table1", parents=[common], help="platform force budget vs published values")
-    sp = sub.add_parser("simulate", parents=[common], help="solve a single trajectory")
-    sp.add_argument("--solver", choices=dynamics.SOLVERS, default=dynamics.SOLVERS[0])
-    se = sub.add_parser("ensemble", parents=[common], help="Monte Carlo ensemble statistics")
-    se.add_argument("--psd-out", dest="psd_out", help="also write the Welch PSD as CSV")
-    sv = sub.add_parser("verify", parents=[common], help="consistency and convergence reports")
-    sv.add_argument("check", choices=("bch", "influence", "noise", "oracle"))
-    sv.add_argument("--draws", type=int, default=100_000, help="sampler draws for the noise check")
-    sr = sub.add_parser("reconstruct", parents=[common], help="infer the qubit state from an ensemble")
-    sr.add_argument("--ensemble-csv", dest="ensemble_csv",
-                    help="existing ensemble CSV (tau,mean_q,...); its .summary.json, if "
-                         "present, must match --eom-sign and the g, r and n_qubits of --config")
-    sb = sub.add_parser("bloch-map", parents=[common], help="state-dependence maps over the Bloch sphere")
-    sb.add_argument("--resolution", type=int, default=64)
+    _add_command(sub, "table1", _cmd_table1, "platform force budget vs published values",
+                 ("--out", "--format"))
+    _add_command(sub, "simulate", _cmd_simulate, "solve a single trajectory", (*_RUN, "--solver"))
+    _add_command(sub, "ensemble", _cmd_ensemble, "Monte Carlo ensemble statistics",
+                 (*_RUN, "--threads", "--psd-out"))
+    verify = sub.add_parser("verify", help="consistency and convergence reports")
+    checks = verify.add_subparsers(dest="check", required=True)
+    report_flags = ("--config", "--seed", "--out", "--format")
+    _add_command(checks, "bch", _cmd_verify, "BCH split-product convergence", report_flags,
+                 report=_bch_report)
+    _add_command(checks, "influence", _cmd_verify, "influence phase-expansion convergence",
+                 report_flags, report=_influence_report)
+    _add_command(checks, "noise", _cmd_verify, "sampled draws vs the noise kernel",
+                 (*report_flags, "--draws"), report=_noise_report)
+    _add_command(checks, "oracle", _cmd_verify, "effective dynamics vs the exact quantum model",
+                 ("--config", "--out", "--format"), report=_oracle_report)
+    _add_command(sub, "reconstruct", _cmd_reconstruct, "infer the qubit state from an ensemble",
+                 (*_RUN, "--threads", "--ensemble-csv"))
+    _add_command(sub, "bloch-map", _cmd_bloch_map, "state-dependence maps over the Bloch sphere",
+                 ("--out", "--format", "--resolution"))
     return parser
-
-
-_HANDLERS = {
-    "table1": _cmd_table1,
-    "simulate": _cmd_simulate,
-    "ensemble": _cmd_ensemble,
-    "verify": _cmd_verify,
-    "reconstruct": _cmd_reconstruct,
-    "bloch-map": _cmd_bloch_map,
-}
 
 
 def main(argv=None) -> int:
@@ -357,7 +382,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
-"""The benchmark's layer probes still name what the library defines.
+"""The benchmark's layer probes and command lines still name what the library defines.
 
 `bench/tracing.py` traces a run by swapping module attributes of qubitkick
 for wrappers, so a rename or a changed call signature in the library would
-break `bench/run.py --trace 1` without failing any library test.  The file
-is loaded from its path and only read.
+break `bench/run.py --trace 1` without failing any library test.  Likewise
+the CLI must accept every command line of `bench/workloads.py`.  Both files
+are loaded from their paths and only read.
 """
 
 import contextlib
@@ -20,12 +21,11 @@ from qubitkick import cli, dynamics, influence
 from qubitkick.core import DimensionlessParams, QubitState, SimConfig
 from qubitkick.reconstruct import reconstruct_from_stats
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -36,6 +36,24 @@ def tracing():
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_bench_module("tracing")
+
+
+def test_cli_accepts_every_benchmark_argv(tmp_path):
+    workloads = load_bench_module("workloads")
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS.values():
+        for command in workload.commands:
+            argv = workloads.argv(command, str(tmp_path), 1)
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{workload.name}/{command.label}: the CLI refuses {argv}")
+            assert callable(args.handler), argv
 
 
 def test_every_probe_names_a_library_attribute(tracing):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import traceback
@@ -170,7 +171,7 @@ class TestJsonEnvelope:
 
     @pytest.mark.parametrize("argv", (
         ("simulate", "--solver", "rk4"),
-        ("verify", "oracle", "--seed", "3"),
+        ("verify", "bch", "--seed", "3"),
         ("reconstruct",),
     ))
     def test_bytes_match_reference(self, argv, config_file, tmp_path, monkeypatch):
@@ -512,6 +513,62 @@ class TestBlochMap:
         table = np.loadtxt(csv_out, delimiter=",", skiprows=1)
         header = ["theta", "phi", "eta_f", "eta_st"]
         assert np.array_equal([[row[k] for k in header] for row in rows], table)
+
+
+# the flags each command and verify check accepts, and a value each parses
+RUN_FLAGS = ("--config", "--seed", "--out", "--format", "--eom-sign")
+REPORT_FLAGS = ("--config", "--seed", "--out", "--format")
+ACCEPTED = {
+    ("table1",): ("--out", "--format"),
+    ("simulate",): (*RUN_FLAGS, "--solver"),
+    ("ensemble",): (*RUN_FLAGS, "--threads", "--psd-out"),
+    ("verify", "bch"): REPORT_FLAGS,
+    ("verify", "influence"): REPORT_FLAGS,
+    ("verify", "noise"): (*REPORT_FLAGS, "--draws"),
+    ("verify", "oracle"): ("--config", "--out", "--format"),
+    ("reconstruct",): (*RUN_FLAGS, "--threads", "--ensemble-csv"),
+    ("bloch-map",): ("--out", "--format", "--resolution"),
+}
+# flags a command would ignore, so it refuses them
+REFUSED = {
+    ("table1",): ("--config", "--seed", "--eom-sign", "--threads"),
+    ("bloch-map",): ("--config", "--seed", "--eom-sign", "--threads"),
+    ("simulate",): ("--threads",),
+    ("verify", "bch"): ("--eom-sign", "--threads", "--draws"),
+    ("verify", "influence"): ("--eom-sign", "--threads", "--draws"),
+    ("verify", "noise"): ("--eom-sign", "--threads"),
+    ("verify", "oracle"): ("--eom-sign", "--threads", "--draws", "--seed"),
+}
+FLAG_VALUES = {"--config": "run.cfg", "--seed": "3", "--threads": "2", "--out": "out.csv",
+               "--format": "json", "--eom-sign": "eq35", "--solver": "rk4", "--psd-out": "psd.csv",
+               "--draws": "100", "--ensemble-csv": "stats.csv", "--resolution": "16"}
+
+
+def flag_pairs(table):
+    return [pytest.param(words, flag, id=" ".join((*words, flag)))
+            for words, flags in table.items() for flag in flags]
+
+
+class TestOptionSurface:
+    def test_pair_counts(self):
+        assert (len(flag_pairs(ACCEPTED)), len(flag_pairs(REFUSED))) == (41, 21)
+
+    @pytest.mark.parametrize("words,flag", flag_pairs(ACCEPTED))
+    def test_accepted_flag_parses(self, words, flag):
+        args = cli.build_parser().parse_args([*words, flag, FLAG_VALUES[flag]])
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == FLAG_VALUES[flag]
+        assert callable(args.handler)
+
+    @pytest.mark.parametrize("words,flag", flag_pairs(REFUSED))
+    def test_refused_flag_exits_2(self, words, flag, capsys):
+        assert cli.main([*words, flag, FLAG_VALUES[flag]]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("words", ACCEPTED, ids=" ".join)
+    def test_help_lists_only_the_commands_flags(self, words, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line break inside a flag name
+        assert cli.main([*words, "--help"]) == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {"--help", *ACCEPTED[words]}
 
 
 class TestParser:
