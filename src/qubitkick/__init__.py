@@ -25,7 +25,6 @@ from .dynamics import (
     EOM_CONVENTIONS,
     EnsembleStats,
     ResonanceError,
-    Trajectory,
     deterministic_force,
     mean_closed_form,
     run_ensemble,
@@ -55,11 +54,11 @@ from .influence import (
     verify_influence_expansion,
 )
 from .noise import (
-    NoiseRealization,
     QuadFormCoeffs,
     empirical_covariance_from_zetas,
     kernel_matrix,
     kernel_rank_check,
+    noise_map,
     quad_coeffs,
     sample_zetas,
 )

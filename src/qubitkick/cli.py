@@ -148,7 +148,7 @@ def _load_setup(args) -> core.RunSetup:
 
 def _cmd_table1(args) -> int:
     rows = forces.table_comparison()
-    failed = any(not row["degenerate"] and not row["rel_error"] <= 0.05 for row in rows)
+    failed = any(not row["degenerate"] and not row["rel_error"] <= forces.TABLE_TOLERANCE for row in rows)
     if args.format == "json" and not args.out:
         # stdout carries the envelope alone, as for every other subcommand
         _emit(args, "table1", {}, None, rows)
@@ -160,7 +160,7 @@ def _cmd_table1(args) -> int:
             comp = "-" if row["computed"] is None else f"{row['computed']:.3e}"
             print(f"{row['platform']:<12} {row['quantity']:<8} {comp:>{width}} {'-':>{width}} {'(degen)':>9}")
             continue
-        ok = row["rel_error"] <= 0.05
+        ok = row["rel_error"] <= forces.TABLE_TOLERANCE
         print(f"{row['platform']:<12} {row['quantity']:<8} {row['computed']:>{width}.3e} "
               f"{row['printed']:>{width}.3e} {row['rel_error']:>8.2%}{'' if ok else '  <-- FAIL'}")
     if args.out:
@@ -176,10 +176,10 @@ def _cmd_table1(args) -> int:
 
 def _cmd_simulate(args) -> int:
     setup = _load_setup(args)
-    draw = noise.NoiseRealization(*noise.sample_zetas(setup.state, setup.sim.seed, range(1))[0])
-    traj = dynamics.solve_trajectory(setup.dimensionless, setup.state, draw, setup.sim,
-                                     eom_sign=args.eom_sign, solver=args.solver, index=0)
-    _emit_table(args, "simulate", setup.raw, ["tau", "q", "p"], [traj.tau, traj.q, traj.p])
+    zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(1))
+    tau, Q, P = dynamics.solve_trajectory(setup.dimensionless, setup.state, zetas, setup.sim,
+                                          eom_sign=args.eom_sign, solver=args.solver)
+    _emit_table(args, "simulate", setup.raw, ["tau", "q", "p"], [tau, Q[0], P[0]])
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Trajectory solvers, ensemble Monte Carlo, and spectral estimators.
+"""Solvers for the oscillator's trajectories, ensemble Monte Carlo, and spectral estimators.
 
 Every supported equation-of-motion convention is linear with drives at
 rescaled frequency 1 (the qubit frame), so one complex template covers all
@@ -21,12 +21,13 @@ the resonance |w0| = 1, where it degenerates smoothly into the secular
 tau * e^{i tau} growth.  K times the tones gives the four response rows
 (`response_basis`).  `_rhs`, RK4 and `mean_closed_form` stay independent of
 the map, as its cross-checks.
-`solve_trajectory` (one draw) and `run_ensemble` (three basis rows) share
-one solve: grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step
-budget and finite check.  So under both solvers an ensemble is three basis
-rows and the moments of its draws, kept as an `EnsembleStats` record whose
-mean, (co)variances and `psd(segment)` are contractions of the two.  The
-reconstruction fits have no free-motion column: they need a start at rest.
+`solve_trajectory` is the one solve, one row per draw of an (n, 2) block:
+grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step budget and
+finite check.  `run_ensemble` passes it three basis draws, so under both
+solvers an ensemble is three basis rows and the moments of its draws, kept
+as an `EnsembleStats` record whose mean, (co)variances and `psd(segment)`
+are contractions of the two.  The reconstruction fits have no free-motion
+column: they need a start at rest.
 
 Conventions (`eom_sign`):
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import spectral as _signal  # kept under this name: bench/tracing.py wraps _signal.welch
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from .noise import NoiseRealization, sample_zetas
+from .noise import sample_zetas
 
 EOM_CONVENTIONS = ("eq37", "eq35", "canonical")
 DEFAULT_EOM = "eq37"
@@ -77,25 +78,12 @@ class ResonanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One solved phase-space path with its provenance."""
-
-    tau: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    seed: int | None
-    index: int | None
-    solver: str
-    eom_sign: str = DEFAULT_EOM
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     """An ensemble as its basis rows and the moments of its draws.
 
-    Trajectory i is q_i = Q[0] + zeta_x_i Q[1] + zeta_y_i Q[2], likewise p
-    with P.  Each fixed index batch keeps the count, mean and centred 2x2
-    scatter of its draws.  Every statistic is a contraction of the two: the
+    Draw i's trajectory is q_i = Q[0] + zeta_x_i Q[1] + zeta_y_i Q[2],
+    likewise p with P.  Each fixed index batch keeps the count, mean and
+    centred 2x2 scatter of its draws.  Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
     with b = Q[1:].  The two-time covariance is on a coarse sub-grid, pooled
     and per batch; the `ensemble` summary reports the pooled one, and no fit
@@ -286,15 +274,23 @@ def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarra
     return Z
 
 
-def _solve(dp, state, zetas: np.ndarray, config: SimConfig, eom_sign: str, solver: str):
-    """(tau, Q, P): the grid and the (n, N) q and p rows of the draws `zetas` (n, 2) from (q_init, p_init).
+def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarray, config: SimConfig,
+                     eom_sign: str = DEFAULT_EOM, solver: str = "closed_form"):
+    """(tau, Q, P): the grid `time_grid(dp.T, config.dt)` and the (n, N) q and p rows
+    of the draws `zetas`, shape (n, 2) as `sample_zetas` returns them, from (q_init, p_init).
 
-    The one place that checks `eom_sign` and `solver`, holds RK4 to the step
-    budget of `SimConfig.check_step`, and refuses a non-finite row.
+    ``closed_form`` is the exact solution, uniformly valid through r = 1,
+    where the eq35 noise response grows secularly; ``rk4`` integrates the
+    first-order system independently, within the step budget of
+    `SimConfig.check_step`.  The one place that checks `zetas`, `eom_sign`
+    and `solver`, and refuses a non-finite row.
     """
     _check_eom(eom_sign)
     if solver not in SOLVERS:
         raise InvalidParameterError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    zetas = np.asarray(zetas, dtype=float)
+    if zetas.ndim != 2 or zetas.shape[1] != 2 or zetas.shape[0] < 1:
+        raise InvalidParameterError(f"zetas must have shape (n >= 1, 2), got {zetas.shape}")
     tau = time_grid(dp.T, config.dt)
     z0 = complex(config.q_init, config.p_init)
     if solver == "rk4":
@@ -306,20 +302,6 @@ def _solve(dp, state, zetas: np.ndarray, config: SimConfig, eom_sign: str, solve
     if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
         raise FloatingPointError(f"non-finite {solver} trajectory")
     return tau, Q, P
-
-
-def solve_trajectory(dp: DimensionlessParams, state: QubitState, noise: NoiseRealization, config: SimConfig,
-                     eom_sign: str = DEFAULT_EOM, solver: str = "closed_form",
-                     index: int | None = None) -> Trajectory:
-    """One noise draw's trajectory on `time_grid(dp.T, config.dt)` from (q_init, p_init).
-
-    ``closed_form`` is the exact solution, uniformly valid through r = 1,
-    where the eq35 noise response grows secularly; ``rk4`` integrates the
-    first-order system independently, within the step budget.
-    """
-    tau, Q, P = _solve(dp, state, noise.zetas[None, :], config, eom_sign, solver)
-    return Trajectory(tau=tau, q=Q[0], p=P[0], seed=config.seed, index=index,
-                      solver=solver, eom_sign=eom_sign)
 
 
 def zero_noise_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
@@ -470,7 +452,8 @@ def run_ensemble(
     edges = np.linspace(0, config.n_traj, min(n_batches, config.n_traj) + 1).astype(int)
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
-    tau, Q, P = _solve(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config, eom_sign, solver)
+    tau, Q, P = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config,
+                                 eom_sign, solver)
     Q[1:] -= Q[0]
     P[1:] -= P[0]
 

@@ -12,7 +12,7 @@ dimensionless dynamics gives
 with r = omega_o / omega_q.  The preset table collects three published
 platforms (trapped ion, levitated nanodiamond, piezoelectric resonator)
 together with the force magnitudes quoted for them, used as a regression
-check at the 5% level (two significant figures).
+check at `TABLE_TOLERANCE` (two significant figures).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, HBAR, InvalidParameterError, PhysicalParams, QubitState
-from .noise import NoiseRealization
+from .noise import noise_map
 
 # omega_q == omega_o makes the deterministic-force scale vanish
 DEGENERATE_EPS = 1e-12
@@ -51,6 +51,9 @@ class Platform:
     printed_xi_q0: float
     printed_xi_p0: float
 
+
+# relative error up to which a computed force matches its published value
+TABLE_TOLERANCE = 0.05
 
 PLATFORMS = {
     "ion": Platform(
@@ -98,20 +101,22 @@ def force_magnitudes(pp: PhysicalParams, platform: str = "") -> ForceBudget:
     )
 
 
-def dimensional_forces(t, state: QubitState, pp: PhysicalParams, noise: NoiseRealization) -> dict:
-    """Instantaneous SI forces at laboratory time t (scalar or array).
+def dimensional_forces(t, state: QubitState, pp: PhysicalParams, zetas) -> dict:
+    """Instantaneous SI forces at laboratory time t (scalar or array) for one
+    draw `zetas` = (zeta_x, zeta_y).
 
-    The momentum-noise force uses the exact analytic derivative of
-    lambda_p, never a finite difference.
+    The momentum-noise force uses the exact analytic derivative
+    d lambda_p/d tau = -lambda_q, never a finite difference.
     """
     t = np.asarray(t, dtype=float)
     tau = pp.omega_q * t
     r = pp.omega_o / pp.omega_q
     f0c = characteristic_force(pp)
     f = f0c * ((1.0 - r) / r) * state.eta_f * np.cos(tau + state.phi)
-    xi_q = f0c * noise.lambda_q(tau)
+    lam_q = noise_map(tau)[..., 0, :] @ np.asarray(zetas, dtype=float)
+    xi_q = f0c * lam_q
     # d lambda_p/dt = omega_q * d lambda_p/dtau, and f0c/omega_o * omega_q = f0c/r
-    xi_p = (f0c / r) * noise.dlambda_p(tau)
+    xi_p = -(f0c / r) * lam_q
     return {"f": f, "xi_q": xi_q, "xi_p": xi_p}
 
 

@@ -3,12 +3,9 @@
 The fluctuation exponent is a quadratic form in just two scalars (W_x, W_y),
 so the decoupling noise is driven by one Gaussian pair zeta = (zeta_x, zeta_y)
 with a state-dependent 2x2 covariance Sigma.  Each realisation is the fixed
-trigonometric map lambda(tau) = U(tau) zeta, exact at all times:
-
-    lambda_q(tau) = -zeta_x cos(tau) + zeta_y sin(tau)
-    lambda_p(tau) =  zeta_x sin(tau) + zeta_y cos(tau)
-
+trigonometric map lambda(tau) = U(tau) zeta (`noise_map`), exact at all times,
 so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^T.
+A draw is one row of the (n, 2) block `sample_zetas` returns.
 """
 
 from __future__ import annotations
@@ -73,37 +70,6 @@ def zeta_cholesky(state: QubitState) -> np.ndarray:
     return np.array([[l11, 0.0], [l21, l22]])
 
 
-@dataclass(frozen=True)
-class NoiseRealization:
-    """One draw of the correlated noise pair, exact for all rescaled times."""
-
-    zeta_x: float
-    zeta_y: float
-
-    def lambda_q(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return -self.zeta_x * np.cos(tau) + self.zeta_y * np.sin(tau)
-
-    def lambda_p(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return self.zeta_x * np.sin(tau) + self.zeta_y * np.cos(tau)
-
-    def dlambda_q(self, tau):
-        """d lambda_q / d tau; analytically equal to lambda_p."""
-        return self.lambda_p(tau)
-
-    def dlambda_p(self, tau):
-        """d lambda_p / d tau; analytically equal to -lambda_q."""
-        return -self.lambda_q(tau)
-
-    @property
-    def zetas(self) -> np.ndarray:
-        return np.array([self.zeta_x, self.zeta_y])
-
-
-ZERO_NOISE = NoiseRealization(0.0, 0.0)
-
-
 def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     """Draws (zeta_x, zeta_y) for indices = range(i0, i1), i0 >= 0; shape (i1 - i0, 2).
 
@@ -127,15 +93,23 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     return ((radius * np.cos(angle)) * L[:, :1] + (radius * np.sin(angle)) * L[:, 1:]).T
 
 
-def _noise_map(tau) -> np.ndarray:
-    """U(tau) with shape tau.shape + (2, 2): rows (lambda_q, lambda_p) per unit (zeta_x, zeta_y)."""
+def noise_map(tau) -> np.ndarray:
+    """U(tau) with shape tau.shape + (2, 2), so a draw's noise is lambda(tau) = U(tau) zeta:
+
+        lambda_q(tau) = -zeta_x cos(tau) + zeta_y sin(tau)
+        lambda_p(tau) =  zeta_x sin(tau) + zeta_y cos(tau)
+
+    Row 0 maps (zeta_x, zeta_y) to lambda_q, row 1 to lambda_p.  Both are
+    unit-frequency rotations, so d lambda_q/d tau = lambda_p and
+    d lambda_p/d tau = -lambda_q.
+    """
     c, s = np.cos(tau), np.sin(tau)
     return np.stack([np.stack([-c, s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def _on_grid(tau_grid, sigma: np.ndarray) -> np.ndarray:
     """V sigma V^T, V the (2N, 2) map from (zeta_x, zeta_y) to lambda_q on the grid, then lambda_p."""
-    V = _noise_map(np.asarray(tau_grid, dtype=float)).swapaxes(0, 1).reshape(-1, 2)
+    V = noise_map(np.asarray(tau_grid, dtype=float)).swapaxes(0, 1).reshape(-1, 2)
     return V @ sigma @ V.T
 
 
@@ -153,8 +127,8 @@ def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
     multiplies the stationary part of every entry, including the cross one.
     Scalars give a 2x2 matrix; equal-length arrays give shape (2, 2, n).
     """
-    U = _noise_map(np.asarray(tau, dtype=float))
-    U_prime = _noise_map(np.asarray(tau_prime, dtype=float))
+    U = noise_map(np.asarray(tau, dtype=float))
+    U_prime = noise_map(np.asarray(tau_prime, dtype=float))
     return np.einsum("...ij,jk,...lk->il...", U, quad_coeffs(state).matrix(), U_prime)
 
 

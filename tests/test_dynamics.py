@@ -22,10 +22,11 @@ from qubitkick.dynamics import (
     welch_psd,
     zero_noise_mean,
 )
-from qubitkick.noise import ZERO_NOISE, NoiseRealization, quad_coeffs, sample_zetas
+from qubitkick.noise import quad_coeffs, sample_zetas
 
 DP = DimensionlessParams(g=0.05, r=0.5, T=30.0)
 EQUATOR = QubitState(0.5, 0.0)
+ZERO_DRAW = np.zeros((1, 2))
 
 
 class TestDeterministicForce:
@@ -82,15 +83,15 @@ class TestClosedFormSolver:
         # g = 0 from (1, 0): q = cos(r tau), p = -sin(r tau)
         dp = DimensionlessParams(g=0.0, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.01, q_init=1.0, p_init=0.0)
-        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg)
-        assert np.allclose(traj.q, np.cos(0.5 * traj.tau), atol=1e-12)
-        assert np.allclose(traj.p, -np.sin(0.5 * traj.tau), atol=1e-12)
+        tau, Q, P = solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg)
+        assert np.allclose(Q[0], np.cos(0.5 * tau), atol=1e-12)
+        assert np.allclose(P[0], -np.sin(0.5 * tau), atol=1e-12)
 
     def test_zero_draw_equals_mean(self):
         cfg = SimConfig(dt=0.01)
         s = QubitState(0.3, 1.0)
-        traj = solve_trajectory(DP, s, ZERO_NOISE, cfg)
-        assert np.allclose(traj.q, mean_closed_form(DP, s, traj.tau), atol=1e-13)
+        tau, Q, _ = solve_trajectory(DP, s, ZERO_DRAW, cfg)
+        assert np.allclose(Q[0], mean_closed_form(DP, s, tau), atol=1e-13)
 
     def test_matches_rk4_for_random_draws(self):
         # 100 random draws, dt = 1e-3 over T = 50: max abs <= 1e-8
@@ -107,12 +108,8 @@ class TestClosedFormSolver:
     def test_linearity_in_noise_and_force(self):
         cfg = SimConfig(dt=0.01)
         s = QubitState(0.3, 0.7)
-        det = solve_trajectory(DP, s, ZERO_NOISE, cfg)
-        draw = NoiseRealization(0.8, -0.5)
-        full = solve_trajectory(DP, s, draw, cfg)
-        noise_part = full.q - det.q
-        double = solve_trajectory(DP, s, NoiseRealization(1.6, -1.0), cfg)
-        assert np.allclose(double.q - det.q, 2.0 * noise_part, atol=1e-12)
+        _, Q, _ = solve_trajectory(DP, s, [[0.0, 0.0], [0.8, -0.5], [1.6, -1.0]], cfg)
+        assert np.allclose(Q[2] - Q[0], 2.0 * (Q[1] - Q[0]), atol=1e-12)
 
     def test_qubit_count_scales_force_and_noise(self):
         # n qubits: deterministic part x n, noise part x sqrt(n)
@@ -120,31 +117,29 @@ class TestClosedFormSolver:
         cfg = SimConfig(dt=0.02)
         dp1 = DimensionlessParams(g=0.05, r=0.5, T=20.0, n_qubits=1)
         dp4 = DimensionlessParams(g=0.05, r=0.5, T=20.0, n_qubits=4)
-        det1 = solve_trajectory(dp1, s, ZERO_NOISE, cfg).q
-        det4 = solve_trajectory(dp4, s, ZERO_NOISE, cfg).q
+        draws = [[0.0, 0.0], [0.8, -0.5]]
+        _, (det1, full1), _ = solve_trajectory(dp1, s, draws, cfg)
+        _, (det4, full4), _ = solve_trajectory(dp4, s, draws, cfg)
         assert np.allclose(det4, 4.0 * det1, atol=1e-13)
-        draw = NoiseRealization(0.8, -0.5)
-        noise1 = solve_trajectory(dp1, s, draw, cfg).q - det1
-        noise4 = solve_trajectory(dp4, s, draw, cfg).q - det4
-        assert np.allclose(noise4, 2.0 * noise1, atol=1e-13)
+        assert np.allclose(full4 - det4, 2.0 * (full1 - det1), atol=1e-13)
 
-    def test_provenance_fields(self):
-        traj = solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01, seed=5), index=3)
-        assert traj.solver == "closed_form"
-        assert traj.seed == 5 and traj.index == 3
-        assert traj.eom_sign == "eq37"
+    @pytest.mark.parametrize("zetas", [np.zeros(2), np.zeros((1, 3)), np.zeros((0, 2)), np.zeros((1, 2, 1))])
+    def test_draws_block_of_wrong_shape_refused(self, zetas):
+        for solver in dynamics.SOLVERS:
+            with pytest.raises(InvalidParameterError, match="zetas"):
+                solve_trajectory(DP, EQUATOR, zetas, SimConfig(dt=0.01), solver=solver)
 
 
 class TestRk4:
     def test_fourth_order_convergence(self):
         dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
         s = QubitState(0.3, 1.0)
-        draw = NoiseRealization(0.6, -0.2)
+        draw = [[0.6, -0.2]]
 
         def err(dt):
-            ref = solve_trajectory(dp, s, draw, SimConfig(dt=dt))
-            rk = solve_trajectory(dp, s, draw, SimConfig(dt=dt), solver="rk4")
-            return np.max(np.abs(ref.q - rk.q))
+            _, ref, _ = solve_trajectory(dp, s, draw, SimConfig(dt=dt))
+            _, rk, _ = solve_trajectory(dp, s, draw, SimConfig(dt=dt), solver="rk4")
+            return np.max(np.abs(ref - rk))
 
         assert err(0.02) / err(0.01) >= 12.0
 
@@ -152,25 +147,25 @@ class TestRk4:
         # undriven harmonic invariant q^2 + p^2 over T = 100 at dt = 1e-3
         dp = DimensionlessParams(g=0.0, r=0.5, T=100.0)
         cfg = SimConfig(dt=1e-3, q_init=1.0, p_init=0.0)
-        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg, solver="rk4")
-        energy = traj.q**2 + traj.p**2
+        _, Q, P = solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg, solver="rk4")
+        energy = Q[0]**2 + P[0]**2
         assert np.max(np.abs(energy - energy[0])) <= 1e-9
 
     def test_resonant_secular_growth_matches_closed_form(self):
         # at r = 1 the eq35 noise drive is resonant: envelope grows ~ tau
         dp = DimensionlessParams(g=0.05, r=1.0, T=20.0)
-        draw = NoiseRealization(1.0, 0.5)
+        draw = [[1.0, 0.5]]
         cfg = SimConfig(dt=1e-3)
-        closed = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35")
-        rk = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35", solver="rk4")
-        assert np.max(np.abs(closed.q - rk.q)) <= 1e-6
-        env = np.abs(closed.q + 1j * closed.p)
+        _, Q, P = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35")
+        _, rk, _ = solve_trajectory(dp, EQUATOR, draw, cfg, eom_sign="eq35", solver="rk4")
+        assert np.max(np.abs(Q[0] - rk[0])) <= 1e-6
+        env = np.abs(Q[0] + 1j * P[0])
         assert env[-1] > 2.0 * env[env.size // 4]  # secular envelope growth
 
     def test_step_budget_enforced(self):
         dp = DimensionlessParams(g=0.0, r=2.0, T=1.0)
         with pytest.raises(InvalidParameterError):
-            solve_trajectory(dp, EQUATOR, ZERO_NOISE, SimConfig(dt=0.05), solver="rk4")
+            solve_trajectory(dp, EQUATOR, ZERO_DRAW, SimConfig(dt=0.05), solver="rk4")
 
 
 def rk4_step_by_step(dp, state, zetas, z0, tau, eom_sign):
@@ -383,7 +378,7 @@ class TestWelchPsd:
         rows = []
         for _ in range(8):
             cfg = SimConfig(dt=0.05, q_init=float(rng.normal()), p_init=float(rng.normal()))
-            rows.append(solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg).q)
+            rows.append(solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg)[1][0])
         freq, psd = welch_psd(np.array(rows), segment_length=2048, overlap=0.5, dt=0.05)
         assert abs(freq[np.argmax(psd)] - 0.5) <= freq[1] - freq[0]
 
@@ -391,8 +386,8 @@ class TestWelchPsd:
         # deterministic drive at frequency 1 on top of the free tone at r
         dp = DimensionlessParams(g=0.05, r=0.5, T=400.0)
         cfg = SimConfig(dt=0.05, q_init=0.3, p_init=0.0)
-        traj = solve_trajectory(dp, EQUATOR, ZERO_NOISE, cfg)
-        freq, psd = welch_psd(traj.q, segment_length=4096, overlap=0.5, dt=0.05)
+        _, Q, _ = solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg)
+        freq, psd = welch_psd(Q[0], segment_length=4096, overlap=0.5, dt=0.05)
         df = freq[1] - freq[0]
 
         def power_near(omega):
@@ -518,12 +513,12 @@ def test_time_grid_is_uniform_and_spans_horizon():
 
 def test_unknown_convention_rejected():
     with pytest.raises(InvalidParameterError):
-        solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), eom_sign="bogus")
+        solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), eom_sign="bogus")
 
 
 def test_unknown_solver_rejected():
     with pytest.raises(InvalidParameterError, match="unknown solver"):
-        solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), solver="euler")
+        solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), solver="euler")
     with pytest.raises(InvalidParameterError, match="unknown solver"):
         run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver="euler")
 
@@ -536,6 +531,6 @@ def test_non_finite_rows_refused_under_both_solvers(monkeypatch):
                         lambda dp, state, zetas, z0, tau, eom_sign: (np.full((len(zetas), tau.size), np.inf),) * 2)
     for solver in dynamics.SOLVERS:
         with pytest.raises(FloatingPointError):
-            solve_trajectory(DP, EQUATOR, ZERO_NOISE, SimConfig(dt=0.01), solver=solver)
+            solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), solver=solver)
         with pytest.raises(FloatingPointError):
             run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver=solver)

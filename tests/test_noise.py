@@ -6,11 +6,11 @@ import pytest
 
 from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.noise import (
-    NoiseRealization,
     empirical_covariance_from_zetas,
     kernel_block_matrix,
     kernel_matrix,
     kernel_rank_check,
+    noise_map,
     quad_coeffs,
     sample_zetas,
     zeta_cholesky,
@@ -133,6 +133,17 @@ class TestKernelMatrix:
         assert np.allclose(m1, m2, atol=1e-14)
 
 
+class TestNoiseMap:
+    def test_rows_are_the_lambda_formulas(self):
+        zx, zy = 0.7, -1.2
+        tau = np.linspace(0, 10, 101)
+        lam_q, lam_p = np.moveaxis(noise_map(tau) @ np.array([zx, zy]), -1, 0)
+        assert np.allclose(lam_q, -zx * np.cos(tau) + zy * np.sin(tau), rtol=0, atol=1e-15)
+        assert np.allclose(lam_p, zx * np.sin(tau) + zy * np.cos(tau), rtol=0, atol=1e-15)
+        assert noise_map(0.3).shape == (2, 2)
+        assert noise_map(np.zeros((4, 3))).shape == (4, 3, 2, 2)
+
+
 class TestCholesky:
     def test_reproduces_covariance(self):
         for s in random_states(8, 100):
@@ -194,12 +205,6 @@ class TestSampler:
         with pytest.raises(InvalidParameterError):
             sample_zetas(QubitState(0.3, 1.0), 1, indices)
 
-    def test_derivative_accessors_are_exact(self):
-        real = NoiseRealization(0.7, -1.2)
-        tau = np.linspace(0, 10, 101)
-        assert np.allclose(real.dlambda_p(tau), -real.lambda_q(tau), atol=1e-15)
-        assert np.allclose(real.dlambda_q(tau), real.lambda_p(tau), atol=1e-15)
-
     def test_equator_draws_live_on_a_line(self):
         zetas = sample_zetas(QubitState(0.5, 1.0), seed=5, indices=range(500))
         s = np.linalg.svd(zetas - zetas.mean(axis=0), compute_uv=False)
@@ -208,13 +213,8 @@ class TestSampler:
     def test_zero_mean(self):
         n = 20000
         zetas = sample_zetas(QubitState(0.3, 0.5), seed=6, indices=range(n))
-        grid = np.linspace(0, 5, 7)
-        c, si = np.cos(grid), np.sin(grid)
-        lam_q = -np.outer(zetas[:, 0], c) + np.outer(zetas[:, 1], si)
-        lam_p = np.outer(zetas[:, 0], si) + np.outer(zetas[:, 1], c)
-        bound = 4.0 / math.sqrt(n)
-        assert np.max(np.abs(lam_q.mean(axis=0))) < bound
-        assert np.max(np.abs(lam_p.mean(axis=0))) < bound
+        lam = noise_map(np.linspace(0, 5, 7)) @ zetas.T  # (grid, (lambda_q, lambda_p), n)
+        assert np.max(np.abs(lam.mean(axis=-1))) < 4.0 / math.sqrt(n)
 
     def test_ground_state_variance_stationary(self):
         zetas = sample_zetas(QubitState(0.0, 0.0), seed=7, indices=range(100_000))

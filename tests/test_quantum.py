@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from qubitkick.dynamics import zero_noise_mean
+from qubitkick.dynamics import time_grid, zero_noise_mean
 from qubitkick.quantum import (
     ORACLE_N_FOCK,
     TruncationError,
@@ -199,6 +199,18 @@ class TestOracleComparison:
         for key in ("preferred_sign_convention", "preferred_among_printed_pair", "max_error",
                     "scaling_exponent"):
             assert report[key] is None
+
+    def test_report_ignores_the_configured_coupling(self):
+        # the sweep runs at its own g_values; var_q_comparison is the largest one's
+        state, cfg = QubitState(0.3, 1.0), SimConfig(dt=0.05)
+        reports = [compare_classical_quantum(DimensionlessParams(g=g, r=0.5, T=10.0), state, cfg)
+                   for g in (0.04, 0.01, 0.0)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["g_values"] == [0.01, 0.02, 0.04]
+        dp_max = DimensionlessParams(g=0.04, r=0.5, T=10.0)
+        oracle = evolve_expectations(build_hamiltonian(dp_max, ORACLE_N_FOCK),
+                                     ground_initial_state(state, ORACLE_N_FOCK), time_grid(10.0, 0.05))
+        assert reports[0]["var_q_comparison"]["max_var_q_raw"] == float(oracle.var_q.max())
 
     def test_rejects_strong_coupling(self):
         with pytest.raises(InvalidParameterError):
