@@ -25,7 +25,7 @@ pair = PathPair(tau=tau, q=trig_path(), p=trig_path(), q_b=trig_path(), p_b=trig
 state = QubitState(p=0.3, phi=1.0)
 g_values = (0.1, 0.05, 0.025, 0.0125)
 
-bch = verify_bch(pair, state, g_values)
+bch = verify_bch(pair, g_values)
 print("split product  e^{igW_x sx} e^{igW_y sy} e^{ig^2 W_z sz}  vs exact U(X) U(X')^dag")
 for g, err in zip(bch["g"], bch["error"]):
     print(f"   g = {g:<7} Frobenius error = {err:.3e}")

@@ -25,12 +25,10 @@ from .dynamics import (
     EOM_CONVENTIONS,
     EnsembleStats,
     ResonanceError,
-    deterministic_force,
     mean_closed_form,
     run_ensemble,
     solve_trajectory,
     welch_psd,
-    zero_noise_mean,
 )
 from .forces import (
     PLATFORMS,

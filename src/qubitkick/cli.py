@@ -219,7 +219,7 @@ _G_VALUES = (0.1, 0.05, 0.025, 0.0125)  # couplings of the bch and influence con
 
 
 def _bch_report(args, setup: core.RunSetup) -> dict:
-    return influence.verify_bch(_random_path_pair(setup.sim.seed), setup.state, _G_VALUES)
+    return influence.verify_bch(_random_path_pair(setup.sim.seed), _G_VALUES)
 
 
 def _influence_report(args, setup: core.RunSetup) -> dict:
@@ -256,7 +256,8 @@ def _cmd_verify(args) -> int:
 
 def _read_ensemble_csv(path: str, eom_sign: str, dp: core.DimensionlessParams) -> np.ndarray:
     """Rows of an `ensemble` CSV, refused if its summary names another convention or
-    a config of another (g, r, n_qubits), or a `tau`/`mean_q` cell is not a finite number."""
+    a config of another (g, r, n_qubits), if it has no data rows, or if a `tau`/`mean_q`
+    cell is not a finite number."""
     if not os.path.exists(path):
         raise UsageError(f"ensemble csv not found: {path}")
     summary = path + ".summary.json"
@@ -278,6 +279,8 @@ def _read_ensemble_csv(path: str, eom_sign: str, dp: core.DimensionlessParams) -
         data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except (ValueError, IndexError) as exc:
         raise UsageError(f"unreadable ensemble csv {path}: {exc}") from exc
+    if data.size == 0:
+        raise UsageError(f"ensemble csv {path} has no data rows")
     for column in ("tau", "mean_q"):
         if column not in (data.dtype.names or ()):
             raise UsageError(f"ensemble csv {path} has no {column!r} column")

@@ -44,7 +44,11 @@ Conventions (`eom_sign`):
   (lambda_p, -lambda_q); this is the convention the exact quantum oracle
   confirms to second order in g (see `quantum.compare_classical_quantum`).
 
-For n non-interacting qubits the force scales by n and the noise by sqrt(n).
+For n qubits the force scales by n and the noise by sqrt(n), at leading
+order in g only: the exact collective coupling adds a relative correction
+proportional to (n - 1) g^2, measured against a dense exact model at 2.3% in
+<q> and 3.8% in var q at g = 0.02, n = 2.  `quantum.compare_classical_quantum`
+refuses n_qubits != 1, so nothing here checks n > 1.
 """
 
 from __future__ import annotations
@@ -195,13 +199,6 @@ def _check_eom(eom_sign: str) -> str:
     return eom_sign
 
 
-def deterministic_force(tau, state: QubitState, g: float, n_qubits: int = 1) -> np.ndarray:
-    """First-order force vector n g eta_f (cos(tau+phi), -sin(tau+phi))."""
-    tau = np.asarray(tau, dtype=float)
-    amp = n_qubits * g * state.eta_f
-    return np.array([amp * np.cos(tau + state.phi), -amp * np.sin(tau + state.phi)])
-
-
 def mean_closed_form(dp: DimensionlessParams, state: QubitState, tau) -> np.ndarray:
     """Closed-form ensemble mean of q under the default (eq37) convention.
 
@@ -284,6 +281,12 @@ def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarr
     first-order system independently, within the step budget of
     `SimConfig.check_step`.  The one place that checks `zetas`, `eom_sign`
     and `solver`, and refuses a non-finite row.
+
+    A start (q_init, p_init) of amplitude alpha != 0 rotates freely at r: the
+    model leaves out the dispersive pull chi (1 - 2p), chi = 2 g^2/(1 - r), of
+    the exact dynamics, whose error grows as g alpha T/(1 - r) against the
+    drive's g eta_f.  Against the exact mean at g 0.01, r 0.5, p 0.3, T 40 the
+    excess is 0.0044 at alpha = 0.5 and 0.106 at alpha = 8.
     """
     _check_eom(eom_sign)
     if solver not in SOLVERS:
@@ -302,18 +305,6 @@ def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarr
     if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
         raise FloatingPointError(f"non-finite {solver} trajectory")
     return tau, Q, P
-
-
-def zero_noise_mean(dp: DimensionlessParams, state: QubitState, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
-    """Deterministic (zero-draw, zero-IC) q on an arbitrary grid for any convention.
-
-    Equals `mean_closed_form` under eq37; under the other conventions it is
-    the ensemble mean implied by their force terms.
-    """
-    _check_eom(eom_sign)
-    tau = np.asarray(tau, dtype=float)
-    z = _closed_form_batch(dp, state, np.zeros((1, 2)), 0j, tau, eom_sign)[0]
-    return z.real
 
 
 def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:

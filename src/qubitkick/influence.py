@@ -56,10 +56,6 @@ class PathPair:
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise InvalidParameterError("tau grid must be uniform")
 
-    @property
-    def dt(self) -> float:
-        return float(self.tau[1] - self.tau[0])
-
 
 @dataclass(frozen=True)
 class PathFunctionals:
@@ -283,7 +279,7 @@ def _against_exact(pair: PathPair, g_values, substeps: int | None, error) -> dic
     }
 
 
-def verify_bch(pair: PathPair, state: QubitState, g_values, substeps: int | None = None) -> dict:
+def verify_bch(pair: PathPair, g_values, substeps: int | None = None) -> dict:
     """Frobenius error of the split product against U(X) U(X')^dag across g.
 
     Returns {"g": [...], "error": [...], "slope": float}; the slope of the

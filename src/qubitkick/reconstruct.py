@@ -193,6 +193,9 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     """
     tau = np.asarray(tau, dtype=float)
     Y = np.atleast_2d(np.asarray(mean_q, dtype=float))
+    if tau.ndim != 1 or tau.size == 0 or Y.ndim != 2 or Y.shape[1] != tau.size:
+        raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and mean_q rows of its "
+                                    f"length, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
     if tau[0] == 0.0 and np.any(Y[:, 0] != 0.0):
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {Y[0, 0]} at tau = 0")

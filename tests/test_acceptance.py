@@ -75,7 +75,7 @@ def test_criterion_2_split_product_and_phase_expansion_convergence():
     for trial in range(3):
         pair = _random_pair(100 + trial)
         state = QubitState(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 2 * math.pi)))
-        rb = verify_bch(pair, state, G_LADDER)
+        rb = verify_bch(pair, G_LADDER)
         ri = verify_influence_expansion(pair, state, G_LADDER)
         assert rb["slope"] >= 2.7, rb
         assert ri["slope"] >= 2.7, ri

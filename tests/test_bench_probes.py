@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qubitkick import cli, dynamics, influence
+from qubitkick import cli, dynamics, influence, quantum
 from qubitkick.core import DimensionlessParams, QubitState, SimConfig
 from qubitkick.reconstruct import reconstruct_from_stats
 
@@ -142,11 +142,30 @@ def test_propagator_counter_reads_substeps(tracing, monkeypatch):
     monkeypatch.setattr(influence, "qubit_propagator_exact", recording)
     pair = cli._random_path_pair(1, n_grid=201)
     g_values = (0.1, 0.05, 0.025)
-    for verify in (influence.verify_bch, influence.verify_influence_expansion):
+    # verify_influence_expansion also takes the state whose overlap it checks
+    for verify, state_args in ((influence.verify_bch, ()),
+                               (influence.verify_influence_expansion, (QubitState(0.3, 1.0),))):
         for substeps, expected in ((None, 200), (333, 333)):
             counted.clear()
-            verify(pair, QubitState(0.3, 1.0), g_values, substeps)
+            verify(pair, *state_args, g_values, substeps)
             assert counted == [({"substeps": expected}, (len(g_values), 2, 2))] * 2
+
+
+def test_oracle_counter_reads_dimension_and_grid(tracing, monkeypatch):
+    # the validate workload's oracle config: one exact evolution per coupling,
+    # each at dimension 8 over T / dt + 1 = 2001 output times
+    counted = []
+    evolve = quantum.evolve_expectations
+
+    def recording(*args, **kwargs):
+        result = evolve(*args, **kwargs)
+        counted.append(tracing._count_evolve(args, kwargs, result, None))
+        return result
+
+    monkeypatch.setattr(quantum, "evolve_expectations", recording)
+    quantum.compare_classical_quantum(DimensionlessParams(g=0.04, r=0.5, T=40.0), QubitState(0.5, 0.0),
+                                      SimConfig(dt=0.02, n_fock=80))
+    assert counted == [{"hilbert_dim": 8, "expect_macs": 4 * 2001 * 64}] * 3  # no truncation_retries
 
 
 def test_write_counter_reads_every_written_size(tracing, monkeypatch, tmp_path):

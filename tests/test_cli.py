@@ -467,7 +467,8 @@ class TestReconstruct:
         assert str(stats) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, reason", (("time,q\n0,0\n1,1\n", "'tau'"),
-                                              ("tau,mean_q\n0,1\n1,2,3\n", "unreadable")))
+                                              ("tau,mean_q\n0,1\n1,2,3\n", "unreadable"),
+                                              ("tau,mean_q,var_q\n", "no data rows")))
     def test_malformed_csv_exits_2(self, config_file, tmp_path, text, reason):
         stats = tmp_path / "stats.csv"
         stats.write_text(text)

@@ -13,41 +13,18 @@ from qubitkick.dynamics import (
     _closed_form_batch,
     _rhs,
     _rk4_batch,
-    deterministic_force,
     mean_closed_form,
     response_basis,
     run_ensemble,
     solve_trajectory,
     time_grid,
     welch_psd,
-    zero_noise_mean,
 )
 from qubitkick.noise import quad_coeffs, sample_zetas
 
 DP = DimensionlessParams(g=0.05, r=0.5, T=30.0)
 EQUATOR = QubitState(0.5, 0.0)
 ZERO_DRAW = np.zeros((1, 2))
-
-
-class TestDeterministicForce:
-    def test_pole_state_vanishes(self):
-        tau = np.linspace(0, 10, 50)
-        assert np.all(deterministic_force(tau, QubitState(0.0, 0.0), g=0.1) == 0.0)
-
-    def test_equator_origin(self):
-        f = deterministic_force(0.0, QubitState(0.5, 0.0), g=0.1)
-        assert f[0] == pytest.approx(0.05, abs=1e-15)
-        assert f[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_equator_quarter_phase(self):
-        f = deterministic_force(0.0, QubitState(0.5, math.pi / 2), g=0.1)
-        assert f[0] == pytest.approx(0.0, abs=1e-15)
-        assert f[1] == pytest.approx(-0.05, abs=1e-12)
-
-    def test_qubit_count_scaling(self):
-        f1 = deterministic_force(1.0, EQUATOR, g=0.1, n_qubits=1)
-        f4 = deterministic_force(1.0, EQUATOR, g=0.1, n_qubits=4)
-        assert np.allclose(f4, 4.0 * f1, atol=1e-15)
 
 
 class TestMeanClosedForm:
@@ -70,12 +47,6 @@ class TestMeanClosedForm:
         dp = DimensionlessParams(g=0.05, r=1.0, T=10.0)
         with pytest.raises(ResonanceError):
             mean_closed_form(dp, EQUATOR, np.linspace(0, 10, 11))
-
-    def test_zero_noise_mean_agrees(self):
-        tau = time_grid(DP.T, 0.01)
-        s = QubitState(0.3, math.pi / 3)
-        assert np.allclose(zero_noise_mean(DP, s, tau, "eq37"),
-                           mean_closed_form(DP, s, tau), atol=1e-14)
 
 
 class TestClosedFormSolver:

@@ -260,26 +260,26 @@ class TestPropagator:
 
 class TestVerifyBch:
     def test_cubic_convergence_on_random_paths(self):
-        report = verify_bch(random_pair(21), QubitState(0.3, 1.0), G_LADDER)
+        report = verify_bch(random_pair(21), G_LADDER)
         assert report["slope"] >= 2.7
 
     def test_errors_decrease_monotonically(self):
-        report = verify_bch(random_pair(22), QubitState(0.6, 0.3), G_LADDER)
+        report = verify_bch(random_pair(22), G_LADDER)
         errs = report["error"]
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
 
     def test_equal_paths_are_exact(self):
         pair = random_pair(23)
         diag = PathPair(tau=pair.tau, q=pair.q, p=pair.p, q_b=pair.q, p_b=pair.p)
-        report = verify_bch(diag, QubitState(0.5, 0.0), G_LADDER)
+        report = verify_bch(diag, G_LADDER)
         assert max(report["error"]) <= 1e-10
 
     def test_g_value_validation(self):
         pair = random_pair(24)
         with pytest.raises(InvalidParameterError):
-            verify_bch(pair, QubitState(0.5, 0.0), (0.1, 0.05))
+            verify_bch(pair, (0.1, 0.05))
         with pytest.raises(InvalidParameterError):
-            verify_bch(pair, QubitState(0.5, 0.0), (0.5, 0.25, 0.125, 0.0625))
+            verify_bch(pair, (0.5, 0.25, 0.125, 0.0625))
 
 
 class TestVerifyInfluenceExpansion:

@@ -14,8 +14,8 @@ from qubitkick.dynamics import (
     mean_closed_form,
     response_basis,
     run_ensemble,
+    solve_trajectory,
     time_grid,
-    zero_noise_mean,
 )
 from qubitkick.reconstruct import (
     DegenerateBasisError,
@@ -67,6 +67,15 @@ class TestFitMean:
         with pytest.raises(InvalidParameterError):
             fit_mean(tau, np.zeros_like(tau), dp)
 
+    @pytest.mark.parametrize("case", ("empty grid", "mean off the grid", "2-D tau"))
+    def test_malformed_input_names_the_shapes(self, case):
+        tau = time_grid(DP.T, 0.02)
+        tau, mean_q = {"empty grid": (tau[:0], tau[:0]),
+                       "mean off the grid": (tau, np.zeros(tau.size - 1)),
+                       "2-D tau": (tau[None, :], np.zeros_like(tau))}[case]
+        with pytest.raises(InvalidParameterError, match=rf"tau \({tau.shape[0]},.*mean_q \({mean_q.shape[0]},"):
+            fit_mean(tau, mean_q, DP)
+
 
 class TestRecoverState:
     def test_noiseless_roundtrip(self):
@@ -104,8 +113,8 @@ class TestRecoverState:
 
     def test_convention_stamp(self):
         assert recover_state(synthetic_fit()).eom_sign == "eq37"
-        tau = time_grid(DP.T, 0.02)
-        fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, "eq35"), DP, "eq35")
+        tau, Q, _ = solve_trajectory(DP, TRUTH, np.zeros((1, 2)), SimConfig(dt=0.02), "eq35")
+        fit = fit_mean(tau, Q[0], DP, "eq35")
         assert fit.eom_sign == "eq35"
         assert recover_state(fit).eom_sign == "eq35"
 
@@ -122,8 +131,8 @@ class TestRecoverState:
 class TestAllConventions:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_noiseless_roundtrip(self, conv):
-        tau = time_grid(DP.T, 0.02)
-        fit = fit_mean(tau, zero_noise_mean(DP, TRUTH, tau, conv), DP, conv)
+        tau, Q, _ = solve_trajectory(DP, TRUTH, np.zeros((1, 2)), SimConfig(dt=0.02), conv)
+        fit = fit_mean(tau, Q[0], DP, conv)
         result = recover_state(fit)
         assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
         assert result.phi_hat == pytest.approx(TRUTH.phi, abs=1e-10)
@@ -148,8 +157,8 @@ class TestAllConventions:
 
     def test_canonical_roundtrip_at_resonance(self):
         dp = DimensionlessParams(g=0.05, r=1.0, T=40.0)
-        tau = time_grid(dp.T, 0.02)
-        fit = fit_mean(tau, zero_noise_mean(dp, TRUTH, tau, "canonical"), dp, "canonical")
+        tau, Q, _ = solve_trajectory(dp, TRUTH, np.zeros((1, 2)), SimConfig(dt=0.02), "canonical")
+        fit = fit_mean(tau, Q[0], dp, "canonical")
         assert fit.condition < 1.1
         result = recover_state(fit)
         assert result.eta_f_hat == pytest.approx(TRUTH.eta_f, abs=1e-10)
