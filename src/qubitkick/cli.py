@@ -13,10 +13,14 @@ mismatched ensemble CSV, or an output path that cannot be written.
 Every CSV number is C's "%.17g" of the float64: 17 significant digits,
 trailing zeros and a bare point dropped, the exponent form unless the rounded
 decimal exponent is in [-4, 16], and `nan`, `inf`, `-inf`, `-0` spelled so.
-`_csv` formats whole column blocks at once with `_g17`, a numpy kernel that
-writes those bytes without a per-value call; the values it cannot prove exact
-(non-finite, zeros, extreme exponents, near rounding ties) go to Python's
-"%.17g" one at a time.  `tests/test_cli.py` pins it to the row-wise reference.
+`_csv` formats `_CSV_BLOCK` rows at a time with `_g17`, a numpy kernel that
+writes each value into a 32-byte cell padded with NUL, without a per-value
+call; the cell's spare last byte takes the delimiter, and one `translate` per
+block drops the padding.  The values the kernel cannot prove exact (non-finite,
+zeros, extreme exponents, near rounding ties) go to Python's "%.17g" one at a
+time.  `tests/test_cli.py` pins it to the row-wise reference.  The blocks are
+decoded as they are made, so the text exists twice at most: as blocks and
+joined.  `_write_atomic` encodes it `_WRITE_CHUNK` characters at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from . import core, dynamics, forces, influence, noise, quantum, reconstruct
 
 SCHEMA = "qubit-kick/2"
 _CSV_BLOCK = 4096  # CSV rows formatted per array pass, bounding scratch memory
+_WRITE_CHUNK = 1 << 20  # characters of output encoded and written at a time
 
 _DEFAULT_CONFIG = {
     "omega_o_hz": "0.5",
@@ -58,7 +63,9 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            # in slices, so that encoding never holds a second full copy of a long text
+            for start in range(0, len(text), _WRITE_CHUNK):
+                fh.write(text[start:start + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -74,13 +81,13 @@ def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns must have equal length, got {lengths}")
-    parts = [(",".join(header) + "\n").encode()]
+    parts = [",".join(header) + "\n"]
     seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], dtype=np.uint8)
     for start in range(0, lengths[0] if columns else 0, _CSV_BLOCK):
         cells = _g17.format_g17(np.stack([c[start:start + _CSV_BLOCK] for c in columns], axis=-1))
         cells[..., -1] = seps  # each cell's spare last byte
-        parts.append(cells.tobytes().translate(None, b"\0"))
-    return b"".join(parts).decode()
+        parts.append(cells.tobytes().translate(None, b"\0").decode())
+    return "".join(parts)
 
 
 def _jsonable(obj):
@@ -255,11 +262,15 @@ def _cmd_verify(args) -> int:
 
 
 def _read_ensemble_csv(path: str, eom_sign: str, dp: core.DimensionlessParams) -> np.ndarray:
-    """Rows of an `ensemble` CSV, refused if its summary names another convention or
-    a config of another (g, r, n_qubits), if it has no data rows, or if a `tau`/`mean_q`
-    cell is not a finite number."""
+    """Rows of an `ensemble` CSV, refused if it is empty, if its summary names another
+    convention or a config of another (g, r, n_qubits), if it has no data rows, or if a
+    `tau`/`mean_q` cell is not a finite number."""
     if not os.path.exists(path):
         raise UsageError(f"ensemble csv not found: {path}")
+    with open(path, "rb") as fh:
+        # genfromtxt would warn and then fail on a file of blank or comment lines alone
+        if not any(line.partition(b"#")[0].strip() for line in fh):
+            raise UsageError(f"ensemble csv {path} is empty")
     summary = path + ".summary.json"
     if os.path.exists(summary):
         try:

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import traceback
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qubitkick import cli, core, dynamics, noise, reconstruct
+from qubitkick import _g17, cli, core, dynamics, noise, reconstruct
 
 CMD = [sys.executable, "-m", "qubitkick"]
 
@@ -136,6 +137,31 @@ class TestCsvFormat:
     @given(st.floats())
     def test_any_float(self, x):
         assert cli._csv(["x"], [[x]]) == "x\n" + "%.17g\n" % x
+
+    def test_fixed_form_at_every_point_position(self):
+        # 10**k with k in 0..16 puts the point after digit k: inside the digits up to k = 15,
+        # pushing the 17th digit out of words 1-2; trailing zeros cut the text short
+        digits = ["12345678901234567", "12345678901234560", "12345678900000000", "10000000000000001",
+                  "12000000000000000", "10000000000000000", "99999999999999999"]
+        x = np.array([float(f"{d[0]}.{d[1:]}e{k}") for k in range(17) for d in digits])
+        self.assert_matches(["x", "neg"], [x, -x])
+
+    @pytest.mark.parametrize("rows", (cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+                                      2 * cli._CSV_BLOCK + 1))
+    def test_block_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        fixed = rng.integers(1, 10**9, rows) * 10.0 ** rng.integers(-10, 8, rows)  # inner points
+        small = rng.random(rows) * 10.0 ** rng.integers(-4, 0, rows)             # 0.000 lead
+        exponent = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        mixed = np.choose(np.arange(rows) % 3, [fixed, small, exponent])
+        self.assert_matches(["fixed", "small", "exponent", "mixed"], [fixed, small, exponent, mixed])
+
+    def test_last_byte_of_every_row_is_free(self):
+        bits = np.random.default_rng(7).integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([decade_edges(), near_ties(), SPECIALS, bits])
+        cells = _g17.format_g17(x)
+        assert cells.shape == x.shape + (_g17.WIDTH,)
+        assert not cells[:, -1].any()
 
 
 def reference_jsonable(obj):
@@ -468,11 +494,14 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("text, reason", (("time,q\n0,0\n1,1\n", "'tau'"),
                                               ("tau,mean_q\n0,1\n1,2,3\n", "unreadable"),
-                                              ("tau,mean_q,var_q\n", "no data rows")))
+                                              ("tau,mean_q,var_q\n", "no data rows"),
+                                              ("", "is empty"), ("\n# no rows\n", "is empty")))
     def test_malformed_csv_exits_2(self, config_file, tmp_path, text, reason):
         stats = tmp_path / "stats.csv"
         stats.write_text(text)
-        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning on the way is a traceback here
+            res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
         assert res.returncode == 2
         assert str(stats) in res.stderr and reason in res.stderr
         assert "Traceback" not in res.stderr
