@@ -14,8 +14,7 @@ from qubitkick import DimensionlessParams, QubitState, SimConfig, compare_classi
 dp = DimensionlessParams(g=0.04, r=0.5, T=20.0)
 state = QubitState(p=0.5, phi=0.0)
 
-report = compare_classical_quantum(dp, state, SimConfig(dt=0.02),
-                                    g_values=(0.04, 0.02, 0.01))
+report = compare_classical_quantum(dp, state, SimConfig(dt=0.02))
 
 print(f"couplings swept: {report['g_values']}")
 for conv, entry in report["conventions"].items():

@@ -197,8 +197,7 @@ def _cmd_ensemble(args) -> int:
                     [stats.tau, stats.mean_q, stats.mean_p, stats.var_q])
     summary = {
         "n_traj": stats.n_traj, "seed": stats.seed, "eom_sign": stats.eom_sign,
-        "solver": stats.solver, "coarse_tau": stats.coarse_tau,
-        "cov_qq": stats.cov_qq, "max_var_q": float(stats.var_q.max()),
+        "coarse_tau": stats.coarse_tau, "cov_qq": stats.cov_qq, "max_var_q": float(stats.var_q.max()),
     }
     if args.format == "json":
         _emit(args, "ensemble", setup.raw, None, {"summary": summary, "stats_csv": csv_text})

@@ -33,12 +33,6 @@ def wrap_angle(phi: float) -> float:
     return float(phi) % TWO_PI
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two phases, in [0, pi]."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class QubitState:
     """Pure two-level state: excited population p and relative phase phi.
@@ -173,7 +167,7 @@ def derive_dimensionless(pp: PhysicalParams, T_si: float, n_qubits: int = 1) -> 
 
 # each key's default (None: none); a key with an int default takes integers only
 _CONFIG = {
-    "mass_kg": None, "omega_o_hz": None, "omega_q_hz": None, "coupling_hz": None, "g_override": None,
+    "omega_o_hz": None, "omega_q_hz": None, "coupling_hz": None, "g_override": None,
     "p": 0.5, "phi": 0.0, "T": 30.0, "dt": 0.01, "n_traj": 1000, "seed": 12345, "n_fock": 40, "n_qubits": 1,
 }
 
@@ -198,13 +192,13 @@ def _number(key: str, value):
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Materialised configuration: whichever records the config file supports.
+    """Materialised configuration: the records every command reads, and `raw`, the
+    values as given over the defaults, which outputs echo.
 
-    `physical` is None when no SI platform data (mass_kg etc.) was given;
-    dimensionless dynamics still run via g_override and the frequency ratio.
+    The file holds no mass, so it builds no `PhysicalParams`: callers with SI
+    data build that record and `derive_dimensionless` themselves.
     """
 
-    physical: PhysicalParams | None
     dimensionless: DimensionlessParams
     state: QubitState
     sim: SimConfig
@@ -241,7 +235,8 @@ def load_config(path: str) -> RunSetup:
 
 
 def realize_config(raw: dict) -> RunSetup:
-    """Build the records from `key: value` pairs over the `_CONFIG` defaults.
+    """Build the dynamics, state and run records from `key: value` pairs over the
+    `_CONFIG` defaults.
 
     Each value is parsed by `_number`, so an unknown key, a non-numeric
     value or a non-integral value for an integer key is refused by name.
@@ -255,9 +250,6 @@ def realize_config(raw: dict) -> RunSetup:
                                   for k in ("omega_o_hz", "omega_q_hz", "coupling_hz"))
     if not (omega_o and omega_q):
         raise InvalidParameterError("config must provide omega_o_hz and omega_q_hz")
-    physical = None
-    if "mass_kg" in vals:
-        physical = PhysicalParams(vals["mass_kg"], omega_o, omega_q, coupling if coupling is not None else 0.0)
     if "g_override" in vals:
         g = vals["g_override"]
     elif coupling is not None:
@@ -268,4 +260,4 @@ def realize_config(raw: dict) -> RunSetup:
     dp = DimensionlessParams(g=g, r=omega_o / omega_q, T=vals["T"], n_qubits=vals["n_qubits"])
     state = QubitState(p=vals["p"], phi=vals["phi"])
     sim = SimConfig(dt=vals["dt"], n_traj=vals["n_traj"], seed=vals["seed"], n_fock=vals["n_fock"])
-    return RunSetup(physical=physical, dimensionless=dp, state=state, sim=sim, raw=given)
+    return RunSetup(dimensionless=dp, state=state, sim=sim, raw=given)

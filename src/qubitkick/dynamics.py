@@ -23,8 +23,8 @@ tau * e^{i tau} growth.  K times the tones gives the four response rows
 the map, as its cross-checks.
 `solve_trajectory` is the one solve, one row per draw of an (n, 2) block:
 grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step budget and
-finite check.  `run_ensemble` passes it three basis draws, so under both
-solvers an ensemble is three basis rows and the moments of its draws, kept
+finite check.  `run_ensemble` passes it three basis draws in closed form,
+so an ensemble is three exact basis rows and the moments of its draws, kept
 as an `EnsembleStats` record whose mean, (co)variances and `psd(segment)`
 are contractions of the two.  The reconstruction fits have no free-motion
 column: they need a start at rest.
@@ -89,10 +89,10 @@ class EnsembleStats:
     likewise p with P.  Each fixed index batch keeps the count, mean and
     centred 2x2 scatter of its draws.  Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
-    with b = Q[1:].  The two-time covariance is on a coarse sub-grid, pooled
-    and per batch; the `ensemble` summary reports the pooled one, and no fit
-    reads either, since the fits map the draws' moments directly.  `dp` is
-    the dynamics the rows were solved at, so a fit needs no more than the record.
+    with b = Q[1:].  The pooled two-time covariance is on a coarse sub-grid
+    for the `ensemble` summary; no fit reads it, since the fits map the
+    draws' moments directly.  The rows are exact (closed form), and `dp` is
+    the dynamics they were solved at, so a fit needs no more than the record.
     """
 
     tau: np.ndarray
@@ -104,7 +104,6 @@ class EnsembleStats:
     dt: float
     seed: int
     eom_sign: str
-    solver: str
     dp: DimensionlessParams
 
     @property
@@ -163,15 +162,6 @@ class EnsembleStats:
     def cov_qq(self) -> np.ndarray:
         bc = self.Q[1:, self._coarse_idx]
         return bc.T @ self.draw_cov @ bc
-
-    @property
-    def batch_mean_q(self) -> np.ndarray:
-        return self.Q[0] + self.batch_means @ self.Q[1:]  # (B, N)
-
-    @property
-    def batch_cov_qq(self) -> np.ndarray:
-        bc = self.Q[1:, self._coarse_idx]
-        return bc.T @ self.batch_draw_cov @ bc
 
     def psd(self, segment: int | None = None):
         """(omega, psd): the mean Welch PSD of q over `segment` points (default: the grid).
@@ -423,18 +413,17 @@ def run_ensemble(
     state: QubitState,
     config: SimConfig,
     eom_sign: str = DEFAULT_EOM,
-    solver: str = "closed_form",
     n_batches: int = 20,
 ) -> EnsembleStats:
     """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
-    Three basis solves give the rows Q and P; each fixed index batch of
-    draws is reduced to its count, mean and centred 2x2 scatter, on the two
-    contiguous component rows `sample_zetas(...).T`: a pairwise-summed mean
-    per row, then one 2x2 Gram of the centred rows.  Memory is O(grid) at any
-    n_traj.  Draw i uses the stream derived from (seed, i)
-    (see `sample_zetas`), so a fixed seed gives the same bits whatever the
-    batch edges.
+    One closed-form solve of the three basis draws gives the rows Q and P;
+    each fixed index batch of draws is reduced to its count, mean and centred
+    2x2 scatter, on the two contiguous component rows `sample_zetas(...).T`: a
+    pairwise-summed mean per row, then one 2x2 Gram of the centred rows.
+    Memory is O(grid) at any n_traj.  Draw i uses the stream derived from
+    (seed, i) (see `sample_zetas`), so a fixed seed gives the same bits
+    whatever the batch edges.
     """
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
@@ -444,7 +433,7 @@ def run_ensemble(
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
     tau, Q, P = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config,
-                                 eom_sign, solver)
+                                 eom_sign)
     Q[1:] -= Q[0]
     P[1:] -= P[0]
 
@@ -458,4 +447,4 @@ def run_ensemble(
         scatters[k] = dev @ dev.T
     return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
                          batch_scatters=scatters, dt=config.dt, seed=config.seed,
-                         eom_sign=eom_sign, solver=solver, dp=dp)
+                         eom_sign=eom_sign, dp=dp)

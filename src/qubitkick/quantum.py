@@ -30,6 +30,9 @@ TAIL_TOL = 1e-8
 # check proves the confinement at every output time.
 ORACLE_N_FOCK = 3
 
+# the couplings the oracle sweeps, ascending; all inside the weak-coupling regime
+ORACLE_G_VALUES = (0.01, 0.02, 0.04)
+
 
 class TruncationError(RuntimeError):
     """Number-basis truncation too small for the requested evolution."""
@@ -132,12 +135,7 @@ def evolve_expectations(H: np.ndarray, psi0: np.ndarray, tau) -> OracleExpectati
     )
 
 
-def compare_classical_quantum(
-    dp: DimensionlessParams,
-    state: QubitState,
-    config: SimConfig,
-    g_values=(0.04, 0.02, 0.01),
-) -> dict:
+def compare_classical_quantum(dp: DimensionlessParams, state: QubitState, config: SimConfig) -> dict:
     """Oracle-vs-effective comparison across couplings and conventions.
 
     For each convention, reports the max |<q>_exact - mean_classical| at
@@ -149,15 +147,9 @@ def compare_classical_quantum(
     subtracted, since the effective noise describes fluctuations beyond the
     vacuum.  Only ``config.dt`` is read: the evolution runs at
     `ORACLE_N_FOCK`, whatever ``config.n_fock`` says.  Nor is ``dp.g``: the
-    sweep runs at its own `g_values` (default 0.01, 0.02, 0.04), so the report
-    is the same at any configured coupling, and `var_q_comparison` is that of
-    the largest, ``g_values[-1]`` after the ascending sort.
+    sweep runs at `ORACLE_G_VALUES`, so the report is the same at any
+    configured coupling, and `var_q_comparison` is that of the largest, 0.04.
     """
-    g_values = sorted(float(g) for g in g_values)
-    if len(g_values) < 2:
-        raise InvalidParameterError("need at least 2 coupling values")
-    if max(g_values) > 0.05:
-        raise InvalidParameterError("oracle comparison is a weak-coupling check; keep g <= 0.05")
     if dp.n_qubits != 1:
         raise InvalidParameterError("the exact model covers a single qubit only")
     tau = time_grid(dp.T, config.dt)
@@ -167,22 +159,22 @@ def compare_classical_quantum(
     psi0 = ground_initial_state(state, ORACLE_N_FOCK)
     errors = {conv: [] for conv in EOM_CONVENTIONS}
     var_comparison = {}
-    for g in g_values:
+    for g in ORACLE_G_VALUES:
         dp_g = DimensionlessParams(g=g, r=dp.r, T=dp.T, n_qubits=dp.n_qubits)
         H = build_hamiltonian(dp_g, ORACLE_N_FOCK)
         oracle = evolve_expectations(H, psi0, tau)
         for conv in EOM_CONVENTIONS:
             mean_cl = (g * state.eta_f * trig) @ rows[conv]
             errors[conv].append(float(np.max(np.abs(oracle.mean_q - mean_cl))))
-        if g == g_values[-1]:
+        if g == ORACLE_G_VALUES[-1]:
             var_comparison = {
                 "max_var_q_raw": float(oracle.var_q.max()),
                 "max_var_q_vacuum_subtracted": float((oracle.var_q - 0.5).max()),
                 "note": "effective-noise variance excludes the vacuum half-quantum; "
                         "both conventions reported rather than asserting one",
             }
-    log_g = np.log(np.asarray(g_values))
-    report = {"g_values": list(g_values), "conventions": {}}
+    log_g = np.log(ORACLE_G_VALUES)
+    report = {"g_values": list(ORACLE_G_VALUES), "conventions": {}}
     for conv in EOM_CONVENTIONS:
         errs = np.asarray(errors[conv])
         # pole states confine the dynamics to one excitation sector, so a

@@ -143,14 +143,15 @@ def _batch_cov(batch_coeffs: np.ndarray) -> np.ndarray:
 def _drive_design(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str):
     """(X, condition): the two drive rows on `tau` as the columns of X.
 
-    Refuses a grid shorter than MIN_PERIODS periods of the slower tone, and
-    a pair of rows that `_check_design` refuses.
+    Refuses a grid, in any order, that spans less than MIN_PERIODS periods of
+    the slower tone, and a pair of rows that `_check_design` refuses.
     """
     span_needed = MIN_PERIODS * 2.0 * math.pi / min(1.0, dp.r)
-    if tau[-1] - tau[0] < span_needed:
+    span = tau.max() - tau.min()
+    if span < span_needed:
         raise InvalidParameterError(
             f"grid must cover >= {MIN_PERIODS} periods of the slower tone "
-            f"(need span {span_needed:.1f}, got {tau[-1] - tau[0]:.1f})"
+            f"(need span {span_needed:.1f}, got {span:.1f})"
         )
     X = response_basis(dp, tau, eom_sign)[:2].T
     return X, _check_design(X, f"drive response under {eom_sign}")
@@ -178,34 +179,32 @@ def _polar(u: float, v: float, cov: np.ndarray):
 
 
 def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) -> MeanFit:
-    """Least squares of the ensemble mean onto the convention's two drive rows.
+    """Least squares of one ensemble mean on `tau` onto the convention's two drive rows.
 
-    `mean_q` is one mean on `tau`, or a stack whose first row is the pooled
-    mean and whose further rows are the means of the ensemble's index
-    batches; all rows share one design matrix and one solve.  With at least
-    MIN_BATCHES batches their spread gives `cov`; otherwise `cov` is NaN,
-    because the Monte Carlo mean lies in the span of the basis and its
-    residuals say nothing about the estimator spread.
+    The mean comes alone, as an ensemble CSV carries it, so `cov` is NaN: the
+    Monte Carlo mean lies in the span of the basis, and its residuals say
+    nothing about the estimator spread.  `tau` may be in any order.
 
-    The fit has no column for free motion, so a grid from tau = 0, where the
-    drive rows are exactly 0, is refused unless every mean starts at exactly 0.
+    The fit has no column for free motion, and the drive rows are exactly 0
+    at tau = 0, so a mean that is not exactly 0 wherever tau = 0 is refused.
     That catches a `q_init` offset, not a `p_init` one, whose mean starts at 0.
     """
     tau = np.asarray(tau, dtype=float)
-    Y = np.atleast_2d(np.asarray(mean_q, dtype=float))
-    if tau.ndim != 1 or tau.size == 0 or Y.ndim != 2 or Y.shape[1] != tau.size:
-        raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and mean_q rows of its "
-                                    f"length, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
-    if tau[0] == 0.0 and np.any(Y[:, 0] != 0.0):
+    y = np.asarray(mean_q, dtype=float)
+    if tau.ndim != 1 or tau.size == 0 or y.shape != tau.shape:
+        raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and a mean_q of its "
+                                    f"shape, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
+    off_rest = y[(tau == 0.0) & (y != 0.0)]
+    if off_rest.size:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
-                                    f"got mean_q = {Y[0, 0]} at tau = 0")
+                                    f"got mean_q = {off_rest[0]} at tau = 0")
     X, condition = _drive_design(tau, dp, eom_sign)
-    coeffs = np.linalg.lstsq(X, Y.T, rcond=None)[0]
+    coeffs = np.linalg.lstsq(X, y, rcond=None)[0]
     return MeanFit(
-        A_c=float(coeffs[0, 0]),
-        A_s=float(coeffs[1, 0]),
-        cov=_batch_cov(coeffs[:, 1:]),
-        residual_norm=float(np.linalg.norm(Y[0] - X @ coeffs[:, 0])),
+        A_c=float(coeffs[0]),
+        A_s=float(coeffs[1]),
+        cov=np.full((2, 2), np.nan),
+        residual_norm=float(np.linalg.norm(y - X @ coeffs)),
         condition=condition,
         dp=dp,
         eom_sign=eom_sign,

@@ -159,8 +159,8 @@ def test_criterion_6_quantum_oracle_validation():
     started = time.perf_counter()
     dp = DimensionlessParams(g=0.04, r=0.5, T=20.0)
     state = QubitState(0.5, 0.0)
-    report = compare_classical_quantum(dp, state, SimConfig(dt=0.02, n_fock=40),
-                                       g_values=(0.04, 0.02, 0.01))
+    report = compare_classical_quantum(dp, state, SimConfig(dt=0.02, n_fock=40))
+    assert report["g_values"] == [0.01, 0.02, 0.04]
     preferred = report["preferred_sign_convention"]
     assert report["conventions"][preferred]["scaling_exponent"] >= 1.7, report
     # the report must adjudicate the sign convention; record the verdict

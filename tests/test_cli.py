@@ -352,6 +352,38 @@ class TestEnsemble:
         assert lines[0] == "freq,psd" and len(lines) == 1 + 751
 
 
+class TestConfigKeys:
+    """Every config key has a reader: changed alone, it changes the CSV bytes that
+    `simulate` or `ensemble` writes (the JSON envelopes echo every key, read or not)."""
+
+    BASE = {"omega_o_hz": 0.5, "omega_q_hz": 1.0, "g_override": 0.05, "p": 0.3, "phi": 1.0,
+            "T": 5.0, "dt": 0.05, "n_traj": 20, "seed": 3, "n_fock": 40, "n_qubits": 1}
+    # coupling_hz is read only where g_override is absent
+    COUPLING_BASE = {**{k: v for k, v in BASE.items() if k != "g_override"}, "coupling_hz": 0.2}
+
+    @staticmethod
+    def outputs(directory, values):
+        directory.mkdir()
+        cfg = directory / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        written = []
+        for command in ("simulate", "ensemble"):
+            out = directory / f"{command}.csv"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        return written
+
+    @pytest.mark.parametrize("key", sorted(core._CONFIG))
+    def test_every_key_changes_an_output(self, tmp_path, key):
+        base = self.COUPLING_BASE if key == "coupling_hz" else self.BASE
+        value = base.get(key, 1.0)
+        changed = {**base, key: value + 1 if type(value) is int else 1.25 * value}
+        same = self.outputs(tmp_path / "base", base) == self.outputs(tmp_path / "changed", changed)
+        # n_fock is the one key without a reader: the oracle's truncation is fixed at
+        # quantum.ORACLE_N_FOCK, and the key stays while the benchmark's configs set it
+        assert same == (key == "n_fock"), key
+
+
 class TestVerify:
     def test_bch_report(self, tmp_path):
         out = tmp_path / "bch.json"
@@ -520,6 +552,18 @@ class TestReconstruct:
         assert repr(column) in res.stderr and "row 4" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_summary_with_an_unknown_key_exits_2(self, config_file, tmp_path):
+        # a summary whose config echo holds mass_kg, a key the config no longer takes
+        stats = tmp_path / "stats.csv"
+        assert cli.main(["ensemble", "--config", config_file, "--out", str(stats)]) == 0
+        summary = tmp_path / "stats.csv.summary.json"
+        doc = json.loads(summary.read_text())
+        doc["config_echo"]["mass_kg"] = "1.5e-26"
+        summary.write_text(json.dumps(doc))
+        res = run_cli("reconstruct", "--config", config_file, "--ensemble-csv", str(stats))
+        assert res.returncode == 2
+        assert "'mass_kg'" in res.stderr and "Traceback" not in res.stderr
+
     def test_single_row_csv_refused_cleanly(self, config_file, tmp_path):
         stats = tmp_path / "stats.csv"
         stats.write_text("tau,mean_q\n0,0\n")
@@ -646,6 +690,13 @@ class TestUsageErrors:
         res = run_cli("reconstruct", "--config", str(cfg))
         assert res.returncode == 1
         assert "error: config key 'p'" in res.stderr and "Traceback" not in res.stderr
+
+    def test_mass_key_exits_1(self, tmp_path):
+        cfg = tmp_path / "mass.cfg"
+        cfg.write_text(CONFIG + "mass_kg = 1.5e-26\n")
+        res = run_cli("simulate", "--config", str(cfg))
+        assert res.returncode == 1
+        assert "'mass_kg'" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("draws", ["1", "0", "-3"])
     def test_too_few_noise_draws_exits_2(self, draws, capsys):

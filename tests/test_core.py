@@ -12,7 +12,6 @@ from qubitkick.core import (
     QubitState,
     SimConfig,
     WeakCouplingWarning,
-    circular_distance,
     derive_dimensionless,
     load_config,
     parse_config_text,
@@ -36,7 +35,7 @@ class TestQubitState:
     def test_phase_wrapped_into_principal_interval(self):
         s = QubitState(p=0.5, phi=7.0)
         assert 0.0 <= s.phi < TWO_PI
-        assert circular_distance(s.phi, 7.0) < 1e-12
+        assert s.phi == pytest.approx(7.0 - TWO_PI, abs=1e-12)
 
     def test_negative_phase_wraps(self):
         s = QubitState(p=0.5, phi=-0.5)
@@ -150,7 +149,6 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "# platform\n"
-            "mass_kg = 1.5e-26\n"
             "omega_o_hz = 1.1e7\n"
             "omega_q_hz = 1.2e9\n"
             "coupling_hz = 5.0e5\n"
@@ -162,12 +160,14 @@ class TestConfigFile:
             "seed = 42\n"
         )
         setup = load_config(str(cfg))
-        assert setup.physical is not None
-        assert setup.physical.omega_o == pytest.approx(TWO_PI * 1.1e7)
         assert setup.dimensionless.g == pytest.approx(5.0e5 / (2 * math.sqrt(2.0) * 1.2e9), rel=1e-12)
         assert setup.dimensionless.r == pytest.approx(1.1e7 / 1.2e9, rel=1e-12)
         assert setup.state.p == 0.3
         assert setup.sim.seed == 42
+        # the same couplings as the SI record of those angular frequencies
+        si = derive_dimensionless(ION, T_si=1.0)
+        assert setup.dimensionless.g == pytest.approx(si.g, rel=1e-15)
+        assert setup.dimensionless.r == pytest.approx(si.r, rel=1e-15)
 
     def test_g_override_takes_precedence(self):
         setup = realize_config({"omega_o_hz": "0.5", "omega_q_hz": "1.0",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -217,10 +218,12 @@ class TestEnsemble:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("state", (QubitState(0.3, 1.0), EQUATOR), ids=("p=0.3", "p=0.5"))
     def test_matches_brute_force_ensemble(self, state, conv, solver):
-        # every statistic against explicit trajectories and two-pass estimators
+        # every statistic against explicit trajectories and two-pass estimators; an ensemble
+        # is solved in closed form, and under rk4 its record takes the rk4 basis rows, which
+        # holds because an RK4 step is affine in the draws as well
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=300, seed=11, q_init=0.2, p_init=-0.1)
-        stats = run_ensemble(dp, state, cfg, eom_sign=conv, solver=solver, n_batches=7)
+        stats = run_ensemble(dp, state, cfg, eom_sign=conv, n_batches=7)
         zetas = sample_zetas(state, cfg.seed, range(cfg.n_traj))
         z0 = complex(cfg.q_init, cfg.p_init)
         if solver == "closed_form":
@@ -228,6 +231,10 @@ class TestEnsemble:
             Q, P = Z.real, Z.imag
         else:
             Q, P = _rk4_batch(dp, state, zetas, z0, stats.tau, conv)
+            _, Qb, Pb = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                         cfg, conv, "rk4")
+            stats = dataclasses.replace(stats, Q=np.vstack([Qb[0], Qb[1:] - Qb[0]]),
+                                        P=np.vstack([Pb[0], Pb[1:] - Pb[0]]))
         idx = np.searchsorted(stats.tau, stats.coarse_tau)
         batches = np.split(np.arange(cfg.n_traj), np.cumsum(stats.batch_counts)[:-1])
 
@@ -238,8 +245,10 @@ class TestEnsemble:
         close(stats.mean_p, P.mean(axis=0))
         close(stats.var_q, np.var(Q, axis=0, ddof=1))
         close(stats.cov_qq, np.cov(Q[:, idx].T))
-        close(stats.batch_mean_q, np.array([Q[i].mean(axis=0) for i in batches]))
-        close(stats.batch_cov_qq, np.array([np.cov(Q[i][:, idx].T) for i in batches]))
+        # each batch's mean and covariance through the draws' moments and the rows
+        b, bc = stats.Q[1:], stats.Q[1:, idx]
+        close(stats.Q[0] + stats.batch_means @ b, np.array([Q[i].mean(axis=0) for i in batches]))
+        close(bc.T @ stats.batch_draw_cov @ bc, np.array([np.cov(Q[i][:, idx].T) for i in batches]))
         for (omega, psd), segment in ((stats.psd(256), 256), (stats.psd(), stats.tau.size)):
             ref_omega, ref_psd = welch_psd(Q, segment, 0.5, cfg.dt)
             assert np.array_equal(omega, ref_omega)
@@ -282,7 +291,7 @@ class TestEnsemble:
         assert np.allclose(coarse.tau, fine.tau[::5], rtol=0.0, atol=1e-12)
         assert np.max(np.abs(coarse.mean_q - fine.mean_q[::5])) <= 1e-12 * np.max(np.abs(fine.mean_q))
         with pytest.raises(InvalidParameterError):
-            run_ensemble(DP, EQUATOR, cfg, solver="rk4")
+            solve_trajectory(DP, EQUATOR, ZERO_DRAW, cfg, solver="rk4")
 
     def test_variance_starts_at_zero(self):
         cfg = SimConfig(dt=0.02, n_traj=200, seed=12)
@@ -317,11 +326,13 @@ class TestEnsemble:
         assert np.allclose(a.cov_qq, b.cov_qq, atol=1e-12)
 
     def test_rk4_solver_route(self):
+        # the mean of the ensemble's own draws solved by rk4 agrees with its closed-form mean
         dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
         cfg = SimConfig(dt=0.02, n_traj=64, seed=16)
-        a = run_ensemble(dp, EQUATOR, cfg, solver="rk4")
-        b = run_ensemble(dp, EQUATOR, cfg, solver="closed_form")
-        assert np.max(np.abs(a.mean_q - b.mean_q)) <= 1e-8
+        zetas = sample_zetas(EQUATOR, cfg.seed, range(cfg.n_traj))
+        _, rk, _ = solve_trajectory(dp, EQUATOR, zetas, cfg, solver="rk4")
+        stats = run_ensemble(dp, EQUATOR, cfg)
+        assert np.max(np.abs(rk.mean(axis=0) - stats.mean_q)) <= 1e-8
 
     def test_needs_two_trajectories(self):
         with pytest.raises(InvalidParameterError):
@@ -490,8 +501,6 @@ def test_unknown_convention_rejected():
 def test_unknown_solver_rejected():
     with pytest.raises(InvalidParameterError, match="unknown solver"):
         solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), solver="euler")
-    with pytest.raises(InvalidParameterError, match="unknown solver"):
-        run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver="euler")
 
 
 def test_non_finite_rows_refused_under_both_solvers(monkeypatch):
@@ -503,5 +512,5 @@ def test_non_finite_rows_refused_under_both_solvers(monkeypatch):
     for solver in dynamics.SOLVERS:
         with pytest.raises(FloatingPointError):
             solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), solver=solver)
-        with pytest.raises(FloatingPointError):
-            run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10), solver=solver)
+    with pytest.raises(FloatingPointError):
+        run_ensemble(DP, EQUATOR, SimConfig(dt=0.01, n_traj=10))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import typing
@@ -75,6 +76,19 @@ class TestFitMean:
                        "2-D tau": (tau[None, :], np.zeros_like(tau))}[case]
         with pytest.raises(InvalidParameterError, match=rf"tau \({tau.shape[0]},.*mean_q \({mean_q.shape[0]},"):
             fit_mean(tau, mean_q, DP)
+
+    def test_grid_order_does_not_matter(self):
+        # a reversed grid was refused as "need span 25.1, got -40.0", a shuffled one as "got -9.3"
+        tau = time_grid(DP.T, 0.02)
+        mean_q = mean_closed_form(DP, TRUTH, tau)
+        ref = fit_mean(tau, mean_q, DP)
+        shuffled = np.random.default_rng(1).permutation(tau.size)
+        for order in (slice(None, None, -1), shuffled):
+            fit = fit_mean(tau[order], mean_q[order], DP)
+            assert abs(fit.A_c - ref.A_c) <= 1e-12 and abs(fit.A_s - ref.A_s) <= 1e-12
+            # the rest rule reads the mean wherever tau = 0 sits
+            with pytest.raises(InvalidParameterError, match="at rest"):
+                fit_mean(tau[order], mean_q[order] + 1.0, DP)
 
 
 class TestRecoverState:
@@ -311,12 +325,15 @@ class TestCovarianceDegeneracy:
 
 def scd_fit(stats, dp):
     """Reference: least squares of the pooled and batch covariances on the coarse grid onto
-    the kernels (S, C, D) of the noise rows; (alpha, u, v) per column, pooled first."""
+    the kernels (S, C, D) of the noise rows; (alpha, u, v) per column, pooled first.  A
+    batch's covariance is b^T M_b b on the coarse grid, b the record's noise rows."""
     bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
     xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
     X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
     n_batches = stats.batch_counts.size
-    Y = np.vstack([stats.cov_qq.ravel(), stats.batch_cov_qq.reshape(n_batches, -1)])
+    bc = stats.Q[1:, np.searchsorted(stats.tau, stats.coarse_tau)]
+    batch_cov_qq = bc.T @ stats.batch_draw_cov @ bc
+    Y = np.vstack([stats.cov_qq.ravel(), batch_cov_qq.reshape(n_batches, -1)])
     return np.linalg.lstsq(X, Y.T, rcond=None)[0]
 
 
@@ -345,8 +362,13 @@ class TestMomentMaps:
     def test_mean_coefficients_equal_fit_mean_on_the_stacked_means(self, conv):
         stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=2_000, seed=6), eom_sign=conv)
         result = reconstruct_from_stats(stats)
-        fit = fit_mean(stats.tau, np.vstack([stats.mean_q, stats.batch_mean_q]), self.DP, conv)
-        ref = recover_state(fit)
+        # fit_mean on the pooled mean and on each batch's mean, Q[0] + mean zeta . Q[1:];
+        # the batch coefficients' spread over the number of batches is the covariance
+        fit = fit_mean(stats.tau, stats.mean_q, self.DP, conv)
+        batch_fits = [fit_mean(stats.tau, mean, self.DP, conv)
+                      for mean in stats.Q[0] + stats.batch_means @ stats.Q[1:]]
+        coeffs = np.array([[f.A_c for f in batch_fits], [f.A_s for f in batch_fits]])
+        ref = recover_state(dataclasses.replace(fit, cov=np.cov(coeffs, ddof=1) / len(batch_fits)))
         scale = math.hypot(fit.A_c, fit.A_s)
         assert abs(result.diagnostics["A_c"] - fit.A_c) <= 1e-13 * scale
         assert abs(result.diagnostics["A_s"] - fit.A_s) <= 1e-13 * scale
