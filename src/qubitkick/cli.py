@@ -213,10 +213,11 @@ def _cmd_ensemble(args) -> int:
 def _random_path_pair(seed: int, n_grid: int = 4001, T: float = 2.0 * np.pi) -> influence.PathPair:
     rng = np.random.default_rng(seed)
     tau = np.linspace(0.0, T, n_grid)
+    cos1, sin1, cos2, sin2 = np.cos(tau), np.sin(tau), np.cos(2 * tau), np.sin(2 * tau)
 
     def trig(rng):
         c = rng.normal(scale=0.5, size=5)
-        return c[0] + c[1] * np.cos(tau) + c[2] * np.sin(tau) + c[3] * np.cos(2 * tau) + c[4] * np.sin(2 * tau)
+        return c[0] + c[1] * cos1 + c[2] * sin1 + c[3] * cos2 + c[4] * sin2
 
     return influence.PathPair(tau=tau, q=trig(rng), p=trig(rng), q_b=trig(rng), p_b=trig(rng))
 

@@ -225,9 +225,9 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str) -> RunSetup:
     """Load a run configuration file and build the parameter records.
 
-    Frequencies are given as ordinary frequencies in Hz and converted to
-    angular (multiplied by 2*pi) here.  g is derived from coupling_hz unless
-    g_override is present.
+    Frequencies are given as ordinary frequencies in Hz; only their ratios
+    r = omega_o_hz / omega_q_hz and g = coupling_hz / (2 sqrt(2) omega_q_hz)
+    are used, so no 2*pi enters.  g_override, when present, replaces g.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
@@ -246,14 +246,13 @@ def realize_config(raw: dict) -> RunSetup:
     given.update(raw)
     vals = {k: _number(k, v) for k, v in given.items()}
 
-    omega_o, omega_q, coupling = (TWO_PI * vals[k] if k in vals else None
-                                  for k in ("omega_o_hz", "omega_q_hz", "coupling_hz"))
+    omega_o, omega_q = vals.get("omega_o_hz"), vals.get("omega_q_hz")
     if not (omega_o and omega_q):
         raise InvalidParameterError("config must provide omega_o_hz and omega_q_hz")
     if "g_override" in vals:
         g = vals["g_override"]
-    elif coupling is not None:
-        g = coupling / (2.0 * math.sqrt(2.0) * omega_q)
+    elif "coupling_hz" in vals:
+        g = vals["coupling_hz"] / (2.0 * math.sqrt(2.0) * omega_q)
     else:
         raise InvalidParameterError("config must provide coupling_hz or g_override")
 

@@ -16,9 +16,10 @@ the free rotation times its phase integral,
     e^{i w0 tau} int_0^tau e^{i theta s} ds = tau e^{i (w0 -+ 1) tau/2} sinc(theta tau/2),
     theta = -+1 - w0,
 
-one exponential and one sinc per tone.  The sinc keeps it uniform through
-the resonance |w0| = 1, where it degenerates smoothly into the secular
-tau * e^{i tau} growth.  K times the tones gives the four response rows
+and since each tone's sinc argument is the other tone's half-frequency, the
+two tones take one cos/sin pair each (`_tones`).  The sinc keeps it uniform
+through the resonance |w0| = 1, where it degenerates smoothly into the
+secular tau * e^{i tau} growth.  K times the tones gives the four response rows
 (`response_basis`).  `_rhs`, RK4 and `mean_closed_form` stay independent of
 the map, as its cross-checks.
 `solve_trajectory` is the one solve, one row per draw of an (n, 2) block:
@@ -73,8 +74,8 @@ RESONANCE_EPS = 1e-6
 _COARSE_POINTS = 16
 # fractional overlap of the Welch segments
 _PSD_OVERLAP = 0.5
-# RK4 steps solved per block of the affine scan; bounds its scratch memory
-_RK4_BLOCK = 2048
+# elements (rows x steps) per block of the RK4 affine scan; bounds its scratch memory
+_RK4_BLOCK_ELEMENTS = 1 << 12
 
 
 class ResonanceError(ValueError):
@@ -232,15 +233,28 @@ def _input_map(dp: DimensionlessParams, eom_sign: str):
 
 
 def _tones(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
-    """Free frequency w0, the input map K and the two tones, (2, len(tau)).
+    """Free frequency w0, the input map K and the two tones, complex (2, len(tau)).
 
     Tone k is the free rotation times the phase integral of its drive,
-    e^{i w0 tau} int_0^tau e^{i theta s} ds = tau e^{i (w0 + s_k) tau/2} sinc(theta tau/2)
-    with s_k = -1, +1 and theta = s_k - w0: one exponential and one sinc.
+    e^{i w0 tau} int_0^tau e^{i theta s} ds = e^{i a_k tau} sin(b_k tau)/b_k
+    with s_k = -1, +1, a_k = (w0 + s_k)/2 and b_k = (s_k - w0)/2.  Since
+    b_- = -a_+ and b_+ = -a_-, each tone's factor is the other tone's sine
+    over its half-frequency (tau where that is exactly 0), so the two tones
+    take one cos/sin pair each, in real arithmetic.
     """
     w0, K = _input_map(dp, eom_sign)
-    s, half = np.array([[-1.0], [1.0]]), 0.5 * tau
-    return w0, K, tau * np.exp(1j * (w0 + s) * half) * np.sinc((s - w0) * half / math.pi)
+    a = (0.5 * (w0 - 1.0), 0.5 * (w0 + 1.0))
+    tones = np.empty((2, tau.size), dtype=complex)
+    for tone, a_k in zip(tones, a):
+        arg = a_k * tau
+        np.cos(arg, out=tone.real)
+        np.sin(arg, out=tone.imag)
+    # tone k's factor is the other tone's sine over the other's half-frequency
+    factors = [tau if a_k == 0.0 else tone.imag / a_k for tone, a_k in zip(tones, a)]
+    for tone, factor in zip(tones, reversed(factors)):
+        tone.real *= factor
+        tone.imag *= factor
+    return w0, K, tones
 
 
 def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str) -> np.ndarray:
@@ -340,14 +354,26 @@ def _rhs(dp, state, zetas, trig, q, p, eom_sign):
     return dq, dp_
 
 
+def _rk4_block_steps(n: int) -> int:
+    """RK4 steps per block of the affine scan for n rows: `_RK4_BLOCK_ELEMENTS` // n, at least 1."""
+    return max(1, _RK4_BLOCK_ELEMENTS // n)
+
+
 def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_sign: str):
     """Classical RK4 with exact noise evaluation at stage times; (n, N) arrays.
 
-    The free part is a rotation, dz/dtau = i w0 z + F(tau), so one step is
-    z <- m z + c_k with m the RK4 stability polynomial of i w0 h and c_k the
-    step taken from z = 0.  The recurrence is solved in time blocks as
-    z_j = m^j (z_start + sum_{k<j} c_k m^{-(k+1)}); w0 and c come from
-    `_rhs`, never from `_input_map`.
+    The free part is a rotation, dz/dtau = i w0 z + F(tau), so with x = i w0 h
+    the stages from z = 0 are k1 = F(t), k2 = F(t + h/2) + (x/2) k1,
+    k3 = F(t + h/2) + (x/2) k2 and k4 = F(t + h) + x k3, and one step is
+    z <- m z + c with m the RK4 stability polynomial of x and
+
+        c = (h/6) [(1 + x + x^2/2 + x^3/4) F(t) + (4 + 2x + x^2/2) F(t + h/2) + F(t + h)].
+
+    F is `_rhs` at z = 0, evaluated once per distinct stage time: on the
+    block's grid points and at its midpoints, whose (cos, sin) follow from
+    the grid's by angle addition.  The recurrence is solved in blocks of
+    `_rk4_block_steps(n)` steps as z_j = m^j (z_start + sum_{k<j} c_k m^{-(k+1)}).
+    w0 and F come from `_rhs`, never from `_input_map`.
     """
     n = zetas.shape[0]
     N = tau.size
@@ -361,28 +387,36 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     y = w0 * h
     log_m = complex(0.5 * math.log1p(y**6 * (y * y / 576.0 - 1.0 / 72.0)),
                     math.atan2(y - y**3 / 6.0, 1.0 - y * y / 2.0 + y**4 / 24.0))
-    powers = np.exp(np.arange(1, min(_RK4_BLOCK, N - 1) + 1) * log_m)
+    x = 1j * y
+    w_grid = (h / 6.0) * (1.0 + x + x * x / 2.0 + x**3 / 4.0)
+    w_mid = (h / 6.0) * (4.0 + 2.0 * x + x * x / 2.0)
+    cos_half, sin_half = math.cos(0.5 * h), math.sin(0.5 * h)
+    block = _rk4_block_steps(n)
+    powers = np.exp(np.arange(1, min(block, N - 1) + 1) * log_m)
+    inv_powers = 1.0 / powers
     zetas = zetas[:, None, :]
     Q = np.empty((n, N))
     P = np.empty((n, N))
     Q[:, 0], P[:, 0] = z0.real, z0.imag
     z = np.full((n, 1), z0)
-    for i0 in range(0, N - 1, _RK4_BLOCK):
-        t = tau[i0:min(i0 + _RK4_BLOCK, N - 1) + 1]  # the block's grid points, its last step's end included
+    for i0 in range(0, N - 1, block):
+        t = tau[i0:min(i0 + block, N - 1) + 1]  # the block's grid points, its last step's end included
         steps = t.size - 1
-        # one trig pair per distinct stage time: k1 and k4 on the grid, k2 and k3 at the midpoints
         cos_t, sin_t = np.cos(t), np.sin(t)
-        mid = t[:-1] + 0.5 * h
-        trig_mid = (np.cos(mid), np.sin(mid))
-        k1q, k1p = _rhs(dp, state, zetas, (cos_t[:-1], sin_t[:-1]), 0.0, 0.0, eom_sign)
-        k2q, k2p = _rhs(dp, state, zetas, trig_mid, 0.5 * h * k1q, 0.5 * h * k1p, eom_sign)
-        k3q, k3p = _rhs(dp, state, zetas, trig_mid, 0.5 * h * k2q, 0.5 * h * k2p, eom_sign)
-        k4q, k4p = _rhs(dp, state, zetas, (cos_t[1:], sin_t[1:]), h * k3q, h * k3p, eom_sign)
-        c = (h / 6.0) * ((k1q + 2.0 * k2q + 2.0 * k3q + k4q) + 1j * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-        mj = powers[:steps]
-        z = mj * (z + np.cumsum(c / mj, axis=1))
-        Q[:, i0 + 1:i0 + 1 + steps], P[:, i0 + 1:i0 + 1 + steps] = z.real, z.imag
-        z = z[:, -1:]  # carried into the next block
+        trig_mid = (cos_t[:-1] * cos_half - sin_t[:-1] * sin_half,
+                    sin_t[:-1] * cos_half + cos_t[:-1] * sin_half)
+        fq, fp = _rhs(dp, state, zetas, (cos_t, sin_t), 0.0, 0.0, eom_sign)
+        f_grid = fq + 1j * fp
+        c = w_grid * f_grid[:, :-1]
+        c += (h / 6.0) * f_grid[:, 1:]
+        fq, fp = _rhs(dp, state, zetas, trig_mid, 0.0, 0.0, eom_sign)
+        c += w_mid * (fq + 1j * fp)
+        c *= inv_powers[:steps]
+        np.cumsum(c, axis=1, out=c)
+        c += z
+        c *= powers[:steps]
+        Q[:, i0 + 1:i0 + 1 + steps], P[:, i0 + 1:i0 + 1 + steps] = c.real, c.imag
+        z = c[:, -1:]  # carried into the next block
     return Q, P
 
 

@@ -178,6 +178,20 @@ def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      aw * bz + ax * by - ay * bx + az * bw])
 
 
+def _planar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_quaternion_product` of quaternions with z = 0, given as (w, x, y) on axis 0: the
+    same sums less their zero terms, so the propagator's first pairwise level takes 9
+    multiplies, not 16.  Bit for bit the same on rotation factors and on the identity
+    padding: for the identity times a factor, ax by - ay bx can be -0.0 where the full
+    sum is +0.0, and the + 0.0 makes it +0.0."""
+    aw, ax, ay = a
+    bw, bx, by = b
+    return np.stack([aw * bw - ax * bx - ay * by,
+                     aw * bx + ax * bw,
+                     aw * by + ay * bw,
+                     ax * by - ay * bx + 0.0])
+
+
 def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     """Time-ordered product of per-step rotations generated by g (f_x sx - f_y sy).
 
@@ -191,8 +205,9 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     Substep k is exp(-i (a_x sx + a_y sy)), the real unit quaternion
     (cos theta, sinc theta a_x, sinc theta a_y, 0) with theta = |a|, since
     w I - i (x sx + y sy + z sz) multiplies as the quaternion (w, x, y, z).
-    The substeps, padded once to a power of two with identities, are
-    reduced pairwise with later factors on the left.  The result is unitary
+    The substeps, padded once with identities to a power of two (at least
+    2), are reduced pairwise with later factors on the left, the first level
+    by `_planar_product` since every factor has z = 0.  The result is unitary
     to rounding because each factor is an exact rotation.
     """
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
@@ -219,12 +234,13 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     a_y = np.multiply.outer(-g * h, f_y)
     theta = np.multiply.outer(np.abs(g) * h, np.hypot(f_x, f_y))
     sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
-    # (4, *g.shape, 2^k): the tail past `substeps` stays the identity
-    quat = np.zeros((4, *g.shape, 1 << (substeps - 1).bit_length()))
+    # (w, x, y) of each factor, (3, *g.shape, 2^k), k >= 1: the tail past `substeps` stays the identity
+    quat = np.zeros((3, *g.shape, 1 << max(1, (substeps - 1).bit_length())))
     quat[0] = 1.0
     quat[0, ..., :substeps] = np.cos(theta)
     quat[1, ..., :substeps] = sinc * a_x
     quat[2, ..., :substeps] = sinc * a_y
+    quat = _planar_product(quat[..., 1::2], quat[..., 0::2])
     while quat.shape[-1] > 1:
         quat = _quaternion_product(quat[..., 1::2], quat[..., 0::2])
     w, x, y, z = quat[..., 0]

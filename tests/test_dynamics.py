@@ -162,11 +162,11 @@ def rk4_step_by_step(dp, state, zetas, z0, tau, eom_sign):
 
 
 class TestRk4Scan:
-    BLOCK = dynamics._RK4_BLOCK
+    BLOCK = 2048  # steps a block, pinned through the budget: grids end on and just past block edges
 
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("points", (2, BLOCK + 1, 3 * BLOCK + 7))
-    def test_matches_step_by_step_reference(self, conv, points):
+    def test_matches_step_by_step_reference(self, conv, points, monkeypatch):
         # coarsest allowed step, dt max(1, r) = 0.05, from a nonzero start
         dt = 0.05
         dp = DimensionlessParams(g=0.05, r=0.5, T=(points - 1) * dt)
@@ -175,6 +175,8 @@ class TestRk4Scan:
         assert tau.size == points
         SimConfig(dt=dt).check_step(dp.r)
         zetas = sample_zetas(s, seed=5, indices=range(3))
+        monkeypatch.setattr(dynamics, "_RK4_BLOCK_ELEMENTS", 3 * self.BLOCK)
+        assert dynamics._rk4_block_steps(3) == self.BLOCK
         Q, P = _rk4_batch(dp, s, zetas, 0.4 - 0.3j, tau, conv)
         Qr, Pr = rk4_step_by_step(dp, s, zetas, 0.4 - 0.3j, tau, conv)
         scale = max(np.max(np.abs(Qr)), np.max(np.abs(Pr)))
@@ -190,13 +192,34 @@ class TestRk4Scan:
 
         monkeypatch.setattr(dynamics, "_rhs", counting)
         zetas = np.zeros((2, 2))
+        block = dynamics._rk4_block_steps(zetas.shape[0])
+        assert block > 1
         counts = {}
-        for points in (2, self.BLOCK + 1, self.BLOCK + 2, 2 * self.BLOCK + 1):
+        for points in (2, block + 1, block + 2, 2 * block + 1):
             calls.clear()
             _rk4_batch(DP, EQUATOR, zetas, 0j, np.arange(points) * 0.01, "eq37")
             counts[points] = len(calls)
-        assert counts[2] == counts[self.BLOCK + 1]
-        assert counts[self.BLOCK + 2] == counts[2 * self.BLOCK + 1] > counts[2]
+        assert counts[2] == counts[block + 1]
+        assert counts[block + 2] == counts[2 * block + 1] > counts[2]
+
+    @pytest.mark.parametrize("n", (1, 300))
+    def test_rows_independent_of_block_length(self, n, monkeypatch):
+        # 4200 steps: two default blocks at n = 1, three 2048-step blocks, or one block
+        dp = DimensionlessParams(g=0.05, r=0.5, T=42.0)
+        s = QubitState(0.3, 1.0)
+        tau = time_grid(dp.T, 0.01)
+        zetas = sample_zetas(s, seed=9, indices=range(n))
+        assert dynamics._rk4_block_steps(n) < tau.size - 1
+        rows = {}
+        for label, elements in (("default", dynamics._RK4_BLOCK_ELEMENTS), ("2048", 2048 * n),
+                                ("one", n * tau.size)):
+            monkeypatch.setattr(dynamics, "_RK4_BLOCK_ELEMENTS", elements)
+            rows[label] = _rk4_batch(dp, s, zetas, 0.4 - 0.3j, tau, "eq37")
+        Q, P = rows.pop("one")
+        scale = max(np.max(np.abs(Q)), np.max(np.abs(P)))
+        for Qb, Pb in rows.values():
+            assert np.max(np.abs(Qb - Q)) <= 1e-13 * scale
+            assert np.max(np.abs(Pb - P)) <= 1e-13 * scale
 
     def test_peak_memory_within_twice_the_output(self):
         dp = DimensionlessParams(g=0.05, r=0.5, T=50.0)
@@ -458,15 +481,17 @@ class TestTwoToneRows:
     """The closed-form rows from two tone factors against the rotated phase integrals."""
 
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
-    @pytest.mark.parametrize("r", (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.7))
-    @pytest.mark.parametrize("T", (40.0, 1000.0))
+    @pytest.mark.parametrize("r", (0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.7))
+    @pytest.mark.parametrize("T", (40.0, 1000.0, 1e4))
     def test_rows_match_phase_integral_form(self, conv, r, T):
         dp = DimensionlessParams(g=0.05, r=r, T=T)
         tau = time_grid(dp.T, 0.05)
         rows = dynamics._response_rows(dp, tau, conv)
         _, ref = reference_rows(dp, tau, conv)
+        # a phase of order T is rounded by ~T eps in the rows and in the reference alike
+        tol = 1e-12 * max(1.0, T / 1000.0)
         for row, ref_row in zip(rows, ref):
-            assert np.max(np.abs(row - ref_row)) <= 1e-12 * np.max(np.abs(ref_row))
+            assert np.max(np.abs(row - ref_row)) <= tol * np.max(np.abs(ref_row))
 
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("z0", (0j, 0.4 - 0.3j))

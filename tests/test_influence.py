@@ -10,6 +10,8 @@ from qubitkick.influence import (
     SIGMA_Y,
     PathFunctionals,
     PathPair,
+    _planar_product,
+    _quaternion_product,
     bch_product,
     drive_components,
     influence_closed_form,
@@ -256,6 +258,23 @@ class TestPropagator:
                 assert np.linalg.norm(U_k - sequential_propagator(q, p, T, g_k, substeps)) <= 1e-13
                 assert np.linalg.norm(U_k.conj().T @ U_k - IDENTITY2) <= 1e-13
             assert np.array_equal(ladder[LADDER.index(0.0)], IDENTITY2)
+
+    @pytest.mark.parametrize("padding", (0, 1, 2, 3))
+    def test_first_level_matches_full_product_bit_for_bit(self, padding):
+        # unit z = 0 factors (cos theta, sin theta cos a, sin theta sin a, 0), w of either sign,
+        # the last `padding` of them the identity, as the propagator pads its tail; the last
+        # factor has its axis in each quadrant, so an odd padding pairs the identity with all four
+        rng = np.random.default_rng(21 + padding)
+        theta = rng.uniform(0.0, np.pi, size=(4, 16))
+        axis = rng.uniform(0.0, 2.0 * np.pi, size=(4, 16))
+        axis[:, 15 - padding] = (0.25 + 0.5 * np.arange(4)) * np.pi
+        quat = np.stack([np.cos(theta), np.sin(theta) * np.cos(axis), np.sin(theta) * np.sin(axis),
+                         np.zeros_like(theta)])
+        quat[:, :, quat.shape[-1] - padding:] = np.array([1.0, 0.0, 0.0, 0.0])[:, None, None]
+        full = _quaternion_product(quat[..., 1::2], quat[..., 0::2])
+        planar = _planar_product(quat[:3, :, 1::2], quat[:3, :, 0::2])
+        assert planar.shape == full.shape
+        assert planar.tobytes() == full.tobytes()
 
 
 class TestVerifyBch:
