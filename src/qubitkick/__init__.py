@@ -44,7 +44,6 @@ from .influence import (
     InfluencePhases,
     PathFunctionals,
     PathPair,
-    influence_closed_form,
     influence_phases,
     path_functionals,
     qubit_propagator_exact,

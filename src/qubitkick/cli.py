@@ -401,8 +401,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (core.InvalidParameterError, reconstruct.DegenerateBasisError,
-            reconstruct.UndersampledError, dynamics.ResonanceError,
-            quantum.TruncationError, FloatingPointError) as exc:
+            reconstruct.UndersampledError, quantum.TruncationError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

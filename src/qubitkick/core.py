@@ -35,9 +35,12 @@ def wrap_angle(phi: float) -> float:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Pure two-level state: excited population p and relative phase phi.
+    """Pure two-level state: population p of |1> and relative phase phi.
 
-    The state vector is sqrt(1-p)|0> + exp(i phi) sqrt(p)|1>.  Both
+    The state vector is sqrt(1-p)|0> + exp(i phi) sqrt(p)|1>.  Under the
+    +sigma_z / 2 of `quantum.build_hamiltonian`, |1> is the lower level, so
+    p = 1 is the qubit's ground state: started with the oscillator in its
+    vacuum, it leaves the oscillator there, and p = 0 does not.  Both
     intensity factors below are symmetric under p <-> 1-p, which is the
     source of the reconstruction degeneracy handled in `reconstruct`.
     """

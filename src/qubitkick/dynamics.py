@@ -72,8 +72,8 @@ RESONANCE_EPS = 1e-6
 
 # points of the coarse sub-grid that keeps the two-time covariance
 _COARSE_POINTS = 16
-# fractional overlap of the Welch segments
-_PSD_OVERLAP = 0.5
+# index batches of every ensemble; their spread gives the reconstruction's error bars
+_N_BATCHES = 20
 # elements (rows x steps) per block of the RK4 affine scan; bounds its scratch memory
 _RK4_BLOCK_ELEMENTS = 1 << 12
 
@@ -174,7 +174,7 @@ class EnsembleStats:
         # M is singular where the draws are (p = 1/2), so clip rounding below zero
         lam, V = np.linalg.eigh(M)
         rows = (V * np.sqrt(np.clip(lam, 0.0, None))).T @ self.Q
-        omega, psd = welch_psd(rows, self.tau.size if segment is None else segment, _PSD_OVERLAP, self.dt)
+        omega, psd = welch_psd(rows, self.tau.size if segment is None else segment, self.dt)
         return omega, 3.0 * psd  # welch_psd averages its rows; M is their sum
 
 
@@ -420,9 +420,10 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     return Q, P
 
 
-def welch_psd(trajectories, segment_length: int, overlap: float = 0.5, dt: float = 1.0):
+def welch_psd(trajectories, segment_length: int, dt: float = 1.0):
     """Hann-windowed averaged periodogram of mean-removed rows.
 
+    Segments of `segment_length` points overlap by half, segment_length // 2.
     Returns (omega, psd): one-sided, power per unit rescaled *angular*
     frequency, so a unit-amplitude tone at angular frequency w integrates
     to 1/2 around its peak.  Rows of `trajectories` are averaged.
@@ -432,11 +433,9 @@ def welch_psd(trajectories, segment_length: int, overlap: float = 0.5, dt: float
         raise InvalidParameterError(f"segment_length must be an integer >= 2 (got {segment_length!r})")
     if segment_length > data.shape[-1]:
         raise InvalidParameterError("segment_length exceeds the trajectory length")
-    if not (0.0 <= overlap <= 0.9):
-        raise InvalidParameterError("overlap must lie in [0, 0.9]")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameterError(f"dt must be finite and > 0 (got {dt!r})")
-    freq, psd = _signal.welch(data, 1.0 / dt, segment_length, int(overlap * segment_length))
+    freq, psd = _signal.welch(data, 1.0 / dt, segment_length, segment_length // 2)
     psd = psd.mean(axis=0)
     # cycles -> angular frequency, conserving integrated power
     return 2.0 * math.pi * freq, psd / (2.0 * math.pi)
@@ -447,12 +446,12 @@ def run_ensemble(
     state: QubitState,
     config: SimConfig,
     eom_sign: str = DEFAULT_EOM,
-    n_batches: int = 20,
 ) -> EnsembleStats:
     """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
     One closed-form solve of the three basis draws gives the rows Q and P;
-    each fixed index batch of draws is reduced to its count, mean and centred
+    the draws are split into `_N_BATCHES` fixed index batches (one draw each
+    below that many), and each batch is reduced to its count, mean and centred
     2x2 scatter, on the two contiguous component rows `sample_zetas(...).T`: a
     pairwise-summed mean per row, then one 2x2 Gram of the centred rows.
     Memory is O(grid) at any n_traj.  Draw i uses the stream derived from
@@ -461,9 +460,7 @@ def run_ensemble(
     """
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
-    if not isinstance(n_batches, numbers.Integral) or n_batches < 1:
-        raise InvalidParameterError(f"n_batches must be an integer >= 1 (got {n_batches!r})")
-    edges = np.linspace(0, config.n_traj, min(n_batches, config.n_traj) + 1).astype(int)
+    edges = np.linspace(0, config.n_traj, min(_N_BATCHES, config.n_traj) + 1).astype(int)
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
     tau, Q, P = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config,

@@ -151,9 +151,11 @@ def table_comparison() -> list[dict]:
 class BlochMap:
     """State-dependent intensity factors over the Bloch sphere.
 
-    theta is the polar angle with p = sin^2(theta/2), so theta = 0 is the
-    ground pole; both fields are independent of the azimuth, which only
-    shifts the phase of the forces.
+    theta is the polar angle with p = sin^2(theta/2), the population of |1>,
+    so theta = 0 is the pole |0>, the upper level of
+    `quantum.build_hamiltonian`, and theta = pi the lower level |1>; both
+    fields are independent of the azimuth, which only shifts the phase of the
+    forces.
     """
 
     theta: np.ndarray

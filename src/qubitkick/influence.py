@@ -32,7 +32,8 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class PathPair:
-    """Forward (q, p) and backward (q_b, p_b) paths on a shared uniform grid."""
+    """Forward (q, p) and backward (q_b, p_b) paths on a shared uniform grid from tau = 0,
+    where `qubit_propagator_exact` starts sampling them."""
 
     tau: np.ndarray
     q: np.ndarray
@@ -52,6 +53,8 @@ class PathPair:
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise InvalidParameterError(f"{name} must share the grid length {n}, got shape {arr.shape}")
+        if arrays["tau"][0] != 0.0:
+            raise InvalidParameterError(f"tau must start at 0, got tau[0] = {arrays['tau'][0]}")
         steps = np.diff(arrays["tau"])
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise InvalidParameterError("tau grid must be uniform")
@@ -138,29 +141,6 @@ def influence_phases(f: PathFunctionals, state: QubitState, g: float, n_qubits: 
     linear = 2.0 * g * state.eta_f * (f.W_x * math.cos(phi) + f.W_y * math.sin(phi)) * n_qubits
     dissip = g * g * (1.0 - 2.0 * p) * (f.W_z - f.W_x * f.W_y) * n_qubits
     return InfluencePhases(fluctuation_exponent=fluct, force_phase=linear, dissipative_phase=dissip)
-
-
-def influence_closed_form(f: PathFunctionals, state: QubitState, g: float) -> complex:
-    """Exact trigonometric overlap <psi| e^{igW_x sx} e^{igW_y sy} e^{ig^2 W_z sz} |psi>.
-
-    Being a unit-vector overlap under a product of unitaries, its modulus
-    never exceeds 1.
-    """
-    p, phi = state.p, state.phi
-    eta = state.eta_f
-    cx, sx = math.cos(g * f.W_x), math.sin(g * f.W_x)
-    cy, sy = math.cos(g * f.W_y), math.sin(g * f.W_y)
-    ez = complex(math.cos(g * g * f.W_z), math.sin(g * g * f.W_z))
-    eiphi = complex(math.cos(phi), math.sin(phi))
-    upper = ez * (
-        (1.0 - p) * (cy * cx - 1j * sy * sx)
-        - eta * (sy * cx - 1j * cy * sx) / eiphi
-    )
-    lower = (1.0 / ez) * (
-        p * (cy * cx + 1j * sy * sx)
-        + eta * (sy * cx + 1j * cy * sx) * eiphi
-    )
-    return complex(upper + lower)
 
 
 def pauli_exponential(coef: float, sigma: np.ndarray) -> np.ndarray:
@@ -274,14 +254,14 @@ def bch_product(f: PathFunctionals, g: float) -> np.ndarray:
     )
 
 
-def _against_exact(pair: PathPair, g_values, substeps: int | None, error) -> dict:
+def _against_exact(pair: PathPair, g_values, error) -> dict:
     """`error(g, f, exact)` at each checked g, and its log-log slope.
 
-    exact = U(X) U(X')^dag, from one ladder call per path for all the g.
+    exact = U(X) U(X')^dag, from one ladder call per path for all the g, each
+    with one substep per interval of the pair's grid.
     """
     g_values = _check_g_values(g_values)
-    if substeps is None:
-        substeps = pair.tau.size - 1
+    substeps = pair.tau.size - 1
     f = path_functionals(pair)
     T = float(pair.tau[-1])
     U_f = qubit_propagator_exact(pair.q, pair.p, T, g_values, substeps)
@@ -295,21 +275,23 @@ def _against_exact(pair: PathPair, g_values, substeps: int | None, error) -> dic
     }
 
 
-def verify_bch(pair: PathPair, g_values, substeps: int | None = None) -> dict:
+def verify_bch(pair: PathPair, g_values) -> dict:
     """Frobenius error of the split product against U(X) U(X')^dag across g.
 
-    Returns {"g": [...], "error": [...], "slope": float}; the slope of the
-    log-log fit should approach 3 (third-order remainder).
+    The exact product takes one propagator substep per interval of the
+    pair's grid.  Returns {"g": [...], "error": [...], "slope": float}; the
+    slope of the log-log fit should approach 3 (third-order remainder).
     """
-    return _against_exact(pair, g_values, substeps,
+    return _against_exact(pair, g_values,
                           lambda g, f, exact: float(np.linalg.norm(exact - bch_product(f, g))))
 
 
-def verify_influence_expansion(pair: PathPair, state: QubitState, g_values, substeps: int | None = None) -> dict:
+def verify_influence_expansion(pair: PathPair, state: QubitState, g_values) -> dict:
     """Error of exp(fluctuation + i force phases) against the exact overlap.
 
     The exact overlap is <psi| U(X) U(X')^dag |psi>, the same operator
-    ordering the split product approximates; the remainder is O(g^3).
+    ordering the split product approximates, with one propagator substep per
+    interval of the pair's grid; the remainder is O(g^3).
     """
     psi = np.array(state.amplitudes(), dtype=complex)
 
@@ -318,4 +300,4 @@ def verify_influence_expansion(pair: PathPair, state: QubitState, g_values, subs
         approx = np.exp(ph.fluctuation_exponent + 1j * (ph.force_phase + ph.dissipative_phase))
         return abs(complex(psi.conj() @ exact @ psi) - approx)
 
-    return _against_exact(pair, g_values, substeps, error)
+    return _against_exact(pair, g_values, error)

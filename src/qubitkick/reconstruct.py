@@ -65,6 +65,8 @@ MIN_BATCHES = 4
 # amplitude over its stderr below which the angle is reported indeterminate
 PHASE_MIN_SNR = 3.0
 MIN_TRAJ_NONSTATIONARY = 10_000
+# |mean_q| at tau = 0, relative to max |mean_q|, that still counts as a start at rest
+REST_RTOL = 1e-12
 
 
 class DegenerateBasisError(ValueError):
@@ -186,7 +188,9 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     nothing about the estimator spread.  `tau` may be in any order.
 
     The fit has no column for free motion, and the drive rows are exactly 0
-    at tau = 0, so a mean that is not exactly 0 wherever tau = 0 is refused.
+    at tau = 0, so a mean is refused where tau = 0 and |mean_q| exceeds
+    REST_RTOL of its largest finite |mean_q|: rounding, as in the exact
+    quantum mean, passes.
     That catches a `q_init` offset, not a `p_init` one, whose mean starts at 0.
     """
     tau = np.asarray(tau, dtype=float)
@@ -194,7 +198,9 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     if tau.ndim != 1 or tau.size == 0 or y.shape != tau.shape:
         raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and a mean_q of its "
                                     f"shape, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
-    off_rest = y[(tau == 0.0) & (y != 0.0)]
+    # a non-finite mean_q at tau = 0 fails the <= and is refused
+    rest_tol = REST_RTOL * np.max(np.abs(y[np.isfinite(y)]), initial=0.0)
+    off_rest = y[(tau == 0.0) & ~(np.abs(y) <= rest_tol)]
     if off_rest.size:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {off_rest[0]} at tau = 0")

@@ -73,9 +73,9 @@ def test_sampler_counter_accepts_run_ensemble_calls(tracing, monkeypatch):
         return result
 
     monkeypatch.setattr(dynamics, "sample_zetas", recording_sampler)
+    monkeypatch.setattr(dynamics, "_N_BATCHES", 4)
     config = SimConfig(dt=0.1, n_traj=50)
-    dynamics.run_ensemble(DimensionlessParams(g=0.05, r=0.5, T=5.0), QubitState(0.3, 1.0), config,
-                          n_batches=4)
+    dynamics.run_ensemble(DimensionlessParams(g=0.05, r=0.5, T=5.0), QubitState(0.3, 1.0), config)
     assert len(calls) == 4
     assert sum(c["draws"] for c in calls) == config.n_traj
 
@@ -130,7 +130,7 @@ def test_solver_counters_read_rows_and_grid(tracing, monkeypatch, tmp_path):
 
 def test_propagator_counter_reads_substeps(tracing, monkeypatch):
     # the counter reads `substeps` from args[4] of the forward and the backward
-    # call, each of which covers the whole g ladder
+    # call, each of which covers the whole g ladder at one substep per grid interval
     counted = []
     propagator = influence.qubit_propagator_exact
 
@@ -145,10 +145,9 @@ def test_propagator_counter_reads_substeps(tracing, monkeypatch):
     # verify_influence_expansion also takes the state whose overlap it checks
     for verify, state_args in ((influence.verify_bch, ()),
                                (influence.verify_influence_expansion, (QubitState(0.3, 1.0),))):
-        for substeps, expected in ((None, 200), (333, 333)):
-            counted.clear()
-            verify(pair, *state_args, g_values, substeps)
-            assert counted == [({"substeps": expected}, (len(g_values), 2, 2))] * 2
+        counted.clear()
+        verify(pair, *state_args, g_values)
+        assert counted == [({"substeps": 200}, (len(g_values), 2, 2))] * 2
 
 
 def test_oracle_counter_reads_dimension_and_grid(tracing, monkeypatch):

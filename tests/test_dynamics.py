@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitkick import dynamics
+from qubitkick import dynamics, spectral
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from qubitkick.dynamics import (
     EOM_CONVENTIONS,
@@ -240,13 +240,14 @@ class TestEnsemble:
     @pytest.mark.parametrize("solver", ("closed_form", "rk4"))
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("state", (QubitState(0.3, 1.0), EQUATOR), ids=("p=0.3", "p=0.5"))
-    def test_matches_brute_force_ensemble(self, state, conv, solver):
+    def test_matches_brute_force_ensemble(self, state, conv, solver, monkeypatch):
         # every statistic against explicit trajectories and two-pass estimators; an ensemble
         # is solved in closed form, and under rk4 its record takes the rk4 basis rows, which
         # holds because an RK4 step is affine in the draws as well
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=300, seed=11, q_init=0.2, p_init=-0.1)
-        stats = run_ensemble(dp, state, cfg, eom_sign=conv, n_batches=7)
+        monkeypatch.setattr(dynamics, "_N_BATCHES", 7)  # batches of 42 and 43 draws
+        stats = run_ensemble(dp, state, cfg, eom_sign=conv)
         zetas = sample_zetas(state, cfg.seed, range(cfg.n_traj))
         z0 = complex(cfg.q_init, cfg.p_init)
         if solver == "closed_form":
@@ -273,7 +274,7 @@ class TestEnsemble:
         close(stats.Q[0] + stats.batch_means @ b, np.array([Q[i].mean(axis=0) for i in batches]))
         close(bc.T @ stats.batch_draw_cov @ bc, np.array([np.cov(Q[i][:, idx].T) for i in batches]))
         for (omega, psd), segment in ((stats.psd(256), 256), (stats.psd(), stats.tau.size)):
-            ref_omega, ref_psd = welch_psd(Q, segment, 0.5, cfg.dt)
+            ref_omega, ref_psd = welch_psd(Q, segment, cfg.dt)
             assert np.array_equal(omega, ref_omega)
             close(psd, ref_psd)
 
@@ -289,15 +290,16 @@ class TestEnsemble:
         ref = np.var(Q, axis=0, ddof=1)[1:]
         assert np.max(np.abs(stats.var_q[1:] - ref)) <= 1e-9 * np.max(ref)
 
-    def test_batch_moments_match_exact_sums(self):
+    def test_batch_moments_match_exact_sums(self, monkeypatch):
         # a batch's mean and scatter against exactly rounded sums (math.fsum)
         # of the same draws; a sequential sum over 5000 draws misses by ~1e-16
         dp = DimensionlessParams(g=0.05, r=0.5, T=1.0)
         state = QubitState(0.3, 1.0)
+        monkeypatch.setattr(dynamics, "_N_BATCHES", 1)
         mean_err = 0.0
         for seed in range(40):
             cfg = SimConfig(dt=0.02, n_traj=5000, seed=seed)
-            stats = run_ensemble(dp, state, cfg, n_batches=1)
+            stats = run_ensemble(dp, state, cfg)
             zetas = sample_zetas(state, seed, range(cfg.n_traj))
             mu = np.array([math.fsum(col) / cfg.n_traj for col in zetas.T])
             dev = zetas - mu
@@ -360,12 +362,9 @@ class TestEnsemble:
     def test_needs_two_trajectories(self):
         with pytest.raises(InvalidParameterError):
             run_ensemble(DP, EQUATOR, SimConfig(dt=0.02, n_traj=1))
-        # and at least one whole batch; more batches than draws are clamped
+        # fewer draws than batches: one draw a batch
         cfg = SimConfig(dt=0.02, n_traj=10)
-        for n_batches in (0, -3, 2.5, None):
-            with pytest.raises(InvalidParameterError, match="n_batches"):
-                run_ensemble(DP, EQUATOR, cfg, n_batches=n_batches)
-        assert run_ensemble(DP, EQUATOR, cfg, n_batches=50).batch_counts.tolist() == [1] * 10
+        assert run_ensemble(DP, EQUATOR, cfg).batch_counts.tolist() == [1] * 10
 
 
 class TestWelchPsd:
@@ -373,7 +372,7 @@ class TestWelchPsd:
         dt = 0.05
         tau = np.arange(0, 400, dt)
         omega0 = 0.5
-        freq, psd = welch_psd(np.cos(omega0 * tau), segment_length=2048, overlap=0.5, dt=dt)
+        freq, psd = welch_psd(np.cos(omega0 * tau), segment_length=2048, dt=dt)
         peak = freq[np.argmax(psd)]
         assert abs(peak - omega0) <= freq[1] - freq[0]
 
@@ -384,7 +383,7 @@ class TestWelchPsd:
         for _ in range(8):
             cfg = SimConfig(dt=0.05, q_init=float(rng.normal()), p_init=float(rng.normal()))
             rows.append(solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg)[1][0])
-        freq, psd = welch_psd(np.array(rows), segment_length=2048, overlap=0.5, dt=0.05)
+        freq, psd = welch_psd(np.array(rows), segment_length=2048, dt=0.05)
         assert abs(freq[np.argmax(psd)] - 0.5) <= freq[1] - freq[0]
 
     def test_driven_case_shows_both_tones(self):
@@ -392,7 +391,7 @@ class TestWelchPsd:
         dp = DimensionlessParams(g=0.05, r=0.5, T=400.0)
         cfg = SimConfig(dt=0.05, q_init=0.3, p_init=0.0)
         _, Q, _ = solve_trajectory(dp, EQUATOR, ZERO_DRAW, cfg)
-        freq, psd = welch_psd(Q[0], segment_length=4096, overlap=0.5, dt=0.05)
+        freq, psd = welch_psd(Q[0], segment_length=4096, dt=0.05)
         df = freq[1] - freq[0]
 
         def power_near(omega):
@@ -408,15 +407,21 @@ class TestWelchPsd:
         # total power 1/2
         dt = 0.05
         tau = np.arange(0, 2000, dt)
-        freq, psd = welch_psd(np.cos(0.5 * tau), segment_length=8192, overlap=0.5, dt=dt)
+        freq, psd = welch_psd(np.cos(0.5 * tau), segment_length=8192, dt=dt)
         total = np.trapezoid(psd, freq)
         assert total == pytest.approx(0.5, rel=0.02)
+
+    def test_segments_overlap_by_half(self):
+        # an odd segment overlaps its neighbour by segment_length // 2 points
+        x = np.random.default_rng(0).normal(size=(2, 200))
+        omega, psd = welch_psd(x, segment_length=51, dt=0.1)
+        freq, pxx = spectral.welch(x, 10.0, 51, 25)
+        assert np.array_equal(omega, 2.0 * math.pi * freq)
+        assert np.array_equal(psd, pxx.mean(axis=0) / (2.0 * math.pi))
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             welch_psd(np.zeros(100), segment_length=200, dt=0.1)
-        with pytest.raises(InvalidParameterError):
-            welch_psd(np.zeros(100), segment_length=50, overlap=0.95, dt=0.1)
         for dt in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
                 welch_psd(np.zeros(100), segment_length=50, dt=dt)

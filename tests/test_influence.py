@@ -14,7 +14,6 @@ from qubitkick.influence import (
     _quaternion_product,
     bch_product,
     drive_components,
-    influence_closed_form,
     influence_phases,
     path_functionals,
     qubit_propagator_exact,
@@ -83,6 +82,14 @@ class TestPathPair:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidParameterError):
             PathPair(tau=np.array([0.0]), q=np.zeros(1), p=np.zeros(1), q_b=np.zeros(1), p_b=np.zeros(1))
+
+    @pytest.mark.parametrize("start", (1.0, -0.5, 1e-9))
+    def test_grid_not_from_zero_rejected(self, start):
+        # the propagator samples the paths on [0, tau_end]: a pair on [1, 1 + 2 pi] read
+        # a bch slope of 1.15 where the same paths from 0 read 2.94, with no error
+        pair = random_pair(12)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            PathPair(tau=pair.tau + start, q=pair.q, p=pair.p, q_b=pair.q_b, p_b=pair.p_b)
 
 
 class TestPathFunctionals:
@@ -164,32 +171,28 @@ class TestInfluencePhases:
 
 
 class TestClosedForm:
+    """The split-product overlap <psi| e^{igW_x sx} e^{igW_y sy} e^{ig^2 W_z sz} |psi>."""
+
+    @staticmethod
+    def overlap(f, state, g):
+        psi = np.array(state.amplitudes(), dtype=complex)
+        return complex(psi.conj() @ bch_product(f, g) @ psi)
+
     def test_decoupled_limit_is_unity(self):
         f = path_functionals(random_pair(7))
-        assert influence_closed_form(f, QubitState(0.3, 0.5), g=0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert self.overlap(f, QubitState(0.3, 0.5), g=0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_equal_paths_give_unity(self):
         pair = random_pair(8)
         f = path_functionals(PathPair(tau=pair.tau, q=pair.q, p=pair.p, q_b=pair.q, p_b=pair.p))
-        assert influence_closed_form(f, QubitState(0.7, 2.0), g=0.1) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert self.overlap(f, QubitState(0.7, 2.0), g=0.1) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_modulus_bounded_by_one(self):
         rng = np.random.default_rng(9)
         for _ in range(500):
             f = functionals_from_w(rng.normal(scale=3), rng.normal(scale=3), rng.normal(scale=3))
             s = QubitState(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            assert abs(influence_closed_form(f, s, g=0.15)) <= 1.0 + 1e-10
-
-    def test_matches_matrix_product_oracle(self):
-        # independent route: sandwich the split 2x2 product between the
-        # state vectors instead of using the expanded trigonometric form
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            f = functionals_from_w(rng.normal(), rng.normal(), rng.normal())
-            s = QubitState(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            psi = np.array(s.amplitudes(), dtype=complex)
-            expected = complex(psi.conj() @ bch_product(f, 0.1) @ psi)
-            assert influence_closed_form(f, s, 0.1) == pytest.approx(expected, abs=1e-13)
+            assert abs(self.overlap(f, s, g=0.15)) <= 1.0 + 1e-10
 
 
 class TestPropagator:

@@ -154,6 +154,19 @@ class TestEvolution:
             out = evolve_expectations(H, ground_initial_state(QubitState(0.0, 0.0), 40), tau)
             assert np.max(np.abs(out.mean_q)) <= 10.0 * g**2
 
+    def test_p_weighs_the_lower_level(self):
+        # the +sigma_z / 2 makes |1>, of weight p, the lower level: from the oscillator
+        # vacuum p = 1 is the joint ground state and leaves the oscillator there, while
+        # p = 0 sits one qubit quantum up and emits into it
+        dp = DimensionlessParams(g=0.01, r=0.5, T=40.0)
+        tau = time_grid(dp.T, 0.02)
+        H = build_hamiltonian(dp, ORACLE_N_FOCK)
+        lower, upper = (evolve_expectations(H, ground_initial_state(QubitState(p, 0.0), ORACLE_N_FOCK), tau)
+                        for p in (1.0, 0.0))
+        assert np.all(lower.mean_q == 0.0)
+        assert np.max(np.abs(lower.var_q - 0.5)) <= 1e-15
+        assert np.max(upper.var_q - 0.5) >= 3e-3
+
 
 class TestOracleComparison:
     def test_decoupled_limit_zero_discrepancy(self):

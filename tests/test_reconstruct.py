@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitkick import reconstruct
+from qubitkick import dynamics, quantum, reconstruct
 from qubitkick.core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
 from qubitkick.dynamics import (
     EOM_CONVENTIONS,
@@ -200,10 +200,11 @@ class TestMonteCarloRoundtrip:
         assert res[0.2].phi_hat == pytest.approx(res[0.8].phi_hat, abs=1e-8)
         assert res[0.2].p_branches == pytest.approx(res[0.8].p_branches, abs=1e-8)
 
-    def test_few_batches_give_no_stderr(self):
+    def test_few_batches_give_no_stderr(self, monkeypatch):
         # below four batches there is no spread to take the error bars from
         cfg = SimConfig(dt=0.02, n_traj=2_000, seed=3)
-        stats = run_ensemble(DP, TRUTH, cfg, n_batches=3)
+        monkeypatch.setattr(dynamics, "_N_BATCHES", 3)
+        stats = run_ensemble(DP, TRUTH, cfg)
         result = reconstruct_from_stats(stats)
         assert math.isnan(result.eta_f_stderr) and math.isnan(result.phi_stderr)
         assert result.unphysical == (result.eta_f_hat > 0.5)
@@ -222,6 +223,23 @@ class TestMonteCarloRoundtrip:
             fit_mean(stats.tau, stats.mean_q, DP)
         # the same mean on a grid past tau = 0 carries no such anchor
         fit_mean(stats.tau[1:], stats.mean_q[1:], DP)
+
+    def test_exact_quantum_mean_passes_the_rest_rule(self):
+        # the oracle's ground-start mean is 5.2e-19 at tau = 0 from rounding, not 0;
+        # under canonical its fit gives the state back to O(g^2)
+        dp = DimensionlessParams(g=0.01, r=0.5, T=40.0)
+        tau = time_grid(dp.T, 0.02)
+        psi0 = quantum.ground_initial_state(TRUTH, quantum.ORACLE_N_FOCK)
+        mean_q = quantum.evolve_expectations(quantum.build_hamiltonian(dp, quantum.ORACLE_N_FOCK), psi0,
+                                             tau).mean_q
+        assert mean_q[0] != 0.0
+        result = recover_state(fit_mean(tau, mean_q, dp, "canonical"))
+        assert 0.99 <= result.eta_f_hat / TRUTH.eta_f <= 1.0
+        assert abs(result.phi_hat - TRUTH.phi) <= 1e-3
+        # an offset of a thousandth of the mean's scale is still off rest, as is a non-finite start
+        for start in (1e-3 * np.max(np.abs(mean_q)), math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="at rest"):
+                fit_mean(tau, np.concatenate(([start], mean_q[1:])), dp, "canonical")
 
     def test_stderr_shrinks_as_root_n(self):
         sizes = (1_000, 10_000, 100_000)
@@ -269,14 +287,15 @@ class TestNonstationaryEstimator:
         assert ns["eta_st_sq_hat"] == pytest.approx(state.eta_st**2, rel=0.05)
 
     @pytest.mark.parametrize("n_batches", (1, 3, 10_000))
-    def test_few_batches_give_nan_stderrs(self, n_batches):
+    def test_few_batches_give_nan_stderrs(self, n_batches, monkeypatch):
         # below four batches there is no spread to take the error bars from, and
         # a batch of one draw has no scatter (its covariance read 0, so every
         # stderr read 0.0); the point estimates come from the pooled covariance alone
         cfg = SimConfig(dt=0.02, n_traj=10_000, seed=41)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg))
-        stats = run_ensemble(dp, TRUTH, cfg, n_batches=n_batches)
+        monkeypatch.setattr(dynamics, "_N_BATCHES", n_batches)
+        stats = run_ensemble(dp, TRUTH, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ns = estimate_nonstationary(stats)
