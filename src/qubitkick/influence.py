@@ -91,10 +91,14 @@ class InfluencePhases:
     dissipative_phase: float
 
 
+def _rotated(c: np.ndarray, s: np.ndarray, q: np.ndarray, p: np.ndarray):
+    """(q c - p s, q s + p c): the drive pair where cos(tau) = c and sin(tau) = s."""
+    return q * c - p * s, q * s + p * c
+
+
 def drive_components(tau: np.ndarray, q: np.ndarray, p: np.ndarray):
     """Rotating-frame drive pair f_x = q cos(tau) - p sin(tau), f_y = q sin(tau) + p cos(tau)."""
-    c, s = np.cos(tau), np.sin(tau)
-    return q * c - p * s, q * s + p * c
+    return _rotated(np.cos(tau), np.sin(tau), q, p)
 
 
 def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
@@ -104,9 +108,7 @@ def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _single_path_functionals(tau: np.ndarray, q: np.ndarray, p: np.ndarray):
-    f_x, f_y = drive_components(tau, q, p)
-    dt = float(tau[1] - tau[0])
+def _single_path_functionals(dt: float, f_x: np.ndarray, f_y: np.ndarray):
     F_x = float(np.trapezoid(f_x, dx=dt))
     F_y = float(np.trapezoid(f_y, dx=dt))
     # ordered double integral of f_x(t) f_y(t') - f_x(t') f_y(t): running
@@ -124,8 +126,10 @@ def path_functionals(pair: PathPair) -> PathFunctionals:
     sign is fixed by the exact operator product U(X) U(X')^dag, which the
     convergence checks below validate to third order in g.
     """
-    F_x, F_y, F_z = _single_path_functionals(pair.tau, pair.q, pair.p)
-    Fp_x, Fp_y, Fp_z = _single_path_functionals(pair.tau, pair.q_b, pair.p_b)
+    dt = float(pair.tau[1] - pair.tau[0])
+    trig = np.cos(pair.tau), np.sin(pair.tau)  # one pair for both paths
+    F_x, F_y, F_z = _single_path_functionals(dt, *_rotated(*trig, pair.q, pair.p))
+    Fp_x, Fp_y, Fp_z = _single_path_functionals(dt, *_rotated(*trig, pair.q_b, pair.p_b))
     W_x = Fp_x - F_x
     W_y = F_y - Fp_y
     W_z = F_z - Fp_z + 2.0 * Fp_x * F_y - Fp_x * Fp_y - F_x * F_y

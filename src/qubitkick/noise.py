@@ -5,7 +5,10 @@ so the decoupling noise is driven by one Gaussian pair zeta = (zeta_x, zeta_y)
 with a state-dependent 2x2 covariance Sigma.  Each realisation is the fixed
 trigonometric map lambda(tau) = U(tau) zeta (`noise_map`), exact at all times,
 so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^T.
-A draw is one row of the (n, 2) block `sample_zetas` returns.
+A draw is one row of the (n, 2) block `sample_zetas` returns: a Box-Muller
+normal pair, taken through the half-angle tangent so that one vectorised
+`tan` stands in for a `cos` and a `sin` (`_normal_pairs`), times the
+Cholesky factor of Sigma.
 """
 
 from __future__ import annotations
@@ -70,13 +73,50 @@ def zeta_cholesky(state: QubitState) -> np.ndarray:
     return np.array([[l11, 0.0], [l21, l22]])
 
 
+def _normal_pairs(u: np.ndarray) -> np.ndarray:
+    """Standard normal pairs (x, y) from uniforms u in [0, 1) of shape (n, 2), as rows (2, n).
+
+    Box-Muller with the angle 2 pi u_1 taken through its half-angle tangent
+    t = tan(pi u_1):
+
+        (x, y) = r (1 - t^2, 2 t) / (1 + t^2),  r = sqrt(-2 log1p(-u_0)),
+
+    which is r (cos 2 pi u_1, sin 2 pi u_1) to rounding.  numpy's float64 `tan` is
+    vectorised where its `cos` and `sin` are scalar calls, so one tangent
+    costs less than the pair.  pi u_1 never rounds to pi / 2, so
+    |t| <= 1.7e16 and t^2 stays finite.  Every step is elementwise and runs
+    in place on one contiguous copy of u, so row j of the result depends on
+    u[j] alone.
+    """
+    pairs = u.T.copy()
+    r, t = pairs
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)  # finite: u < 1
+    t *= math.pi
+    np.tan(t, out=t)
+    t_sq = t * t
+    denom = t_sq + 1.0
+    np.subtract(1.0, t_sq, out=t_sq)
+    t += t
+    t *= r
+    t /= denom
+    r *= t_sq
+    r /= denom
+    return pairs
+
+
 def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     """Draws (zeta_x, zeta_y) for indices = range(i0, i1), i0 >= 0; shape (i1 - i0, 2).
 
     Draw i uses the stream derived from (seed, i): outputs 2i and 2i+1 of
-    PCG64(seed), a Box-Muller normal pair times `zeta_cholesky(state)`.  A
-    block is one `advance` plus one vector draw, so any contiguous split of
-    the indices gives the same bits.
+    PCG64(seed), a Box-Muller normal pair (`_normal_pairs`) times
+    `zeta_cholesky(state)`.  A block is one `advance` plus one vector draw,
+    so any contiguous split of the indices gives the same bits.  A seed
+    gives the same bits on one machine; across CPUs they can differ in the
+    last bit, where numpy dispatches `log1p` and `tan` to different SIMD
+    kernels.
 
     The result is the `.T` view of a C-ordered (2, n) block, so `.T` of it is
     two contiguous component rows (zeta_x, zeta_y) that reduce without
@@ -85,12 +125,13 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     if not isinstance(indices, range) or indices.step != 1 or indices.start < 0:
         raise InvalidParameterError(f"indices must be range(i0, i1) with i0 >= 0, got {indices!r}")
     u = np.random.Generator(np.random.PCG64(seed).advance(2 * indices.start)).random((len(indices), 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # finite: u < 1
-    angle = 2.0 * math.pi * u[:, 1]
+    x, y = _normal_pairs(u)
     L = zeta_cholesky(state)
     # zeta_j = x L[j, 0] + y L[j, 1] elementwise, so a draw's bits do not
     # depend on the block it is drawn in
-    return ((radius * np.cos(angle)) * L[:, :1] + (radius * np.sin(angle)) * L[:, 1:]).T
+    zetas = x * L[:, :1]
+    zetas += y * L[:, 1:]
+    return zetas.T
 
 
 def noise_map(tau) -> np.ndarray:

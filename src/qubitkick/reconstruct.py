@@ -180,6 +180,13 @@ def _polar(u: float, v: float, cov: np.ndarray):
     return rho, rho_stderr, wrap_angle(math.atan2(v, u)), angle_stderr, False
 
 
+def _refuse_non_finite(name: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParameterError(f"the mean fit needs a finite {name}, "
+                                    f"got {values[bad[0]]} at index {bad[0]}")
+
+
 def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) -> MeanFit:
     """Least squares of one ensemble mean on `tau` onto the convention's two drive rows.
 
@@ -192,18 +199,22 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     REST_RTOL of its largest finite |mean_q|: rounding, as in the exact
     quantum mean, passes.
     That catches a `q_init` offset, not a `p_init` one, whose mean starts at 0.
+    A NaN or an inf in `tau`, or in `mean_q` past tau = 0, is refused with its
+    first index.
     """
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(mean_q, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or y.shape != tau.shape:
         raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and a mean_q of its "
                                     f"shape, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
-    # a non-finite mean_q at tau = 0 fails the <= and is refused
+    _refuse_non_finite("tau", tau)
+    # a non-finite mean_q at tau = 0 fails the <= and is refused as off rest
     rest_tol = REST_RTOL * np.max(np.abs(y[np.isfinite(y)]), initial=0.0)
     off_rest = y[(tau == 0.0) & ~(np.abs(y) <= rest_tol)]
     if off_rest.size:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {off_rest[0]} at tau = 0")
+    _refuse_non_finite("mean_q", y)
     X, condition = _drive_design(tau, dp, eom_sign)
     coeffs = np.linalg.lstsq(X, y, rcond=None)[0]
     return MeanFit(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qubitkick import noise
 from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.noise import (
     empirical_covariance_from_zetas,
@@ -187,17 +188,37 @@ class TestSampler:
     @pytest.mark.parametrize("indices", (range(0, 1), range(0, 5000), range(777, 9000), range(42, 42)),
                              ids=("one", "batch", "offset", "empty"))
     def test_draws_match_row_wise_reference(self, state, indices):
-        # the broadcast (n, 2) formula on row-ordered uniforms: the (2, n)
-        # block must keep every bit and hand out contiguous component rows
+        # the broadcast (n, 2) half-angle formula on row-ordered uniforms: the
+        # (2, n) block must keep every bit and hand out contiguous component rows
         u = np.random.Generator(np.random.PCG64(5).advance(2 * indices.start)).random((len(indices), 2))
         radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        angle = 2.0 * math.pi * u[:, 1]
+        t = np.tan(math.pi * u[:, 1])
+        x = radius * (1.0 - t * t) / (1.0 + t * t)
+        y = radius * (2.0 * t) / (1.0 + t * t)
         L = zeta_cholesky(state)
-        ref = (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
+        ref = x[:, None] * L[:, 0] + y[:, None] * L[:, 1]
         zetas = sample_zetas(state, 5, indices)
         assert zetas.shape == ref.shape == (len(indices), 2)
         assert zetas.tobytes() == ref.tobytes()
         assert zetas.T.flags.c_contiguous
+
+    def test_half_angle_pairs_match_the_textbook_map(self):
+        # r (cos 2 pi u1, sin 2 pi u1) is the reference; pi u1 never rounds to
+        # pi / 2, so the tangent stays finite even at the edge uniforms
+        edges = [0.0, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53]
+        u = np.random.Generator(np.random.PCG64(17)).random((1_000_000, 2))
+        u[: len(edges), 1] = edges
+        with np.errstate(all="raise"):
+            x, y = noise._normal_pairs(u)
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        angle = 2.0 * math.pi * u[:, 1]
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        assert np.max(np.abs(x - radius * np.cos(angle)) / radius) <= 1e-15
+        assert np.max(np.abs(y - radius * np.sin(angle)) / radius) <= 1e-15
+        # the edge angles 0, pi/2, pi-, pi, pi+, 3pi/2, 2pi-: same quadrant as cos and sin
+        assert np.array_equal(np.sign(x[: len(edges)]), np.sign(np.cos(angle[: len(edges)])))
+        assert np.array_equal(np.sign(y[: len(edges)]), np.sign(np.sin(angle[: len(edges)])))
 
     @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 5), range(5, 0, -1), [0, 1, 2],
                                          np.arange(3), (0, 1)])

@@ -241,6 +241,17 @@ class TestMonteCarloRoundtrip:
             with pytest.raises(InvalidParameterError, match="at rest"):
                 fit_mean(tau, np.concatenate(([start], mean_q[1:])), dp, "canonical")
 
+    @pytest.mark.parametrize("name", ["mean_q", "tau"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fit_mean_refuses_a_non_finite_input_past_tau_0(self, name, bad):
+        # a NaN mean_q at index 100 gave A_c = A_s = nan, and recover_state then
+        # eta_f_hat = nan with unphysical False; a NaN tau failed inside the SVD
+        tau = time_grid(DP.T, 0.02)
+        data = {"tau": tau, "mean_q": mean_closed_form(DP, TRUTH, tau)}
+        data[name][100] = bad
+        with pytest.raises(InvalidParameterError, match=f"finite {name}, got {bad} at index 100"):
+            fit_mean(data["tau"], data["mean_q"], DP)
+
     def test_stderr_shrinks_as_root_n(self):
         sizes = (1_000, 10_000, 100_000)
         errs = []
