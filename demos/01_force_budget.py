@@ -14,7 +14,7 @@ from qubitkick import PLATFORMS, derive_dimensionless, force_magnitudes
 for name, plat in PLATFORMS.items():
     pp = plat.params
     dp = derive_dimensionless(pp, T_si=1e-6)
-    budget = force_magnitudes(pp, platform=name)
+    budget = force_magnitudes(pp)
     print(f"== {name}")
     print(f"   zero-point spread q0     : {pp.q0:.3e} m")
     print(f"   reduced coupling g       : {dp.g:.3e}   frequency ratio r: {dp.r:.3e}")

@@ -242,16 +242,24 @@ def realize_config(raw: dict) -> RunSetup:
     `_CONFIG` defaults.
 
     Each value is parsed by `_number`, so an unknown key, a non-numeric
-    value or a non-integral value for an integer key is refused by name.
+    value or a non-integral value for an integer key is refused by name, as
+    is a frequency that is not finite and positive (`coupling_hz` may be 0).
     `raw` of the result holds the values as given, over the defaults.
     """
     given = {k: v for k, v in _CONFIG.items() if v is not None}
     given.update(raw)
     vals = {k: _number(k, v) for k, v in given.items()}
 
-    omega_o, omega_q = vals.get("omega_o_hz"), vals.get("omega_q_hz")
-    if not (omega_o and omega_q):
+    if "omega_o_hz" not in vals or "omega_q_hz" not in vals:
         raise InvalidParameterError("config must provide omega_o_hz and omega_q_hz")
+    # a zero coupling is the decoupled limit; a zero frequency gives no ratio
+    for key, sign in (("omega_o_hz", "positive"), ("omega_q_hz", "positive"),
+                      ("coupling_hz", "non-negative")):
+        x = vals.get(key, 0.0)
+        if not math.isfinite(x) or x < 0.0 or (x == 0.0 and sign == "positive"):
+            raise InvalidParameterError(
+                f"config key {key!r} must be a finite {sign} frequency, got {given[key]!r}")
+    omega_o, omega_q = vals["omega_o_hz"], vals["omega_q_hz"]
     if "g_override" in vals:
         g = vals["g_override"]
     elif "coupling_hz" in vals:

@@ -454,9 +454,10 @@ def run_ensemble(
     below that many), and each batch is reduced to its count, mean and centred
     2x2 scatter, on the two contiguous component rows `sample_zetas(...).T`: a
     pairwise-summed mean per row, then one 2x2 Gram of the centred rows.
-    Memory is O(grid) at any n_traj.  Draw i uses the stream derived from
-    (seed, i) (see `sample_zetas`), so a fixed seed gives the same bits
-    whatever the batch edges.
+    Memory is O(grid + n_traj / _N_BATCHES), since each batch's draws are
+    made at once.  Draw i uses the stream derived from (seed, i) (see
+    `sample_zetas`), so a fixed seed gives the same bits whatever the batch
+    edges.
     """
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")

@@ -37,7 +37,6 @@ class ForceBudget:
     f0: float
     xi_q0: float
     xi_p0: float
-    platform: str = ""
     degenerate: bool = False
 
 
@@ -82,7 +81,7 @@ def characteristic_force(pp: PhysicalParams) -> float:
     return HBAR * pp.Omega / (4.0 * math.sqrt(2.0) * pp.q0)
 
 
-def force_magnitudes(pp: PhysicalParams, platform: str = "") -> ForceBudget:
+def force_magnitudes(pp: PhysicalParams) -> ForceBudget:
     """Order-of-magnitude budget: f0 = f0_char |omega_q/omega_o - 1|, etc.
 
     f0 is reported as an absolute value; when the two frequencies coincide
@@ -96,7 +95,6 @@ def force_magnitudes(pp: PhysicalParams, platform: str = "") -> ForceBudget:
         f0=f0c * abs(ratio - 1.0),
         xi_q0=f0c,
         xi_p0=f0c * ratio,
-        platform=platform,
         degenerate=degenerate,
     )
 
@@ -124,7 +122,7 @@ def table_comparison() -> list[dict]:
     """Computed-vs-published rows for every platform and force magnitude."""
     rows = []
     for name, plat in PLATFORMS.items():
-        budget = force_magnitudes(plat.params, platform=name)
+        budget = force_magnitudes(plat.params)
         entries = [
             ("f0", budget.f0 if not budget.degenerate else None, plat.printed_f0),
             ("xi_q0", budget.xi_q0, plat.printed_xi_q0),

@@ -2,13 +2,15 @@
 
 The fluctuation exponent is a quadratic form in just two scalars (W_x, W_y),
 so the decoupling noise is driven by one Gaussian pair zeta = (zeta_x, zeta_y)
-with a state-dependent 2x2 covariance Sigma.  Each realisation is the fixed
+with a state-dependent 2x2 covariance Sigma.  The law is stated once, in its
+own frame, by the exact square root `zeta_factor` = R(phi) diag(|1 - 2p|, 1):
+variance (1 - 2p)^2 along (cos phi, sin phi), 1 across it, and
+Sigma = L L^T (`quad_coeffs`).  Each realisation is the fixed
 trigonometric map lambda(tau) = U(tau) zeta (`noise_map`), exact at all times,
 so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^T.
 A draw is one row of the (n, 2) block `sample_zetas` returns: a Box-Muller
 normal pair, taken through the half-angle tangent so that one vectorised
-`tan` stands in for a `cos` and a `sin` (`_normal_pairs`), times the
-Cholesky factor of Sigma.
+`tan` stands in for a `cos` and a `sin` (`_normal_pairs`), mixed by that factor.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 
 from .core import InvalidParameterError, QubitState
 
-# covariance entries below this are treated as exactly degenerate
-DEGENERACY_EPS = 1e-14
 # eigenvalue tolerance of `kernel_rank_check`, relative to the largest
 PSD_TOL = 1e-10
 
@@ -38,39 +38,31 @@ class QuadFormCoeffs:
 
     @property
     def det(self) -> float:
+        """a b - c^2 = (1 - 2p)^2, the product of the two variances in the law's frame."""
         return self.a * self.b - self.c * self.c
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.c], [self.c, self.b]])
 
 
-def quad_coeffs(state: QubitState) -> QuadFormCoeffs:
-    """State-dependent quadratic-form coefficients; det = 1 - 4p(1-p) exactly."""
-    p, phi = state.p, state.phi
-    k = 2.0 * p * (1.0 - p)
-    return QuadFormCoeffs(
-        a=1.0 - k * (1.0 + math.cos(2.0 * phi)),
-        b=1.0 - k * (1.0 - math.cos(2.0 * phi)),
-        c=-k * math.sin(2.0 * phi),
-    )
+def zeta_factor(state: QubitState) -> np.ndarray:
+    """Exact square root L = R(phi) diag(|1 - 2p|, 1) of the draws' covariance.
 
-
-def zeta_cholesky(state: QubitState) -> np.ndarray:
-    """Lower-triangular factor L with L L^T = [[a, c], [c, b]].
-
-    Degenerate-safe: at the equator the covariance is rank one and the
-    under-root residual is clipped to zero below 1e-14.
+    R(phi) is the rotation by phi, so this is the noise law in its own frame:
+    variance (1 - 2p)^2 = <sigma_z>^2 along the phase direction
+    (cos phi, sin phi), and 1 across it.  At the equator (p = 1/2) column 0
+    is exactly zero, so the draws live on one line.
     """
-    coeffs = quad_coeffs(state)
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    if a <= DEGENERACY_EPS:
-        # PSD forces c = 0 here; the noise lives on the zeta_y axis
-        return np.array([[0.0, 0.0], [0.0, math.sqrt(max(b, 0.0))]])
-    l11 = math.sqrt(a)
-    l21 = c / l11
-    resid = b - l21 * l21
-    l22 = math.sqrt(resid) if resid > DEGENERACY_EPS else 0.0
-    return np.array([[l11, 0.0], [l21, l22]])
+    s = abs(1.0 - 2.0 * state.p)
+    cos_phi, sin_phi = math.cos(state.phi), math.sin(state.phi)
+    return np.array([[s * cos_phi, -sin_phi], [s * sin_phi, cos_phi]])
+
+
+def quad_coeffs(state: QubitState) -> QuadFormCoeffs:
+    """The covariance Sigma = L L^T of the draws, L = `zeta_factor(state)`; det = (1 - 2p)^2."""
+    L = zeta_factor(state)
+    (a, c), (_, b) = L @ L.T
+    return QuadFormCoeffs(a=float(a), b=float(b), c=float(c))
 
 
 def _normal_pairs(u: np.ndarray) -> np.ndarray:
@@ -111,8 +103,8 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     """Draws (zeta_x, zeta_y) for indices = range(i0, i1), i0 >= 0; shape (i1 - i0, 2).
 
     Draw i uses the stream derived from (seed, i): outputs 2i and 2i+1 of
-    PCG64(seed), a Box-Muller normal pair (`_normal_pairs`) times
-    `zeta_cholesky(state)`.  A block is one `advance` plus one vector draw,
+    PCG64(seed), a Box-Muller normal pair (`_normal_pairs`) mixed by
+    `zeta_factor(state)`.  A block is one `advance` plus one vector draw,
     so any contiguous split of the indices gives the same bits.  A seed
     gives the same bits on one machine; across CPUs they can differ in the
     last bit, where numpy dispatches `log1p` and `tan` to different SIMD
@@ -126,7 +118,7 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
         raise InvalidParameterError(f"indices must be range(i0, i1) with i0 >= 0, got {indices!r}")
     u = np.random.Generator(np.random.PCG64(seed).advance(2 * indices.start)).random((len(indices), 2))
     x, y = _normal_pairs(u)
-    L = zeta_cholesky(state)
+    L = zeta_factor(state)
     # zeta_j = x L[j, 0] + y L[j, 1] elementwise, so a draw's bits do not
     # depend on the block it is drawn in
     zetas = x * L[:, :1]

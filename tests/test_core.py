@@ -201,6 +201,26 @@ class TestConfigFile:
         with pytest.raises(InvalidParameterError, match=f"config key '{key}'.*'{value}'"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("key, value", (("omega_o_hz", "0"), ("omega_q_hz", "0.0"),
+                                            ("omega_o_hz", "-0.5"), ("omega_q_hz", "-1"),
+                                            ("omega_o_hz", "inf"), ("omega_q_hz", "nan"),
+                                            ("coupling_hz", "-0.1"), ("coupling_hz", "inf")))
+    def test_bad_frequency_refused_by_key(self, key, value):
+        # a zero frequency was refused as missing; a negative pair or coupling reached the ratios
+        with pytest.raises(InvalidParameterError, match=f"config key '{key}'.*'{value}'"):
+            realize_config({**self.BASE, "coupling_hz": "0.1", key: value})
+
+    def test_negative_frequency_pair_refused(self):
+        # both signs flipped gave r = 0.5 and, with a negative coupling, g = 0.0354
+        with pytest.raises(InvalidParameterError, match="'omega_o_hz'.*'-0.5'"):
+            realize_config({"omega_o_hz": "-0.5", "omega_q_hz": "-1", "g_override": "0.05"})
+        with pytest.raises(InvalidParameterError, match="'omega_o_hz'.*'-0.5'"):
+            realize_config({"omega_o_hz": "-0.5", "omega_q_hz": "-1", "coupling_hz": "-0.1"})
+
+    def test_zero_coupling_is_the_decoupled_limit(self):
+        setup = realize_config({"omega_o_hz": "0.5", "omega_q_hz": "1.0", "coupling_hz": "0"})
+        assert setup.dimensionless.g == 0.0
+
     def test_integer_keys_take_exponent_form(self):
         setup = realize_config({**self.BASE, "n_traj": "1e4", "seed": "7", "n_fock": "4e1"})
         assert setup.sim.n_traj == 10000 and type(setup.sim.n_traj) is int

@@ -56,7 +56,7 @@ class TestForceMagnitudes:
             assert row["rel_error"] <= 0.05, row
 
     def test_piezo_deterministic_scale_degenerate(self):
-        budget = force_magnitudes(PLATFORMS["piezo"].params, platform="piezo")
+        budget = force_magnitudes(PLATFORMS["piezo"].params)
         assert budget.degenerate
         assert budget.f0 == pytest.approx(0.0, abs=1e-30)
 

@@ -14,7 +14,7 @@ from qubitkick.noise import (
     noise_map,
     quad_coeffs,
     sample_zetas,
-    zeta_cholesky,
+    zeta_factor,
 )
 
 
@@ -23,9 +23,17 @@ def random_states(seed, n):
     return [QubitState(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi))) for _ in range(n)]
 
 
+def literal_sigma(state):
+    """The draws' covariance from the hand-written quadratic-form coefficients
+    a = 1 - k(1 + cos 2phi), b = 1 - k(1 - cos 2phi), c = -k sin 2phi, k = 2p(1 - p)."""
+    k = 2.0 * state.p * (1.0 - state.p)
+    cos2, sin2 = math.cos(2.0 * state.phi), math.sin(2.0 * state.phi)
+    return np.array([[1.0 - k * (1.0 + cos2), -k * sin2], [-k * sin2, 1.0 - k * (1.0 - cos2)]])
+
+
 def literal_kernel_oracle(tau, tau_p, state):
     """Independent route: assemble the kernel from the three component
-    matrices contracted with the quadratic-form coefficients, then
+    matrices contracted with the literal quadratic-form coefficients, then
     symmetrise (only the symmetric part enters the quadratic form)."""
     def assemble(t, tp):
         ct, st_ = math.cos(t), math.sin(t)
@@ -34,8 +42,8 @@ def literal_kernel_oracle(tau, tau_p, state):
         m_yy = np.array([[st_ * sp, st_ * cp], [ct * sp, ct * cp]])
         m_xy = np.array([[-ct * sp, -0.5 * math.cos(t + tp)],
                          [-0.5 * math.cos(t + tp), st_ * cp]])
-        c = quad_coeffs(state)
-        return c.a * m_xx + c.b * m_yy + 2.0 * c.c * m_xy
+        (a, c), (_, b) = literal_sigma(state)
+        return a * m_xx + b * m_yy + 2.0 * c * m_xy
 
     return 0.5 * (assemble(tau, tau_p) + assemble(tau_p, tau).T)
 
@@ -145,21 +153,29 @@ class TestNoiseMap:
         assert noise_map(np.zeros((4, 3))).shape == (4, 3, 2, 2)
 
 
-class TestCholesky:
+class TestZetaFactor:
     def test_reproduces_covariance(self):
-        for s in random_states(8, 100):
-            L = zeta_cholesky(s)
-            assert np.allclose(L @ L.T, quad_coeffs(s).matrix(), atol=1e-12)
+        # at p = 1/2 with phi near 0 or pi the off-diagonal -sin(2 phi) / 2 is tiny but not zero
+        near_equator = [QubitState(0.5, 1e-8), QubitState(0.5, math.pi - 1e-8)]
+        for s in random_states(8, 100) + near_equator:
+            L = zeta_factor(s)
+            assert np.max(np.abs(L @ L.T - literal_sigma(s))) <= 1e-15
+            assert np.max(np.abs(quad_coeffs(s).matrix() - literal_sigma(s))) <= 1e-15
 
     def test_degenerate_equator(self):
-        L = zeta_cholesky(QubitState(0.5, 0.0))
+        L = zeta_factor(QubitState(0.5, 0.0))
         assert L[0, 0] == 0.0
         assert np.allclose(L @ L.T, np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_rank_one_at_any_equator_phase(self):
         for phi in (0.0, 0.3, math.pi / 4, 2.0):
-            L = zeta_cholesky(QubitState(0.5, phi))
+            L = zeta_factor(QubitState(0.5, phi))
             assert np.linalg.matrix_rank(L, tol=1e-10) == 1
+
+    def test_equator_column_exactly_zero(self):
+        # variance (1 - 2p)^2 along the phase direction: none at all at p = 1/2
+        for phi in (0.0, 1e-8, 0.3, math.pi / 4, 2.0, math.pi - 1e-8):
+            assert np.all(zeta_factor(QubitState(0.5, phi))[:, 0] == 0.0)
 
 
 class TestSampler:
@@ -195,7 +211,7 @@ class TestSampler:
         t = np.tan(math.pi * u[:, 1])
         x = radius * (1.0 - t * t) / (1.0 + t * t)
         y = radius * (2.0 * t) / (1.0 + t * t)
-        L = zeta_cholesky(state)
+        L = zeta_factor(state)
         ref = x[:, None] * L[:, 0] + y[:, None] * L[:, 1]
         zetas = sample_zetas(state, 5, indices)
         assert zetas.shape == ref.shape == (len(indices), 2)
@@ -321,11 +337,11 @@ class TestKernelRankCheck:
 
 
 def test_sampled_noise_matches_cholesky_transform():
-    # the Cholesky factor of each state maps the same unit-normal draws
+    # the factor of each state maps the same unit-normal draws
     seed, idx = 123, range(7, 40)
     normals = sample_zetas(QubitState(0.0, 0.0), seed, idx)  # L = identity at the pole
     for state in (QubitState(0.4, 0.8), QubitState(0.5, 1.0), QubitState(1.0, 0.0)):
-        expected = normals @ zeta_cholesky(state).T
+        expected = normals @ zeta_factor(state).T
         assert sample_zetas(state, seed, idx) == pytest.approx(expected, abs=1e-15)
 
 
