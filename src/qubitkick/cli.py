@@ -183,7 +183,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_simulate(args) -> int:
     setup = _load_setup(args)
-    zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(1))
+    zetas = dynamics.sample_zetas(setup.state, setup.sim.seed, range(1))
     tau, Q, P = dynamics.solve_trajectory(setup.dimensionless, setup.state, zetas, setup.sim,
                                           eom_sign=args.eom_sign, solver=args.solver)
     _emit_table(args, "simulate", setup.raw, ["tau", "q", "p"], [tau, Q[0], P[0]])

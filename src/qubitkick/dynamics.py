@@ -27,8 +27,10 @@ grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step budget and
 finite check.  `run_ensemble` passes it three basis draws in closed form,
 so an ensemble is three exact basis rows and the moments of its draws, kept
 as an `EnsembleStats` record whose mean, (co)variances and `psd(segment)`
-are contractions of the two.  The reconstruction fits have no free-motion
-column: they need a start at rest.
+are contractions of the two.  Those moments are sufficient, so the draws are
+never made: `noise.sample_moments` draws each batch's mean and scatter from
+their exact law, and an ensemble of any size costs O(grid + batches).  The
+reconstruction fits have no free-motion column: they need a start at rest.
 
 Conventions (`eom_sign`):
 
@@ -62,7 +64,8 @@ import numpy as np
 
 from . import spectral as _signal  # kept under this name: bench/tracing.py wraps _signal.welch
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from .noise import sample_zetas
+# `simulate` draws through this module's `sample_zetas`, which bench/tracing.py counts
+from .noise import sample_moments, sample_zetas
 
 EOM_CONVENTIONS = ("eq37", "eq35", "canonical")
 DEFAULT_EOM = "eq37"
@@ -72,7 +75,7 @@ RESONANCE_EPS = 1e-6
 
 # points of the coarse sub-grid that keeps the two-time covariance
 _COARSE_POINTS = 16
-# index batches of every ensemble; their spread gives the reconstruction's error bars
+# batches of every ensemble; their spread gives the reconstruction's error bars
 _N_BATCHES = 20
 # elements (rows x steps) per block of the RK4 affine scan; bounds its scratch memory
 _RK4_BLOCK_ELEMENTS = 1 << 12
@@ -87,8 +90,11 @@ class EnsembleStats:
     """An ensemble as its basis rows and the moments of its draws.
 
     Draw i's trajectory is q_i = Q[0] + zeta_x_i Q[1] + zeta_y_i Q[2],
-    likewise p with P.  Each fixed index batch keeps the count, mean and
-    centred 2x2 scatter of its draws.  Every statistic is a contraction of the two: the
+    likewise p with P.  Each batch keeps the count, mean and centred 2x2
+    scatter of its draws; `run_ensemble` samples these from their exact law
+    (`noise.sample_moments`) without making the draws, and a record that
+    holds the moments of explicit draws obeys the same contractions.
+    Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
     with b = Q[1:].  The pooled two-time covariance is on a coarse sub-grid
     for the `ensemble` summary; no fit reads it, since the fits map the
@@ -449,15 +455,15 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
-    One closed-form solve of the three basis draws gives the rows Q and P;
-    the draws are split into `_N_BATCHES` fixed index batches (one draw each
-    below that many), and each batch is reduced to its count, mean and centred
-    2x2 scatter, on the two contiguous component rows `sample_zetas(...).T`: a
-    pairwise-summed mean per row, then one 2x2 Gram of the centred rows.
-    Memory is O(grid + n_traj / _N_BATCHES), since each batch's draws are
-    made at once.  Draw i uses the stream derived from (seed, i) (see
-    `sample_zetas`), so a fixed seed gives the same bits whatever the batch
-    edges.
+    One closed-form solve of the three basis draws gives the rows Q and P.
+    The n_traj draws are split into `_N_BATCHES` batches of near-equal size
+    (one draw each below that many), and `sample_moments` draws each batch's
+    mean and centred 2x2 scatter from their exact joint law.  The draws
+    themselves are never made, so cost and memory are O(grid + batches) at
+    any n_traj, and `simulate`'s single draw is no member of any ensemble.
+    The seed and the batch edges fix the bits, so a fixed seed gives the same
+    record on every run and at any CLI `--threads`; the edges are part of
+    the law, not a memory chunking.
     """
     if config.n_traj < 2:
         raise InvalidParameterError("ensemble needs n_traj >= 2")
@@ -470,13 +476,7 @@ def run_ensemble(
     P[1:] -= P[0]
 
     counts = np.diff(edges)
-    means = np.empty((counts.size, 2))
-    scatters = np.empty((counts.size, 2, 2))
-    for k, (i0, i1) in enumerate(zip(edges[:-1], edges[1:])):
-        rows = sample_zetas(state, config.seed, range(int(i0), int(i1))).T
-        means[k] = rows.mean(axis=1)
-        dev = rows - means[k][:, None]
-        scatters[k] = dev @ dev.T
+    means, scatters = sample_moments(state, config.seed, counts)
     return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
                          batch_scatters=scatters, dt=config.dt, seed=config.seed,
                          eom_sign=eom_sign, dp=dp)

@@ -11,6 +11,10 @@ so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^
 A draw is one row of the (n, 2) block `sample_zetas` returns: a Box-Muller
 normal pair, taken through the half-angle tangent so that one vectorised
 `tan` stands in for a `cos` and a `sin` (`_normal_pairs`), mixed by that factor.
+An ensemble needs only the mean and the scatter of each batch of draws, and
+`sample_moments` draws those from their exact joint law (a Gaussian mean and
+a Bartlett-factored Wishart scatter through the same factor) on its own
+stream, without making the draws.
 """
 
 from __future__ import annotations
@@ -124,6 +128,40 @@ def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     zetas = x * L[:, :1]
     zetas += y * L[:, 1:]
     return zetas.T
+
+
+def sample_moments(state: QubitState, seed: int, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Each batch's mean (B, 2) and centred 2x2 scatter (B, 2, 2) of counts[b] >= 1 draws,
+    drawn from their exact joint law at O(B) cost and memory, whatever the counts.
+
+    For n draws with covariance L L^T, L = `zeta_factor(state)`, the mean is
+    L z / sqrt(n) with z ~ N(0, I), and the scatter, independent of it, is
+    L A A^T L^T with A the lower-triangular Bartlett factor of a
+    Wishart(n - 1, I): A_00^2 ~ chi2(n - 1), A_11^2 ~ chi2(n - 2) and
+    A_10 ~ N(0, 1) (Bartlett 1933; Odell & Feiveson, JASA 61, 199, 1966).
+    chi2(0) is exactly 0, so a batch of two draws has a rank-one scatter, and
+    a batch of one has A = 0 and scatter exactly 0.  At p = 1/2 column 0 of L
+    is exactly zero, so each scatter is L[:, 1] L[:, 1]^T (A_10^2 + A_11^2):
+    rank one by construction.
+
+    One generator per call, PCG64(SeedSequence(seed, spawn_key=(1,))),
+    independent of the PCG64(seed) stream of `sample_zetas`.  It draws z for
+    every batch, then A_10, then A_00^2 and A_11^2 as 2 Gamma(dof / 2), each
+    vectorised over the batches in index order.  So the seed and the counts
+    fix the bits, and the batch edges are part of the law.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 1):
+        raise InvalidParameterError(f"counts must be a 1-D array of integers >= 1, got {counts!r}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    z = rng.standard_normal((counts.size, 2))
+    A = np.zeros((counts.size, 2, 2))
+    A[:, 1, 0] = np.where(counts > 1, rng.standard_normal(counts.size), 0.0)
+    A[:, 0, 0] = np.sqrt(2.0 * rng.standard_gamma((counts - 1) / 2.0))
+    A[:, 1, 1] = np.sqrt(2.0 * rng.standard_gamma(np.maximum(counts - 2, 0) / 2.0))
+    L = zeta_factor(state)
+    LA = L @ A
+    return (z / np.sqrt(counts)[:, None]) @ L.T, LA @ LA.swapaxes(1, 2)
 
 
 def noise_map(tau) -> np.ndarray:

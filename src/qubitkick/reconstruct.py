@@ -92,7 +92,10 @@ class MeanFit:
 class ReconstructionResult:
     """Recovered state parameters with first-order error propagation.
 
-    `p_branches` is the unordered pair {p, 1-p}; `phase_indeterminate` is set,
+    `p_branches` is the unordered pair {p, 1-p}, read from eta_f = sqrt(p(1-p)),
+    so it holds for a pure state only: a mixed state's eta_f is smaller, and the
+    dephased diag(0.7, 0.3), whose mean and noise are those of the pole, reads
+    as about {0, 1}.  `phase_indeterminate` is set,
     and `phi_hat` and `phi_stderr` are NaN, where eta_f is 0 or under
     PHASE_MIN_SNR of its stderr, as near the poles; `unphysical`
     flags eta_f estimates significantly above the 1/2 ceiling, or above the

@@ -63,7 +63,8 @@ def test_every_probe_names_a_library_attribute(tracing):
     assert callable(dynamics._signal.welch)
 
 
-def test_sampler_counter_accepts_run_ensemble_calls(tracing, monkeypatch):
+def test_sampler_counter_accepts_simulate_calls(tracing, monkeypatch, tmp_path):
+    # `simulate` draws through the dynamics global that the noise.sample_zetas probe wraps
     calls = []
     sampler = dynamics.sample_zetas
 
@@ -73,11 +74,9 @@ def test_sampler_counter_accepts_run_ensemble_calls(tracing, monkeypatch):
         return result
 
     monkeypatch.setattr(dynamics, "sample_zetas", recording_sampler)
-    monkeypatch.setattr(dynamics, "_N_BATCHES", 4)
-    config = SimConfig(dt=0.1, n_traj=50)
-    dynamics.run_ensemble(DimensionlessParams(g=0.05, r=0.5, T=5.0), QubitState(0.3, 1.0), config)
-    assert len(calls) == 4
-    assert sum(c["draws"] for c in calls) == config.n_traj
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert len(calls) == 1
+    assert sum(c["draws"] for c in calls) == 1
 
 
 def test_psd_reaches_welch_through_the_module_global(tracing, monkeypatch):

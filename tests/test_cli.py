@@ -267,26 +267,27 @@ class TestSimulate:
         res = run_cli("simulate", "--config", config_file, "--solver", "rk4", "--out", str(out))
         assert res.returncode == 0
 
-    def test_draw_is_ensemble_member_0(self, tmp_path, monkeypatch):
+    def test_draws_once_through_the_dynamics_sampler(self, tmp_path, monkeypatch):
+        # one draw, index 0 of the seed's stream, taken through dynamics.sample_zetas,
+        # and the rows are that draw's trajectory to the bit
         cfg = tmp_path / "off-equator.cfg"
         cfg.write_text(CONFIG.replace("p = 0.5", "p = 0.3"))
         drawn = []
 
         def recording_sampler(state, seed, indices):
             zetas = noise.sample_zetas(state, seed, indices)
-            drawn.append((indices, zetas))
+            drawn.append((seed, indices, zetas))
             return zetas
 
         monkeypatch.setattr(dynamics, "sample_zetas", recording_sampler)
-        assert cli.main(["ensemble", "--config", str(cfg), "--seed", "31",
-                         "--out", str(tmp_path / "ens.csv")]) == 0
-        indices, zetas = drawn[0]
-        assert indices.start == 0
         out = tmp_path / "traj.csv"
-        assert run_cli("simulate", "--config", str(cfg), "--seed", "31", "--out", str(out)).returncode == 0
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "31", "--out", str(out)]) == 0
+        assert len(drawn) == 1
+        seed, indices, zetas = drawn[0]
+        assert seed == 31 and indices == range(0, 1)
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         setup = core.load_config(str(cfg))
-        _, Q, P = dynamics.solve_trajectory(setup.dimensionless, setup.state, zetas[:1], setup.sim)
+        _, Q, P = dynamics.solve_trajectory(setup.dimensionless, setup.state, zetas, setup.sim)
         assert np.array_equal(rows[:, 1], Q[0]) and np.array_equal(rows[:, 2], P[0])
 
     def test_eom_sign_flag_changes_output(self, config_file, tmp_path):

@@ -23,6 +23,8 @@ from qubitkick.dynamics import (
 )
 from qubitkick.noise import quad_coeffs, sample_zetas
 
+from per_draw import per_draw_moments
+
 DP = DimensionlessParams(g=0.05, r=0.5, T=30.0)
 EQUATOR = QubitState(0.5, 0.0)
 ZERO_DRAW = np.zeros((1, 2))
@@ -241,13 +243,16 @@ class TestEnsemble:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("state", (QubitState(0.3, 1.0), EQUATOR), ids=("p=0.3", "p=0.5"))
     def test_matches_brute_force_ensemble(self, state, conv, solver, monkeypatch):
-        # every statistic against explicit trajectories and two-pass estimators; an ensemble
-        # is solved in closed form, and under rk4 its record takes the rk4 basis rows, which
-        # holds because an RK4 step is affine in the draws as well
+        # every statistic against explicit trajectories and two-pass estimators; the record
+        # takes the moments of the explicit draws, batch by batch; an ensemble is solved in
+        # closed form, and under rk4 its record takes the rk4 basis rows, which holds
+        # because an RK4 step is affine in the draws as well
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
         cfg = SimConfig(dt=0.02, n_traj=300, seed=11, q_init=0.2, p_init=-0.1)
         monkeypatch.setattr(dynamics, "_N_BATCHES", 7)  # batches of 42 and 43 draws
         stats = run_ensemble(dp, state, cfg, eom_sign=conv)
+        means, scatters = per_draw_moments(state, cfg.seed, stats.batch_counts)
+        stats = dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
         zetas = sample_zetas(state, cfg.seed, range(cfg.n_traj))
         z0 = complex(cfg.q_init, cfg.p_init)
         if solver == "closed_form":
@@ -285,27 +290,27 @@ class TestEnsemble:
         s = QubitState(0.3, 1.0)
         cfg = SimConfig(dt=0.02, n_traj=4000, seed=3, q_init=1e3)
         stats = run_ensemble(dp, s, cfg)
+        means, scatters = per_draw_moments(s, cfg.seed, stats.batch_counts)
+        stats = dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
         zetas = sample_zetas(s, cfg.seed, range(cfg.n_traj))
         Q = _closed_form_batch(dp, s, zetas, complex(cfg.q_init), stats.tau, "eq37").real
         ref = np.var(Q, axis=0, ddof=1)[1:]
         assert np.max(np.abs(stats.var_q[1:] - ref)) <= 1e-9 * np.max(ref)
 
-    def test_batch_moments_match_exact_sums(self, monkeypatch):
-        # a batch's mean and scatter against exactly rounded sums (math.fsum)
-        # of the same draws; a sequential sum over 5000 draws misses by ~1e-16
-        dp = DimensionlessParams(g=0.05, r=0.5, T=1.0)
+    def test_batch_moments_match_exact_sums(self):
+        # the per-draw reference's batch mean and scatter against exactly rounded sums
+        # (math.fsum) of the same draws; a sequential sum over 5000 draws misses by ~1e-16
         state = QubitState(0.3, 1.0)
-        monkeypatch.setattr(dynamics, "_N_BATCHES", 1)
+        n_traj = 5000
         mean_err = 0.0
         for seed in range(40):
-            cfg = SimConfig(dt=0.02, n_traj=5000, seed=seed)
-            stats = run_ensemble(dp, state, cfg)
-            zetas = sample_zetas(state, seed, range(cfg.n_traj))
-            mu = np.array([math.fsum(col) / cfg.n_traj for col in zetas.T])
+            means, scatters = per_draw_moments(state, seed, [n_traj])
+            zetas = sample_zetas(state, seed, range(n_traj))
+            mu = np.array([math.fsum(col) / n_traj for col in zetas.T])
             dev = zetas - mu
             scatter = np.array([[math.fsum(dev[:, j] * dev[:, k]) for k in range(2)] for j in range(2)])
-            mean_err = max(mean_err, np.max(np.abs(stats.batch_means[0] - mu)))
-            assert np.max(np.abs(stats.batch_scatters[0] - scatter)) <= 1e-15 * np.max(np.abs(scatter))
+            mean_err = max(mean_err, np.max(np.abs(means[0] - mu)))
+            assert np.max(np.abs(scatters[0] - scatter)) <= 1e-15 * np.max(np.abs(scatter))
         assert mean_err <= 2e-17
 
     def test_closed_form_ignores_rk4_step_budget(self):
@@ -351,13 +356,30 @@ class TestEnsemble:
         assert np.allclose(a.cov_qq, b.cov_qq, atol=1e-12)
 
     def test_rk4_solver_route(self):
-        # the mean of the ensemble's own draws solved by rk4 agrees with its closed-form mean
+        # the mean of explicit draws solved by rk4 agrees with the closed-form mean of a
+        # record that takes those draws' moments
         dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
         cfg = SimConfig(dt=0.02, n_traj=64, seed=16)
         zetas = sample_zetas(EQUATOR, cfg.seed, range(cfg.n_traj))
         _, rk, _ = solve_trajectory(dp, EQUATOR, zetas, cfg, solver="rk4")
         stats = run_ensemble(dp, EQUATOR, cfg)
+        means, scatters = per_draw_moments(EQUATOR, cfg.seed, stats.batch_counts)
+        stats = dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
         assert np.max(np.abs(rk.mean(axis=0) - stats.mean_q)) <= 1e-8
+
+    def test_memory_independent_of_the_draw_count(self):
+        # each batch's moments are drawn, never its draws: 10^8 draws peak as 10^3 do
+        dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
+        peaks = []
+        for n_traj in (1000, 1000, 10**8):  # the first call warms up
+            tracemalloc.start()
+            try:
+                run_ensemble(dp, QubitState(0.3, 1.0), SimConfig(dt=0.02, n_traj=n_traj, seed=4))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[2] <= 1.1 * peaks[1]
 
     def test_needs_two_trajectories(self):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from qubitkick.noise import (
     kernel_rank_check,
     noise_map,
     quad_coeffs,
+    sample_moments,
     sample_zetas,
     zeta_factor,
 )
+
+from per_draw import per_draw_moments
 
 
 def random_states(seed, n):
@@ -258,6 +262,85 @@ class TestSampler:
         grid = np.linspace(0, 4 * math.pi, 9)
         emp = empirical_covariance_from_zetas(zetas, grid)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 0.02
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap of the two empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, x, side="right") / a.size
+                         - np.searchsorted(b, x, side="right") / b.size))
+
+
+# per-statistic false-alarm rate of the law test, fixed before its first run; its threshold
+# is the asymptotic Kolmogorov bound 2 exp(-2 c^2) = KS_ALPHA (conservative under ties)
+KS_ALPHA = 1e-4
+KS_C = math.sqrt(-math.log(KS_ALPHA / 2.0) / 2.0)
+
+
+class TestSampleMoments:
+    LAW_SEEDS = range(200)
+    LAW_BATCHES = 10  # batches per seed: 2000 samples a side
+
+    @pytest.mark.parametrize("count", (1, 2, 500))
+    @pytest.mark.parametrize("p", (0.3, 0.02, 0.5))
+    def test_law_matches_the_per_draw_reduction(self, p, count):
+        # each component of the mean and the scatter, sampled against reduced from explicit
+        # draws, by a two-sample KS test over 200 seeds; 45 statistics at KS_ALPHA each give
+        # a false-alarm rate of at most 0.45% for the whole family (Bonferroni)
+        state = QubitState(p, 1.0)
+        counts = [count] * self.LAW_BATCHES
+        sampled = [sample_moments(state, seed, counts) for seed in self.LAW_SEEDS]
+        reduced = [per_draw_moments(state, seed, counts) for seed in self.LAW_SEEDS]
+
+        def components(moments):
+            means = np.concatenate([m for m, _ in moments])
+            scatters = np.concatenate([s for _, s in moments])
+            return [means[:, 0], means[:, 1], scatters[:, 0, 0], scatters[:, 0, 1], scatters[:, 1, 1]]
+
+        n = len(self.LAW_SEEDS) * self.LAW_BATCHES
+        threshold = KS_C * math.sqrt(2.0 / n)
+        for name, a, b in zip(("mean_x", "mean_y", "scatter_xx", "scatter_xy", "scatter_yy"),
+                              components(sampled), components(reduced)):
+            assert ks_distance(a, b) <= threshold, name
+
+    def test_one_stream_per_seed_independent_of_the_draws(self):
+        state = QubitState(0.3, 1.0)
+        counts = np.array([7, 500, 3])
+        a, b = sample_moments(state, 99, counts), sample_moments(state, 99, counts)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        assert not np.allclose(sample_moments(state, 100, counts)[0], a[0])
+        assert not np.allclose(sample_moments(state, 99, counts)[0], per_draw_moments(state, 99, counts)[0])
+
+    @pytest.mark.parametrize("phi", (0.0, 1.0, 2.5))
+    def test_exact_structure(self, phi):
+        counts = np.array([1, 2, 3, 500, 1, 10**8])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            equator = sample_moments(QubitState(0.5, phi), 8, counts)
+            off = sample_moments(QubitState(0.3, phi), 8, counts)
+        # at p = 1/2 the draws live on the line of L[:, 1]: so do the means, and each
+        # scatter is tr(scatter) L[:, 1] L[:, 1]^T, L[:, 1] a unit vector
+        line = zeta_factor(QubitState(0.5, phi))[:, 1]
+        means, scatters = equator
+        assert np.all(np.abs(means @ np.array([line[1], -line[0]]))
+                      <= 1e-15 * np.linalg.norm(means, axis=1))
+        trace = np.trace(scatters, axis1=1, axis2=2)
+        assert np.all(np.abs(scatters - trace[:, None, None] * np.outer(line, line))
+                      <= 1e-15 * trace[:, None, None])
+        for means, scatters in (equator, off):
+            assert np.all(np.isfinite(means))
+            assert np.array_equal(scatters, scatters.swapaxes(1, 2))
+            assert np.all(scatters[counts == 1] == 0.0)  # one draw has no scatter
+            assert np.all(np.trace(scatters[counts > 1], axis1=1, axis2=2) > 0.0)
+        # two draws span one direction: a rank-one scatter
+        scatter = off[1][1]
+        assert abs(np.linalg.det(scatter)) <= 1e-15 * np.trace(scatter) ** 2
+
+    @pytest.mark.parametrize("counts", ([0], [5, -1], [2.5], [[3, 4]], 3, [True, True]))
+    def test_counts_below_one_or_not_integer_refused(self, counts):
+        with pytest.raises(InvalidParameterError):
+            sample_moments(QubitState(0.3, 1.0), 1, counts)
 
 
 class TestEmpiricalCovariance:

@@ -28,6 +28,8 @@ from qubitkick.reconstruct import (
     reconstruct_from_stats,
 )
 
+from per_draw import per_draw_moments
+
 DP = DimensionlessParams(g=0.05, r=0.5, T=40.0)
 TRUTH = QubitState(0.3, 1.0)
 
@@ -301,21 +303,28 @@ class TestNonstationaryEstimator:
     def test_few_batches_give_nan_stderrs(self, n_batches, monkeypatch):
         # below four batches there is no spread to take the error bars from, and
         # a batch of one draw has no scatter (its covariance read 0, so every
-        # stderr read 0.0); the point estimates come from the pooled covariance alone
+        # stderr read 0.0); the point estimates come from the pooled covariance
+        # alone, so the same explicit draws give them at any batching
         cfg = SimConfig(dt=0.02, n_traj=10_000, seed=41)
         dp = DimensionlessParams(g=0.05, r=0.5, T=20.0)
-        ref = estimate_nonstationary(run_ensemble(dp, TRUTH, cfg))
+
+        def with_draws(stats):
+            means, scatters = per_draw_moments(TRUTH, cfg.seed, stats.batch_counts)
+            return dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
+
+        ref = estimate_nonstationary(with_draws(run_ensemble(dp, TRUTH, cfg)))
         monkeypatch.setattr(dynamics, "_N_BATCHES", n_batches)
         stats = run_ensemble(dp, TRUTH, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ns = estimate_nonstationary(stats)
+            pooled = estimate_nonstationary(with_draws(stats))
         for key in ("amplitude_stderr", "phase_stderr", "eta_st_sq_stderr", "eta_st_stderr"):
             assert math.isnan(ns[key]), key
         assert all(math.isnan(s) for s in ns["mode_component_stderr"])
         for key in ("amplitude_hat", "phase_hat", "eta_st_sq_hat", "eta_st_hat"):
-            assert ns[key] == pytest.approx(ref[key], rel=1e-12), key
-        assert ns["mode_components"] == pytest.approx(ref["mode_components"], rel=1e-12)
+            assert pooled[key] == pytest.approx(ref[key], rel=1e-12), key
+        assert pooled["mode_components"] == pytest.approx(ref["mode_components"], rel=1e-12)
 
     def test_undersampled_rejected(self):
         cfg = SimConfig(dt=0.02, n_traj=500, seed=40)
