@@ -51,12 +51,10 @@ from .influence import (
     verify_influence_expansion,
 )
 from .noise import (
-    QuadFormCoeffs,
     empirical_covariance_from_zetas,
     kernel_matrix,
     kernel_rank_check,
     noise_map,
-    quad_coeffs,
     sample_zetas,
 )
 from .quantum import (

@@ -465,9 +465,11 @@ def run_ensemble(
     record on every run and at any CLI `--threads`; the edges are part of
     the law, not a memory chunking.
     """
-    if config.n_traj < 2:
-        raise InvalidParameterError("ensemble needs n_traj >= 2")
-    edges = np.linspace(0, config.n_traj, min(_N_BATCHES, config.n_traj) + 1).astype(int)
+    n, n_batches = config.n_traj, min(_N_BATCHES, config.n_traj)
+    if not 2 <= n <= np.iinfo(np.int64).max:
+        raise InvalidParameterError(f"ensemble needs 2 <= n_traj <= 2**63 - 1 (int64 counts), got {n}")
+    # edges floor(k n / B) in exact integers; float edges would lose draws above 2**53
+    edges = np.array([k * n // n_batches for k in range(n_batches + 1)])
 
     # rows: the trajectory at zeta = 0, then the responses to the unit draws
     tau, Q, P = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidParameterError, QubitState
-from .noise import quad_coeffs
+from .noise import zeta_factor
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -137,11 +137,14 @@ def path_functionals(pair: PathPair) -> PathFunctionals:
 
 
 def influence_phases(f: PathFunctionals, state: QubitState, g: float, n_qubits: int = 1) -> InfluencePhases:
-    """Evaluate the weak-coupling phases for n identical non-interacting qubits."""
+    """Evaluate the weak-coupling phases for n identical non-interacting qubits.
+
+    The fluctuation exponent is -g^2 n W^T Sigma W / 2, with W = (W_x, W_y) and
+    Sigma the draws' covariance, taken as |L^T W|^2, L = `zeta_factor(state)`.
+    """
     p, phi = state.p, state.phi
-    qc = quad_coeffs(state)
-    quad = qc.a * f.W_x**2 + qc.b * f.W_y**2 + 2.0 * qc.c * f.W_x * f.W_y
-    fluct = -0.5 * g * g * quad * n_qubits
+    lw = zeta_factor(state).T @ (f.W_x, f.W_y)
+    fluct = -0.5 * g * g * (lw @ lw) * n_qubits
     linear = 2.0 * g * state.eta_f * (f.W_x * math.cos(phi) + f.W_y * math.sin(phi)) * n_qubits
     dissip = g * g * (1.0 - 2.0 * p) * (f.W_z - f.W_x * f.W_y) * n_qubits
     return InfluencePhases(fluctuation_exponent=fluct, force_phase=linear, dissipative_phase=dissip)

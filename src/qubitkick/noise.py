@@ -5,13 +5,12 @@ so the decoupling noise is driven by one Gaussian pair zeta = (zeta_x, zeta_y)
 with a state-dependent 2x2 covariance Sigma.  The law is stated once, in its
 own frame, by the exact square root `zeta_factor` = R(phi) diag(|1 - 2p|, 1):
 variance (1 - 2p)^2 along (cos phi, sin phi), 1 across it, and
-Sigma = L L^T (`quad_coeffs`).  Each realisation is the fixed
-trigonometric map lambda(tau) = U(tau) zeta (`noise_map`), exact at all times,
-so sampling is O(1) per trajectory, and each covariance is U(tau) Sigma U(tau')^T.
-A draw is one row of the (n, 2) block `sample_zetas` returns: a Box-Muller
-normal pair, taken through the half-angle tangent so that one vectorised
-`tan` stands in for a `cos` and a `sin` (`_normal_pairs`), mixed by that factor.
-An ensemble needs only the mean and the scatter of each batch of draws, and
+Sigma = L L^T, which every kernel and phase reads.  Each realisation is the
+fixed trigonometric map lambda(tau) = U(tau) zeta (`noise_map`), exact at all
+times, so sampling is O(1) per trajectory, and each covariance is
+U(tau) Sigma U(tau')^T.  A draw is one row of the (n, 2) array `sample_zetas`
+returns: a textbook Box-Muller normal pair mixed by that factor.  An ensemble
+needs only the mean and the scatter of each batch of draws, and
 `sample_moments` draws those from their exact joint law (a Gaussian mean and
 a Bartlett-factored Wishart scatter through the same factor) on its own
 stream, without making the draws.
@@ -20,7 +19,6 @@ stream, without making the draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +26,6 @@ from .core import InvalidParameterError, QubitState
 
 # eigenvalue tolerance of `kernel_rank_check`, relative to the largest
 PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadFormCoeffs:
-    """Coefficients (a, b, c) of the fluctuation quadratic form
-    a W_x^2 + b W_y^2 + 2 c W_x W_y; also the covariance of (zeta_x, zeta_y).
-    """
-
-    a: float
-    b: float
-    c: float
-
-    @property
-    def det(self) -> float:
-        """a b - c^2 = (1 - 2p)^2, the product of the two variances in the law's frame."""
-        return self.a * self.b - self.c * self.c
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.c], [self.c, self.b]])
 
 
 def zeta_factor(state: QubitState) -> np.ndarray:
@@ -62,72 +41,26 @@ def zeta_factor(state: QubitState) -> np.ndarray:
     return np.array([[s * cos_phi, -sin_phi], [s * sin_phi, cos_phi]])
 
 
-def quad_coeffs(state: QubitState) -> QuadFormCoeffs:
-    """The covariance Sigma = L L^T of the draws, L = `zeta_factor(state)`; det = (1 - 2p)^2."""
-    L = zeta_factor(state)
-    (a, c), (_, b) = L @ L.T
-    return QuadFormCoeffs(a=float(a), b=float(b), c=float(c))
-
-
-def _normal_pairs(u: np.ndarray) -> np.ndarray:
-    """Standard normal pairs (x, y) from uniforms u in [0, 1) of shape (n, 2), as rows (2, n).
-
-    Box-Muller with the angle 2 pi u_1 taken through its half-angle tangent
-    t = tan(pi u_1):
-
-        (x, y) = r (1 - t^2, 2 t) / (1 + t^2),  r = sqrt(-2 log1p(-u_0)),
-
-    which is r (cos 2 pi u_1, sin 2 pi u_1) to rounding.  numpy's float64 `tan` is
-    vectorised where its `cos` and `sin` are scalar calls, so one tangent
-    costs less than the pair.  pi u_1 never rounds to pi / 2, so
-    |t| <= 1.7e16 and t^2 stays finite.  Every step is elementwise and runs
-    in place on one contiguous copy of u, so row j of the result depends on
-    u[j] alone.
-    """
-    pairs = u.T.copy()
-    r, t = pairs
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)  # finite: u < 1
-    t *= math.pi
-    np.tan(t, out=t)
-    t_sq = t * t
-    denom = t_sq + 1.0
-    np.subtract(1.0, t_sq, out=t_sq)
-    t += t
-    t *= r
-    t /= denom
-    r *= t_sq
-    r /= denom
-    return pairs
-
-
 def sample_zetas(state: QubitState, seed: int, indices: range) -> np.ndarray:
     """Draws (zeta_x, zeta_y) for indices = range(i0, i1), i0 >= 0; shape (i1 - i0, 2).
 
     Draw i uses the stream derived from (seed, i): outputs 2i and 2i+1 of
-    PCG64(seed), a Box-Muller normal pair (`_normal_pairs`) mixed by
+    PCG64(seed), two uniforms u_0, u_1 that the Box-Muller map (Box & Muller,
+    Ann. Math. Statist. 29, 610, 1958) turns into the normal pair
+    r (cos 2 pi u_1, sin 2 pi u_1), r = sqrt(-2 log1p(-u_0)), mixed by
     `zeta_factor(state)`.  A block is one `advance` plus one vector draw,
-    so any contiguous split of the indices gives the same bits.  A seed
-    gives the same bits on one machine; across CPUs they can differ in the
-    last bit, where numpy dispatches `log1p` and `tan` to different SIMD
-    kernels.
-
-    The result is the `.T` view of a C-ordered (2, n) block, so `.T` of it is
-    two contiguous component rows (zeta_x, zeta_y) that reduce without
-    strided access.
+    and every step is elementwise, so any contiguous split of the indices
+    gives the same bits.  A seed gives the same bits on one machine; across
+    CPUs they can differ in the last bit, where numpy dispatches `log1p` to
+    different SIMD kernels.
     """
     if not isinstance(indices, range) or indices.step != 1 or indices.start < 0:
         raise InvalidParameterError(f"indices must be range(i0, i1) with i0 >= 0, got {indices!r}")
     u = np.random.Generator(np.random.PCG64(seed).advance(2 * indices.start)).random((len(indices), 2))
-    x, y = _normal_pairs(u)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # finite: u < 1
+    angle = 2.0 * math.pi * u[:, 1]
     L = zeta_factor(state)
-    # zeta_j = x L[j, 0] + y L[j, 1] elementwise, so a draw's bits do not
-    # depend on the block it is drawn in
-    zetas = x * L[:, :1]
-    zetas += y * L[:, 1:]
-    return zetas.T
+    return (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
 
 
 def sample_moments(state: QubitState, seed: int, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +120,7 @@ def _on_grid(tau_grid, sigma: np.ndarray) -> np.ndarray:
 def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
     """Two-time covariance U(tau) Sigma U(tau')^T of (lambda_q, lambda_p) as a 2x2 block.
 
-    With Sigma = quad_coeffs(state).matrix(), the covariance of the draws:
+    With Sigma = L L^T, L = `zeta_factor(state)`, the covariance of the draws:
 
         K_qq = (1-k) cos(d) - k cos(s + 2 phi)
         K_pp = (1-k) cos(d) + k cos(s + 2 phi)
@@ -200,12 +133,14 @@ def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
     """
     U = noise_map(np.asarray(tau, dtype=float))
     U_prime = noise_map(np.asarray(tau_prime, dtype=float))
-    return np.einsum("...ij,jk,...lk->il...", U, quad_coeffs(state).matrix(), U_prime)
+    L = zeta_factor(state)
+    return np.einsum("...ij,jk,...lk->il...", U, L @ L.T, U_prime)
 
 
 def kernel_block_matrix(tau_grid, state: QubitState) -> np.ndarray:
     """Discretised 2N x 2N covariance V Sigma V^T of stacked (lambda_q, lambda_p) samples."""
-    return _on_grid(tau_grid, quad_coeffs(state).matrix())
+    L = zeta_factor(state)
+    return _on_grid(tau_grid, L @ L.T)
 
 
 def empirical_covariance_from_zetas(zetas: np.ndarray, tau_grid) -> np.ndarray:

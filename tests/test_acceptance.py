@@ -27,8 +27,8 @@ from qubitkick.noise import (
     empirical_covariance_from_zetas,
     kernel_block_matrix,
     kernel_rank_check,
-    quad_coeffs,
     sample_zetas,
+    zeta_factor,
 )
 from qubitkick.quantum import compare_classical_quantum
 from qubitkick.reconstruct import estimate_nonstationary, reconstruct_from_stats
@@ -103,7 +103,9 @@ def test_criterion_3_noise_kernel_fidelity():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         s = QubitState(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi)))
-        assert abs(quad_coeffs(s).det - (1.0 - 4.0 * s.p * (1.0 - s.p))) <= 1e-14
+        L = zeta_factor(s)
+        (a, c), (_, b) = L @ L.T
+        assert abs(a * b - c * c - (1.0 - 4.0 * s.p * (1.0 - s.p))) <= 1e-14
     _report(3, "sampler faithful to the two-time kernel", started, 60.0,
             f"worst covariance error {worst:.4f} over 6 states x 1e5 draws")
 

@@ -21,7 +21,7 @@ from qubitkick.dynamics import (
     time_grid,
     welch_psd,
 )
-from qubitkick.noise import quad_coeffs, sample_zetas
+from qubitkick.noise import sample_zetas, zeta_factor
 
 from per_draw import per_draw_moments
 
@@ -388,6 +388,19 @@ class TestEnsemble:
         cfg = SimConfig(dt=0.02, n_traj=10)
         assert run_ensemble(DP, EQUATOR, cfg).batch_counts.tolist() == [1] * 10
 
+    def test_batch_edges_are_exact_integers(self):
+        # the edges are floor(k n / 20) in exact arithmetic: float edges lost the
+        # odd draw above 2^53 and sat one off at n = 164
+        dp = DimensionlessParams(g=0.05, r=0.5, T=2.0)
+        state = QubitState(0.3, 1.0)
+        for n in (2**53 + 1, 10**17 + 3, 10**18 + 7, 2**63 - 1):
+            assert run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=n)).n_traj == n
+        counts = run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=164)).batch_counts
+        assert np.cumsum(counts).tolist() == [k * 164 // 20 for k in range(1, 21)]
+        # int64 counts hold at most 2^63 - 1 draws
+        with pytest.raises(InvalidParameterError, match="n_traj"):
+            run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=2**63))
+
 
 class TestWelchPsd:
     def test_calibration_tone_peaks_at_its_frequency(self):
@@ -463,7 +476,8 @@ class TestNoiseResponse:
         for conv in EOM_CONVENTIONS:
             stats = run_ensemble(dp, s, cfg, eom_sign=conv)
             b = response_basis(dp, stats.coarse_tau, conv)[2:]
-            model = b.T @ quad_coeffs(s).matrix() @ b
+            L = zeta_factor(s)
+            model = b.T @ L @ L.T @ b
             scale = np.max(np.abs(model)) + 1e-30
             assert np.max(np.abs(stats.cov_qq - model)) / scale < 0.05
 

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitkick import noise
 from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.noise import (
     empirical_covariance_from_zetas,
@@ -13,13 +12,12 @@ from qubitkick.noise import (
     kernel_matrix,
     kernel_rank_check,
     noise_map,
-    quad_coeffs,
     sample_moments,
     sample_zetas,
     zeta_factor,
 )
 
-from per_draw import per_draw_moments
+from per_draw import KS_C, ks_distance, per_draw_moments
 
 
 def random_states(seed, n):
@@ -52,40 +50,53 @@ def literal_kernel_oracle(tau, tau_p, state):
     return 0.5 * (assemble(tau, tau_p) + assemble(tau_p, tau).T)
 
 
+def sigma(state):
+    """The draws' covariance L L^T, L = `zeta_factor(state)`."""
+    L = zeta_factor(state)
+    return L @ L.T
+
+
+def det2(m):
+    """m_00 m_11 - m_01 m_10 of a 2x2 matrix, by the formula."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 class TestQuadCoeffs:
+    """The quadratic-form coefficients (a, c), (c, b) as the entries of Sigma = L L^T."""
+
     def test_ground_state(self):
-        c = quad_coeffs(QubitState(0.0, 0.0))
-        assert (c.a, c.b, c.c) == (1.0, 1.0, 0.0)
+        (a, c), (_, b) = sigma(QubitState(0.0, 0.0))
+        assert (a, b, c) == (1.0, 1.0, 0.0)
 
     def test_equator_phi_zero(self):
-        c = quad_coeffs(QubitState(0.5, 0.0))
-        assert c.a == pytest.approx(0.0, abs=1e-15)
-        assert c.b == pytest.approx(1.0, abs=1e-15)
-        assert c.c == pytest.approx(0.0, abs=1e-15)
-        assert c.det == pytest.approx(0.0, abs=1e-15)
+        m = sigma(QubitState(0.5, 0.0))
+        (a, c), (_, b) = m
+        assert a == pytest.approx(0.0, abs=1e-15)
+        assert b == pytest.approx(1.0, abs=1e-15)
+        assert c == pytest.approx(0.0, abs=1e-15)
+        assert det2(m) == pytest.approx(0.0, abs=1e-15)
 
     def test_equator_phi_quarter(self):
-        c = quad_coeffs(QubitState(0.5, math.pi / 4))
-        assert c.a == pytest.approx(0.5, abs=1e-15)
-        assert c.b == pytest.approx(0.5, abs=1e-15)
-        assert c.c == pytest.approx(-0.5, abs=1e-15)
-        assert c.det == pytest.approx(0.0, abs=1e-15)
+        m = sigma(QubitState(0.5, math.pi / 4))
+        (a, c), (_, b) = m
+        assert a == pytest.approx(0.5, abs=1e-15)
+        assert b == pytest.approx(0.5, abs=1e-15)
+        assert c == pytest.approx(-0.5, abs=1e-15)
+        assert det2(m) == pytest.approx(0.0, abs=1e-15)
 
     def test_det_identity_many_states(self):
         for s in random_states(0, 1000):
-            c = quad_coeffs(s)
-            assert abs(c.det - (1.0 - 4.0 * s.p * (1.0 - s.p))) <= 1e-14
+            assert abs(det2(sigma(s)) - (1.0 - 4.0 * s.p * (1.0 - s.p))) <= 1e-14
 
     def test_population_flip_symmetry(self):
         for s in random_states(1, 50):
             flipped = QubitState(1.0 - s.p, s.phi)
-            cf, cs = quad_coeffs(flipped), quad_coeffs(s)
-            assert (cf.a, cf.b, cf.c) == pytest.approx((cs.a, cs.b, cs.c), abs=1e-15)
+            assert sigma(flipped) == pytest.approx(sigma(s), abs=1e-15)
 
     def test_nonnegative_diagonal(self):
         for s in random_states(2, 200):
-            c = quad_coeffs(s)
-            assert c.a >= -1e-15 and c.b >= -1e-15
+            m = sigma(s)
+            assert m[0, 0] >= -1e-15 and m[1, 1] >= -1e-15
 
 
 class TestKernelMatrix:
@@ -164,7 +175,6 @@ class TestZetaFactor:
         for s in random_states(8, 100) + near_equator:
             L = zeta_factor(s)
             assert np.max(np.abs(L @ L.T - literal_sigma(s))) <= 1e-15
-            assert np.max(np.abs(quad_coeffs(s).matrix() - literal_sigma(s))) <= 1e-15
 
     def test_degenerate_equator(self):
         L = zeta_factor(QubitState(0.5, 0.0))
@@ -208,37 +218,35 @@ class TestSampler:
     @pytest.mark.parametrize("indices", (range(0, 1), range(0, 5000), range(777, 9000), range(42, 42)),
                              ids=("one", "batch", "offset", "empty"))
     def test_draws_match_row_wise_reference(self, state, indices):
-        # the broadcast (n, 2) half-angle formula on row-ordered uniforms: the
-        # (2, n) block must keep every bit and hand out contiguous component rows
+        # the broadcast (n, 2) textbook formula on row-ordered uniforms must keep every bit
         u = np.random.Generator(np.random.PCG64(5).advance(2 * indices.start)).random((len(indices), 2))
         radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        t = np.tan(math.pi * u[:, 1])
-        x = radius * (1.0 - t * t) / (1.0 + t * t)
-        y = radius * (2.0 * t) / (1.0 + t * t)
+        angle = 2.0 * math.pi * u[:, 1]
         L = zeta_factor(state)
-        ref = x[:, None] * L[:, 0] + y[:, None] * L[:, 1]
+        ref = (radius * np.cos(angle))[:, None] * L[:, 0] + (radius * np.sin(angle))[:, None] * L[:, 1]
         zetas = sample_zetas(state, 5, indices)
         assert zetas.shape == ref.shape == (len(indices), 2)
         assert zetas.tobytes() == ref.tobytes()
-        assert zetas.T.flags.c_contiguous
 
-    def test_half_angle_pairs_match_the_textbook_map(self):
-        # r (cos 2 pi u1, sin 2 pi u1) is the reference; pi u1 never rounds to
-        # pi / 2, so the tangent stays finite even at the edge uniforms
-        edges = [0.0, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53]
-        u = np.random.Generator(np.random.PCG64(17)).random((1_000_000, 2))
-        u[: len(edges), 1] = edges
-        with np.errstate(all="raise"):
-            x, y = noise._normal_pairs(u)
-        assert x.flags.c_contiguous and y.flags.c_contiguous
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        angle = 2.0 * math.pi * u[:, 1]
-        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-        assert np.max(np.abs(x - radius * np.cos(angle)) / radius) <= 1e-15
-        assert np.max(np.abs(y - radius * np.sin(angle)) / radius) <= 1e-15
-        # the edge angles 0, pi/2, pi-, pi, pi+, 3pi/2, 2pi-: same quadrant as cos and sin
-        assert np.array_equal(np.sign(x[: len(edges)]), np.sign(np.cos(angle[: len(edges)])))
-        assert np.array_equal(np.sign(y[: len(edges)]), np.sign(np.sin(angle[: len(edges)])))
+    def test_finite_without_warnings_at_the_edge_uniforms(self, monkeypatch):
+        # u1 at the angles 0, pi/2, pi, 3pi/2 and 2pi-, each with u0 at 0, 1/2 and 1 - 2^-53
+        edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+        u = np.stack(np.meshgrid([0.0, 0.5, 1.0 - 2.0**-53], edges, indexing="ij"), axis=-1).reshape(-1, 2)
+
+        class EdgeUniforms:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, size):
+                assert size == u.shape
+                return u.copy()
+
+        monkeypatch.setattr(np.random, "Generator", EdgeUniforms)
+        for state in (QubitState(0.0, 0.0), QubitState(0.5, 1.0), QubitState(0.3, 1.0)):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                zetas = sample_zetas(state, 5, range(len(u)))
+            assert zetas.shape == u.shape and np.all(np.isfinite(zetas))
 
     @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 5), range(5, 0, -1), [0, 1, 2],
                                          np.arange(3), (0, 1)])
@@ -262,20 +270,6 @@ class TestSampler:
         grid = np.linspace(0, 4 * math.pi, 9)
         emp = empirical_covariance_from_zetas(zetas, grid)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 0.02
-
-
-def ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic: the largest gap of the two empirical CDFs."""
-    a, b = np.sort(a), np.sort(b)
-    x = np.concatenate([a, b])
-    return np.max(np.abs(np.searchsorted(a, x, side="right") / a.size
-                         - np.searchsorted(b, x, side="right") / b.size))
-
-
-# per-statistic false-alarm rate of the law test, fixed before its first run; its threshold
-# is the asymptotic Kolmogorov bound 2 exp(-2 c^2) = KS_ALPHA (conservative under ties)
-KS_ALPHA = 1e-4
-KS_C = math.sqrt(-math.log(KS_ALPHA / 2.0) / 2.0)
 
 
 class TestSampleMoments:

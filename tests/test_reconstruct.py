@@ -28,7 +28,7 @@ from qubitkick.reconstruct import (
     reconstruct_from_stats,
 )
 
-from per_draw import per_draw_moments
+from per_draw import KS_C, ks_distance, per_draw_moments
 
 DP = DimensionlessParams(g=0.05, r=0.5, T=40.0)
 TRUTH = QubitState(0.3, 1.0)
@@ -415,6 +415,27 @@ class TestMomentMaps:
         for key in ("eta_f_hat", "eta_f_stderr", "phi_hat", "phi_stderr"):
             assert getattr(result, key) == pytest.approx(getattr(ref, key), rel=1e-13), key
         assert result.residual_norm == pytest.approx(fit.residual_norm, rel=1e-10, abs=1e-14)
+
+
+class TestReconstructionLaw:
+    def test_outputs_match_the_per_draw_reduction_in_law(self):
+        # eta_f, phi and eta_st from run_ensemble's records against the same records with the
+        # moments of explicit draws swapped in, by a two-sample KS test over 200 seeds; the
+        # moments come from independent streams, and 3 statistics at KS_ALPHA each give a
+        # false-alarm rate of at most 0.03% for the whole family (Bonferroni)
+        seeds = range(200)
+        sampled, reduced = [], []
+        for seed in seeds:
+            stats = run_ensemble(DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=seed), eom_sign="eq37")
+            means, scatters = per_draw_moments(TRUTH, seed, stats.batch_counts)
+            swapped = dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
+            for record, out in ((stats, sampled), (swapped, reduced)):
+                result = reconstruct_from_stats(record)
+                out.append((result.eta_f_hat, result.phi_hat, result.eta_st_hat))
+        threshold = KS_C * math.sqrt(2.0 / len(seeds))
+        for name, a, b in zip(("eta_f", "phi", "eta_st"), np.transpose(sampled), np.transpose(reduced)):
+            assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)), name
+            assert ks_distance(a, b) <= threshold, name
 
 
 class TestOwnDynamics:
