@@ -4,7 +4,8 @@ Subcommands: table1, simulate, ensemble, verify bch, verify influence,
 verify noise, verify oracle, reconstruct, bloch-map.  `build_parser` is the
 one command table: each command accepts only the flags it declares there,
 and any other flag exits 2.  Outputs are written atomically (temp file +
-rename) and CSV carries full double precision so reruns diff byte-identically.
+rename), with the permission bits a plain `open(path, "w")` would give them,
+and CSV carries full double precision so reruns diff byte-identically.
 Exit codes: 0 success; 1 a refused parameter or config value (a malformed or
 out-of-range config key, among others) or a failed check or fit; 2 a usage
 error: a bad flag or flag value, a missing config file, an unreadable or
@@ -58,10 +59,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _new_file_mode(path: str) -> int:
+    """The permission bits `open(path, "w")` would leave: those of the file it
+    replaces, or 0o666 less the umask for a new one."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # read by setting; put back at once
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
+        # mkstemp makes the file 0600; the output takes the mode a plain open would give it
+        os.fchmod(fd, _new_file_mode(path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # in slices, so that encoding never holds a second full copy of a long text
             for start in range(0, len(text), _WRITE_CHUNK):
@@ -105,7 +119,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        # field by field: `dataclasses.asdict` would deep-copy every array first
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
@@ -147,7 +162,9 @@ def _load_setup(args) -> core.RunSetup:
         setup = core.realize_config(dict(_DEFAULT_CONFIG))
     seed = getattr(args, "seed", None)  # `verify oracle` draws nothing and takes no --seed
     if seed is not None:
-        setup = core.realize_config({**setup.raw, "seed": str(seed)})
+        # SimConfig refuses a bad seed as realize_config would; nothing else needs building again
+        setup = dataclasses.replace(setup, sim=dataclasses.replace(setup.sim, seed=seed),
+                                    raw={**setup.raw, "seed": str(seed)})
     return setup
 
 

@@ -209,8 +209,10 @@ class RunSetup:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat `key = value` lines; '#' starts a comment, blanks ignored."""
+    """Parse flat `key = value` lines; '#' starts a comment, blanks ignored.
+    A key given twice is refused with both line numbers, not overridden."""
     values = {}
+    lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -221,6 +223,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _CONFIG:
             raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise InvalidParameterError(f"config line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         values[key] = val.strip()
     return values
 

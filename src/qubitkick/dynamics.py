@@ -22,12 +22,15 @@ through the resonance |w0| = 1, where it degenerates smoothly into the
 secular tau * e^{i tau} growth.  K times the tones gives the four response rows
 (`response_basis`).  `_rhs`, RK4 and `mean_closed_form` stay independent of
 the map, as its cross-checks.
-`solve_trajectory` is the one solve, one row per draw of an (n, 2) block:
-grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step budget and
-finite check.  `run_ensemble` passes it three basis draws in closed form,
-so an ensemble is three exact basis rows and the moments of its draws, kept
-as an `EnsembleStats` record whose mean, (co)variances and `psd(segment)`
-are contractions of the two.  Those moments are sufficient, so the draws are
+`solve_trajectory` is the one solve of explicit draws, one row per draw of an
+(n, 2) block: grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step
+budget and finite check.  `run_ensemble` takes the tones once and keeps the
+rows an ensemble is made of (`_record_rows`): the q responses to the unit
+drive inputs, which the mean fit reads, the trajectory at zeta = 0 and the
+responses to the unit draws, each row K times the tones with no difference
+taken.  An ensemble is those rows and the moments of its draws, kept as an
+`EnsembleStats` record whose mean, (co)variances and `psd(segment)` are
+contractions of the two.  Those moments are sufficient, so the draws are
 never made: `noise.sample_moments` draws each batch's mean and scatter from
 their exact law, and an ensemble of any size costs O(grid + batches).  The
 reconstruction fits have no free-motion column: they need a start at rest.
@@ -56,6 +59,7 @@ refuses n_qubits != 1, so nothing here checks n > 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -90,21 +94,29 @@ class EnsembleStats:
     """An ensemble as its basis rows and the moments of its draws.
 
     Draw i's trajectory is q_i = Q[0] + zeta_x_i Q[1] + zeta_y_i Q[2],
-    likewise p with P.  Each batch keeps the count, mean and centred 2x2
-    scatter of its draws; `run_ensemble` samples these from their exact law
-    (`noise.sample_moments`) without making the draws, and a record that
-    holds the moments of explicit draws obeys the same contractions.
-    Every statistic is a contraction of the two: the
+    likewise p with P.  Q[1:] and P[1:] are the responses to the unit draws
+    themselves, and Q[0], P[0] the drive inputs on the drive responses plus
+    the free rotation of the start.  D holds the q responses to the unit
+    drive inputs (A_c, A_s), the design the mean fit reads; a record from
+    `run_ensemble` has D = `response_basis(dp, tau, eom_sign)[:2]` and
+    Q[1:] = its rows [2:], bit for bit.  Each batch keeps the count, mean
+    and centred 2x2 scatter of its draws; `run_ensemble` samples these from
+    their exact law (`noise.sample_moments`) without making the draws, and a
+    record that holds the moments of explicit draws obeys the same
+    contractions.  Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
     with b = Q[1:].  The pooled two-time covariance is on a coarse sub-grid
     for the `ensemble` summary; no fit reads it, since the fits map the
     draws' moments directly.  The rows are exact (closed form), and `dp` is
     the dynamics they were solved at, so a fit needs no more than the record.
+    The record holds read-only views of its arrays, so the pooled moments,
+    taken once, cannot go stale.
     """
 
     tau: np.ndarray
     Q: np.ndarray  # (3, N): q at zeta = 0, then the responses to the unit draws
     P: np.ndarray  # (3, N): the same for p
+    D: np.ndarray  # (2, N): q responses to the unit drive inputs A_c, A_s
     batch_counts: np.ndarray  # (B,)
     batch_means: np.ndarray  # (B, 2)
     batch_scatters: np.ndarray  # (B, 2, 2)
@@ -113,40 +125,49 @@ class EnsembleStats:
     eom_sign: str
     dp: DimensionlessParams
 
+    def __post_init__(self):
+        for name in ("tau", "Q", "P", "D", "batch_counts", "batch_means", "batch_scatters"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @property
     def n_traj(self) -> int:
         return int(self.batch_counts.sum())
 
+    @functools.cached_property
     def _moments(self):
         """x_bar and the pooled scatter: within-batch scatters plus the between-batch
         spread of the means, so no sum of squares is cancelled."""
         mu = self.batch_counts @ self.batch_means / self.n_traj
         between = self.batch_means - mu
         scatter = self.batch_scatters.sum(axis=0) + (self.batch_counts[:, None] * between).T @ between
-        return np.concatenate(([1.0], mu)), scatter
+        x_bar = np.concatenate(([1.0], mu))
+        x_bar.flags.writeable = scatter.flags.writeable = False
+        return x_bar, scatter
 
-    @property
+    @functools.cached_property
     def _coarse_idx(self) -> np.ndarray:
         N = self.tau.size
         return np.unique(np.linspace(0, N - 1, min(_COARSE_POINTS, N)).astype(int))
 
     @property
     def mean_q(self) -> np.ndarray:
-        return self._moments()[0] @ self.Q
+        return self._moments[0] @ self.Q
 
     @property
     def mean_p(self) -> np.ndarray:
-        return self._moments()[0] @ self.P
+        return self._moments[0] @ self.P
 
     @property
     def draw_mean(self) -> np.ndarray:
         """The draws' pooled mean (2,)."""
-        return self._moments()[0][1:]
+        return self._moments[0][1:]
 
     @property
     def draw_cov(self) -> np.ndarray:
         """M = scatter / (n - 1), the draws' pooled sample covariance (2, 2)."""
-        return self._moments()[1] / (self.n_traj - 1)
+        return self._moments[1] / (self.n_traj - 1)
 
     @property
     def batch_draw_cov(self) -> np.ndarray:
@@ -174,7 +195,7 @@ class EnsembleStats:
         """(omega, psd): the mean Welch PSD of q over `segment` points (default: the grid).
         The mean periodogram is a quadratic form in M = mean(x x^T), so it is three
         periodograms of the rows l_k^T Q, where M = sum_k l_k l_k^T."""
-        x_bar, scatter = self._moments()
+        x_bar, scatter = self._moments
         M = np.outer(x_bar, x_bar)
         M[1:, 1:] += scatter / self.n_traj
         # M is singular where the draws are (p = 1/2), so clip rounding below zero
@@ -269,16 +290,35 @@ def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str) -> n
     return K @ tones
 
 
+def _drive_inputs(dp: DimensionlessParams, state: QubitState) -> list[float]:
+    """The drive's unit-input coefficients (A_c, A_s) = n g eta_f (cos(phi), sin(phi))."""
+    amp = dp.n_qubits * dp.g * state.eta_f
+    return [amp * math.cos(state.phi), amp * math.sin(state.phi)]
+
+
 def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_sign: str) -> np.ndarray:
     """Exact trajectories e^{i w0 tau} z0 + (u K) tones, u = (A_c, A_s, zeta_x, zeta_y) per draw;
     complex (n, len(tau)).  The inputs meet K before the tones, so the grid is touched once."""
     w0, K, tones = _tones(dp, tau, eom_sign)
-    amp = dp.n_qubits * dp.g * state.eta_f
-    drive = np.broadcast_to([amp * math.cos(state.phi), amp * math.sin(state.phi)], (zetas.shape[0], 2))
+    drive = np.broadcast_to(_drive_inputs(dp, state), (zetas.shape[0], 2))
     Z = (np.hstack([drive, zetas]) @ K) @ tones
     if z0 != 0:
         Z += z0 * np.exp(1j * w0 * tau)
     return Z
+
+
+def _record_rows(K: np.ndarray, tones: np.ndarray, drive) -> tuple[np.ndarray, np.ndarray]:
+    """(D, Z) on the grid of the (2, N) tones: D, real (2, N), the q responses to the
+    unit drive inputs, and Z, complex (3, N), the zero-IC responses to the inputs
+    `drive` = (A_c, A_s) and to the unit draws zeta_x, zeta_y.
+
+    D is Re(K[:2] tones) in real arithmetic on the parts of the tones, so the
+    only complex rows made are Z's.  `response_basis` and `run_ensemble` both
+    take their rows here, which makes them equal bit for bit.
+    """
+    D = K[:2].real @ tones.real
+    D -= K[:2].imag @ tones.imag
+    return D, np.vstack([np.asarray(drive) @ K[:2], K[2:]]) @ tones
 
 
 def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarray, config: SimConfig,
@@ -324,12 +364,15 @@ def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) ->
     unit draws zeta_x and zeta_y.  Under every convention the mean is
     A_c row 0 + A_s row 1 and a draw adds zeta_x row 2 + zeta_y row 3.
     They are the rows every closed-form trajectory is built from, so the
-    reconstruction fits invert exactly the dynamics that produced the data.
+    reconstruction fits invert exactly the dynamics that produced the data;
+    an `EnsembleStats` record keeps the same rows bit for bit as D and Q[1:].
     """
     _check_eom(eom_sign)
     if dp.g <= 0.0:
         raise InvalidParameterError("no response to the qubit at g = 0")
-    return _response_rows(dp, np.asarray(tau, dtype=float), eom_sign).real
+    _, K, tones = _tones(dp, np.asarray(tau, dtype=float), eom_sign)
+    D, Z = _record_rows(K, tones, (0.0, 0.0))
+    return np.vstack([D, Z[1:].real])
 
 
 def _rhs(dp, state, zetas, trig, q, p, eom_sign):
@@ -455,30 +498,38 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte Carlo ensemble over independent noise draws, kept as `EnsembleStats`.
 
-    One closed-form solve of the three basis draws gives the rows Q and P.
-    The n_traj draws are split into `_N_BATCHES` batches of near-equal size
-    (one draw each below that many), and `sample_moments` draws each batch's
-    mean and centred 2x2 scatter from their exact joint law.  The draws
-    themselves are never made, so cost and memory are O(grid + batches) at
-    any n_traj, and `simulate`'s single draw is no member of any ensemble.
-    The seed and the batch edges fix the bits, so a fixed seed gives the same
-    record on every run and at any CLI `--threads`; the edges are part of
-    the law, not a memory chunking.
+    One `_tones` call on the grid `time_grid(dp.T, config.dt)` gives every row
+    of the record (`_record_rows`): the drive rows D, the responses Q[1:] and
+    P[1:] to the unit draws, and the trajectory at zeta = 0, the drive inputs
+    on the drive responses plus the free rotation of (q_init, p_init).  A
+    non-finite row is refused with `FloatingPointError`.  The n_traj draws
+    are split into `_N_BATCHES` batches of near-equal size (one draw each
+    below that many), and `sample_moments` draws each batch's mean and
+    centred 2x2 scatter from their exact joint law.  The draws themselves
+    are never made, so cost and memory are O(grid + batches) at any n_traj,
+    and `simulate`'s single draw is no member of any ensemble.  The seed and
+    the batch edges fix the bits, so a fixed seed gives the same record on
+    every run and at any CLI `--threads`; the edges are part of the law, not
+    a memory chunking.
     """
+    _check_eom(eom_sign)
     n, n_batches = config.n_traj, min(_N_BATCHES, config.n_traj)
     if not 2 <= n <= np.iinfo(np.int64).max:
         raise InvalidParameterError(f"ensemble needs 2 <= n_traj <= 2**63 - 1 (int64 counts), got {n}")
     # edges floor(k n / B) in exact integers; float edges would lose draws above 2**53
     edges = np.array([k * n // n_batches for k in range(n_batches + 1)])
 
-    # rows: the trajectory at zeta = 0, then the responses to the unit draws
-    tau, Q, P = solve_trajectory(dp, state, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), config,
-                                 eom_sign)
-    Q[1:] -= Q[0]
-    P[1:] -= P[0]
+    tau = time_grid(dp.T, config.dt)
+    w0, K, tones = _tones(dp, tau, eom_sign)
+    D, Z = _record_rows(K, tones, _drive_inputs(dp, state))
+    z0 = complex(config.q_init, config.p_init)
+    if z0 != 0:
+        Z[0] += z0 * np.exp(1j * w0 * tau)
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(Z))):
+        raise FloatingPointError("non-finite ensemble rows")
 
     counts = np.diff(edges)
     means, scatters = sample_moments(state, config.seed, counts)
-    return EnsembleStats(tau=tau, Q=Q, P=P, batch_counts=counts, batch_means=means,
+    return EnsembleStats(tau=tau, Q=Z.real, P=Z.imag, D=D, batch_counts=counts, batch_means=means,
                          batch_scatters=scatters, dt=config.dt, seed=config.seed,
                          eom_sign=eom_sign, dp=dp)

@@ -1,14 +1,17 @@
 """Infer the qubit state from classical ensemble statistics.
 
-Both channels rest on `dynamics.response_basis`, the rows every
-closed-form trajectory is built from: the zero-initial-condition q response
-of the convention in force to the unit inputs (A_c, A_s, zeta_x, zeta_y).
-Each channel checks its pair of rows by one degeneracy rule.  An ensemble
-kept as `EnsembleStats` is its basis rows Q, the dynamics `dp` they were
-solved at and, per batch, the count, mean and scatter of its draws, so both
-in-memory fits are fixed maps of those moments and take the record alone.
-`fit_mean` fits a bare mean on a grid, as a CSV carries it, so it takes the
-dynamics as an argument; the `MeanFit` it returns carries them on.
+Both channels rest on the rows every closed-form trajectory is built from:
+the zero-initial-condition q response of the convention in force to the
+unit inputs (A_c, A_s, zeta_x, zeta_y), `dynamics.response_basis`.  Each
+channel checks its pair of rows by one degeneracy rule.  An ensemble kept
+as `EnsembleStats` holds those rows as solved once by `run_ensemble`: the
+drive rows D, and the noise rows as Q[1:] beside the mean row Q[0].  With
+the dynamics `dp` they were solved at and, per batch, the count, mean and
+scatter of its draws, both in-memory fits are fixed maps of those moments,
+take the record alone and solve nothing again.  `fit_mean` fits a bare mean
+on a grid, as a CSV carries it, so it takes the dynamics as an argument and
+the drive rows from `response_basis`; the `MeanFit` it returns carries the
+dynamics on.
 
 The ensemble mean is A_c D_c + A_s D_s on the two drive rows, so ordinary
 least squares gives A_c = n g eta_f cos(phi) and A_s = n g eta_f sin(phi),
@@ -116,20 +119,21 @@ class ReconstructionResult:
     diagnostics: dict
 
 
-def _check_design(X: np.ndarray, what: str) -> float:
+def _check_design(X: np.ndarray, what: str):
     """Refuse response rows (the columns of X) that collapse or are ill-conditioned.
 
-    Returns the condition number.  The rms goes first: where the rows vanish
-    (eq37 at r = 1) the condition ratio would be 0/0.
+    Returns the thin SVD (U, s, Vt) of X, which `_fit_drive` solves with, and
+    the condition number.  The rms goes first: where the rows vanish (eq37 at
+    r = 1) the condition ratio would be 0/0.
     """
-    singular = np.linalg.svd(X, compute_uv=False)
+    U, singular, Vt = np.linalg.svd(X, full_matrices=False)
     rms = singular[-1] / math.sqrt(X.shape[0])
     if rms < MIN_BASIS_RMS:
         raise DegenerateBasisError(f"{what} collapses (rms {rms:.2e})")
     condition = float(singular[0] / singular[-1])
     if condition > MAX_CONDITION:
         raise DegenerateBasisError(f"{what} ill-conditioned (cond = {condition:.2e})")
-    return condition
+    return (U, singular, Vt), condition
 
 
 def _batch_cov(batch_coeffs: np.ndarray) -> np.ndarray:
@@ -142,14 +146,17 @@ def _batch_cov(batch_coeffs: np.ndarray) -> np.ndarray:
     k, n_batches = batch_coeffs.shape
     if n_batches < MIN_BATCHES:
         return np.full((k, k), np.nan)
-    return np.cov(batch_coeffs, ddof=1) / n_batches
+    dev = batch_coeffs - batch_coeffs.mean(axis=1, keepdims=True)
+    return (dev @ dev.T) / ((n_batches - 1) * n_batches)
 
 
-def _drive_design(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str):
-    """(X, condition): the two drive rows on `tau` as the columns of X.
+def _fit_drive(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str, rows: np.ndarray, Y: np.ndarray):
+    """(coefficients, condition): least squares of each column of Y, a series on `tau`,
+    onto the two drive rows `rows` (2, len(tau)), through the thin SVD that
+    `_check_design` takes of the design; coefficients (2, Y's columns).
 
     Refuses a grid, in any order, that spans less than MIN_PERIODS periods of
-    the slower tone, and a pair of rows that `_check_design` refuses.
+    the slower tone, g = 0, and a pair of rows that `_check_design` refuses.
     """
     span_needed = MIN_PERIODS * 2.0 * math.pi / min(1.0, dp.r)
     span = tau.max() - tau.min()
@@ -158,8 +165,14 @@ def _drive_design(tau: np.ndarray, dp: DimensionlessParams, eom_sign: str):
             f"grid must cover >= {MIN_PERIODS} periods of the slower tone "
             f"(need span {span_needed:.1f}, got {span:.1f})"
         )
-    X = response_basis(dp, tau, eom_sign)[:2].T
-    return X, _check_design(X, f"drive response under {eom_sign}")
+    _require_coupling(dp)
+    (U, singular, Vt), condition = _check_design(rows.T, f"drive response under {eom_sign}")
+    return Vt.T @ ((U.T @ Y) / singular[:, None]), condition
+
+
+def _require_coupling(dp: DimensionlessParams) -> None:
+    if dp.g <= 0.0:
+        raise InvalidParameterError("no response to the qubit at g = 0")
 
 
 def _polar(u: float, v: float, cov: np.ndarray):
@@ -210,6 +223,8 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
     if tau.ndim != 1 or tau.size == 0 or y.shape != tau.shape:
         raise InvalidParameterError(f"the mean fit needs a non-empty 1-D tau and a mean_q of its "
                                     f"shape, got tau {tau.shape} and mean_q {np.shape(mean_q)}")
+    # contiguous, so a CSV's strided columns fit to the same bits as the arrays they were written from
+    tau, y = np.ascontiguousarray(tau), np.ascontiguousarray(y)
     _refuse_non_finite("tau", tau)
     # a non-finite mean_q at tau = 0 fails the <= and is refused as off rest
     rest_tol = REST_RTOL * np.max(np.abs(y[np.isfinite(y)]), initial=0.0)
@@ -218,13 +233,14 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {off_rest[0]} at tau = 0")
     _refuse_non_finite("mean_q", y)
-    X, condition = _drive_design(tau, dp, eom_sign)
-    coeffs = np.linalg.lstsq(X, y, rcond=None)[0]
+    rows = response_basis(dp, tau, eom_sign)[:2]
+    coeffs, condition = _fit_drive(tau, dp, eom_sign, rows, y[:, None])
+    coeffs = coeffs[:, 0]
     return MeanFit(
         A_c=float(coeffs[0]),
         A_s=float(coeffs[1]),
         cov=np.full((2, 2), np.nan),
-        residual_norm=float(np.linalg.norm(y - X @ coeffs)),
+        residual_norm=float(np.linalg.norm(y - coeffs @ rows)),
         condition=condition,
         dp=dp,
         eom_sign=eom_sign,
@@ -288,9 +304,10 @@ def estimate_nonstationary(stats: EnsembleStats) -> dict:
     eta_st^2 = 1 - 2p(1-p)).  The components (alpha, u, v) are the map of the
     pooled M = scatter/(n-1) in the module docstring, and the same map of
     each batch's scatter over (count - 1) gives their stderrs.  The noise
-    rows are still checked, per unit g sqrt(n) zeta, so the rule of
-    `fit_mean` holds whatever g; under eq37 they equal the drive rows, and
-    the channel refuses where they vanish (r = 1).  The amplitude and phase
+    rows are still checked, the record's Q[1:] on the coarse grid per unit
+    g sqrt(n) zeta, so the rule of `fit_mean` holds whatever g; under eq37
+    they equal the drive rows, and the channel refuses where they vanish
+    (r = 1), as it refuses g = 0.  The amplitude and phase
     come through `_polar`; below MIN_BATCHES batches every stderr is NaN.
     The phase is NaN where `_polar` flags it indeterminate.  A batch of one
     draw has no scatter, so its covariance is NaN and so is every stderr.
@@ -301,8 +318,8 @@ def estimate_nonstationary(stats: EnsembleStats) -> dict:
             f"covariance-mode fit needs n_traj >= {MIN_TRAJ_NONSTATIONARY} "
             f"(got {stats.n_traj}); amplitude errors scale as 1/sqrt(n)"
         )
-    bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
-    _check_design(np.stack([bx, by], axis=1) / (dp.g * math.sqrt(dp.n_qubits)),
+    _require_coupling(dp)
+    _check_design(stats.Q[1:, stats._coarse_idx].T / (dp.g * math.sqrt(dp.n_qubits)),
                   f"noise response under {stats.eom_sign}")
     alpha_hat, u, v = _mode_components(stats.draw_cov).tolist()
     cov = _batch_cov(_mode_components(stats.batch_draw_cov))
@@ -333,8 +350,8 @@ def reconstruct_from_stats(stats: EnsembleStats) -> ReconstructionResult:
     """Full pipeline: the mean fit, plus the covariance-mode channel from
     MIN_TRAJ_NONSTATIONARY draws on, at the dynamics `stats.dp`.
 
-    One least-squares solve of the three basis rows Q onto the drive rows
-    gives the 2x3 map G, and the coefficients of the pooled mean and of each
+    One least-squares solve of the three basis rows Q onto the record's drive
+    rows D, through the SVD that checks them, gives the 2x3 map G, and the coefficients of the pooled mean and of each
     batch mean are G (1, mean zeta).  The coefficient covariance is taken
     from the spread of the batch coefficients rather than from fit
     residuals: the Monte Carlo noise average lies exactly in the span of the
@@ -345,14 +362,13 @@ def reconstruct_from_stats(stats: EnsembleStats) -> ReconstructionResult:
     if stats.Q[0, 0] != 0.0 or stats.P[0, 0] != 0.0:
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, got "
                                     f"q_init = {stats.Q[0, 0]}, p_init = {stats.P[0, 0]}")
-    X, condition = _drive_design(stats.tau, stats.dp, stats.eom_sign)
-    G = np.linalg.lstsq(X, stats.Q.T, rcond=None)[0]
+    G, condition = _fit_drive(stats.tau, stats.dp, stats.eom_sign, stats.D, stats.Q.T)
     coeffs = G[:, 0] + G[:, 1:] @ stats.draw_mean
     fit = MeanFit(
         A_c=float(coeffs[0]),
         A_s=float(coeffs[1]),
         cov=_batch_cov(G[:, :1] + G[:, 1:] @ stats.batch_means.T),
-        residual_norm=float(np.linalg.norm(stats.mean_q - X @ coeffs)),
+        residual_norm=float(np.linalg.norm(stats.mean_q - coeffs @ stats.D)),
         condition=condition,
         dp=stats.dp,
         eom_sign=stats.eom_sign,

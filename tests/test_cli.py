@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 import traceback
@@ -383,6 +385,35 @@ class TestConfigKeys:
         # n_fock is the one key without a reader: the oracle's truncation is fixed at
         # quantum.ORACLE_N_FOCK, and the key stays while the benchmark's configs set it
         assert same == (key == "n_fock"), key
+
+
+class TestOutputMode:
+    """Every output takes the permission bits a plain open(path, "w") would give it: 0666 less
+    the umask for a new file, the old bits for a file it replaces (mkstemp's 0600 reached every
+    output: `table1 --out` read 600 under umask 022, and a rewritten 0644 file turned 0600)."""
+
+    @staticmethod
+    def modes(config_file, directory, umask):
+        out = directory / "ens.csv"
+        saved = os.umask(umask)
+        try:
+            assert cli.main(["ensemble", "--config", config_file, "--out", str(out),
+                             "--psd-out", str(directory / "psd.csv")]) == 0
+        finally:
+            os.umask(saved)
+        return {path.name: stat.S_IMODE(path.stat().st_mode)
+                for path in (out, directory / "ens.csv.summary.json", directory / "psd.csv")}
+
+    @pytest.mark.parametrize("umask, mode", ((0o022, 0o644), (0o077, 0o600)), ids=("umask-022", "umask-077"))
+    def test_new_outputs_take_the_umask(self, config_file, tmp_path, umask, mode):
+        assert set(self.modes(config_file, tmp_path, umask).values()) == {mode}
+
+    def test_replaced_outputs_keep_their_mode(self, config_file, tmp_path):
+        for name in ("ens.csv", "ens.csv.summary.json", "psd.csv"):
+            (tmp_path / name).write_text("old\n")
+            (tmp_path / name).chmod(0o640)
+        assert set(self.modes(config_file, tmp_path, 0o022).values()) == {0o640}
+        assert (tmp_path / "ens.csv").read_text().startswith("tau,")
 
 
 class TestVerify:

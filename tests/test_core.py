@@ -182,6 +182,16 @@ class TestConfigFile:
         with pytest.raises(InvalidParameterError):
             parse_config_text("just words\n")
 
+    def test_repeated_key_refused_with_both_lines(self, tmp_path):
+        # the last value won: p = 0.3 then p = 0.7 ran at p = 0.7 without a word
+        text = "omega_o_hz = 0.5\nomega_q_hz = 1.0\np = 0.3\n# p = 0.5\ng_override = 0.05\np = 0.7\n"
+        with pytest.raises(InvalidParameterError, match=r"line 6: key 'p' repeats line 3"):
+            parse_config_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        with pytest.raises(InvalidParameterError, match="'p' repeats"):
+            load_config(str(cfg))
+
     def test_missing_frequencies_rejected(self):
         with pytest.raises(InvalidParameterError):
             realize_config({"g_override": "0.05"})

@@ -381,6 +381,33 @@ class TestEnsemble:
             peaks.append(peak)
         assert peaks[2] <= 1.1 * peaks[1]
 
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    @pytest.mark.parametrize("r", (0.5, 1.0, 1.7))
+    def test_record_rows_are_the_response_basis(self, conv, r):
+        # one solve per record: its drive rows and its noise rows are response_basis's
+        # rows bit for bit, at resonance too, and the mean row is the drive on D
+        dp = DimensionlessParams(g=0.05, r=r, T=30.0, n_qubits=2)
+        state = QubitState(0.3, 1.0)
+        stats = run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=50), eom_sign=conv)
+        basis = response_basis(dp, stats.tau, conv)
+        assert stats.D.dtype == np.float64 and stats.D.shape == (2, stats.tau.size)
+        assert stats.D.tobytes() == basis[:2].tobytes()
+        assert stats.Q[1:].tobytes() == basis[2:].tobytes()
+        amp = dp.n_qubits * dp.g * state.eta_f
+        mean = amp * (math.cos(state.phi) * stats.D[0] + math.sin(state.phi) * stats.D[1])
+        assert np.max(np.abs(stats.Q[0] - mean)) <= 1e-14 * np.max(np.abs(mean))
+
+    def test_record_arrays_are_read_only(self):
+        # the pooled moments are taken once per record, so nothing may write under them
+        stats = run_ensemble(DP, QubitState(0.3, 1.0), SimConfig(dt=0.05, n_traj=100))
+        mean_q = stats.mean_q
+        for name in ("tau", "Q", "P", "D", "batch_counts", "batch_means", "batch_scatters"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stats, name)[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            stats.draw_mean[...] = 0
+        assert np.array_equal(stats.mean_q, mean_q)
+
     def test_needs_two_trajectories(self):
         with pytest.raises(InvalidParameterError):
             run_ensemble(DP, EQUATOR, SimConfig(dt=0.02, n_traj=1))
@@ -570,11 +597,14 @@ def test_unknown_solver_rejected():
 
 
 def test_non_finite_rows_refused_under_both_solvers(monkeypatch):
-    # one finite check covers the single trajectory and the ensemble rows
+    # one finite check covers the single trajectory under either solver, another the
+    # ensemble rows, which run_ensemble takes from its own one call of _tones
     monkeypatch.setattr(dynamics, "_closed_form_batch",
                         lambda dp, state, zetas, z0, tau, eom_sign: np.full((len(zetas), tau.size), np.nan + 0j))
     monkeypatch.setattr(dynamics, "_rk4_batch",
                         lambda dp, state, zetas, z0, tau, eom_sign: (np.full((len(zetas), tau.size), np.inf),) * 2)
+    monkeypatch.setattr(dynamics, "_tones", lambda dp, tau, eom_sign: (
+        *dynamics._input_map(dp, eom_sign), np.full((2, tau.size), np.nan + 0j)))
     for solver in dynamics.SOLVERS:
         with pytest.raises(FloatingPointError):
             solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), solver=solver)

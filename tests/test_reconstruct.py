@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import statistics
 import typing
 import warnings
 
@@ -18,6 +19,7 @@ from qubitkick.dynamics import (
     solve_trajectory,
     time_grid,
 )
+from qubitkick.noise import zeta_factor
 from qubitkick.reconstruct import (
     DegenerateBasisError,
     MeanFit,
@@ -417,12 +419,20 @@ class TestMomentMaps:
         assert result.residual_norm == pytest.approx(fit.residual_norm, rel=1e-10, abs=1e-14)
 
 
+# two-sided false-alarm rate of the variance-ratio test, fixed before its first run; the bound
+# on |ln F| is the Fisher z normal approximation, whose exact F(400, 400) tail is 1.03e-3
+VAR_RATIO_ALPHA = 1e-3
+
+
 class TestReconstructionLaw:
     def test_outputs_match_the_per_draw_reduction_in_law(self):
         # eta_f, phi and eta_st from run_ensemble's records against the same records with the
         # moments of explicit draws swapped in, by a two-sample KS test over 200 seeds; the
         # moments come from independent streams, and 3 statistics at KS_ALPHA each give a
-        # false-alarm rate of at most 0.03% for the whole family (Bonferroni)
+        # false-alarm rate of at most 0.03% for the whole family (Bonferroni).  The KS test
+        # barely sees a scale error of the means, so the fitted (A_c, A_s) of both sets are
+        # also compared by their spread: whitened by their exact covariance G Sigma G^T / n
+        # about the truth, each set's sum of squares is chi2(400), and their ratio F(400, 400)
         seeds = range(200)
         sampled, reduced = [], []
         for seed in seeds:
@@ -431,11 +441,23 @@ class TestReconstructionLaw:
             swapped = dataclasses.replace(stats, batch_means=means, batch_scatters=scatters)
             for record, out in ((stats, sampled), (swapped, reduced)):
                 result = reconstruct_from_stats(record)
-                out.append((result.eta_f_hat, result.phi_hat, result.eta_st_hat))
+                out.append((result.eta_f_hat, result.phi_hat, result.eta_st_hat,
+                            result.diagnostics["A_c"], result.diagnostics["A_s"]))
+        sampled, reduced = np.transpose(sampled), np.transpose(reduced)
         threshold = KS_C * math.sqrt(2.0 / len(seeds))
-        for name, a, b in zip(("eta_f", "phi", "eta_st"), np.transpose(sampled), np.transpose(reduced)):
+        for name, a, b in zip(("eta_f", "phi", "eta_st"), sampled, reduced):
             assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)), name
             assert ks_distance(a, b) <= threshold, name
+        # (A_c, A_s) = truth + G zeta_bar, zeta_bar ~ N(0, Sigma / n) in both sets
+        G = np.linalg.lstsq(response_basis(DP, stats.tau)[:2].T, stats.Q[1:].T, rcond=None)[0]
+        L = zeta_factor(TRUTH)
+        cov = G @ L @ L.T @ G.T / stats.n_traj
+        truth = DP.n_qubits * DP.g * TRUTH.eta_f * np.array([math.cos(TRUTH.phi), math.sin(TRUTH.phi)])
+        inv = np.linalg.inv(cov)
+        chi2 = [np.einsum("si,ij,sj->", dev, inv, dev) for dev in (sampled[3:].T - truth, reduced[3:].T - truth)]
+        dof = 2 * len(seeds)
+        bound = statistics.NormalDist().inv_cdf(1.0 - VAR_RATIO_ALPHA / 2.0) * math.sqrt(4.0 / dof)
+        assert abs(math.log(chi2[0] / chi2[1])) <= bound
 
 
 class TestOwnDynamics:
@@ -467,6 +489,24 @@ def test_fits_of_a_record_or_a_mean_fit_take_no_dynamics():
             guarded.append(name)
             assert DimensionlessParams not in [hints.get(p) for p in params], name
     assert {"reconstruct_from_stats", "estimate_nonstationary", "recover_state"} <= set(guarded)
+
+
+def test_one_response_solve_per_reconstruction(monkeypatch):
+    # run_ensemble takes the tones once, and both channels read the rows it keeps; the
+    # ensemble, the mean fit and the covariance check each took them once before
+    calls = []
+    tones = dynamics._tones
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tones(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_tones", counting)
+    for conv in EOM_CONVENTIONS:
+        calls.clear()
+        stats = run_ensemble(DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=2), eom_sign=conv)
+        assert "nonstationary" in reconstruct_from_stats(stats).diagnostics
+        assert len(calls) == 1, conv
 
 
 def test_intensity_identity_between_channels():
