@@ -284,12 +284,6 @@ def _tones(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
     return w0, K, tones
 
 
-def _response_rows(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str) -> np.ndarray:
-    """Zero-IC responses z to the unit inputs, K @ tones; complex (4, len(tau))."""
-    _, K, tones = _tones(dp, tau, eom_sign)
-    return K @ tones
-
-
 def _drive_inputs(dp: DimensionlessParams, state: QubitState) -> list[float]:
     """The drive's unit-input coefficients (A_c, A_s) = n g eta_f (cos(phi), sin(phi))."""
     amp = dp.n_qubits * dp.g * state.eta_f
@@ -313,8 +307,9 @@ def _record_rows(K: np.ndarray, tones: np.ndarray, drive) -> tuple[np.ndarray, n
     `drive` = (A_c, A_s) and to the unit draws zeta_x, zeta_y.
 
     D is Re(K[:2] tones) in real arithmetic on the parts of the tones, so the
-    only complex rows made are Z's.  `response_basis` and `run_ensemble` both
-    take their rows here, which makes them equal bit for bit.
+    only complex rows made are Z's.  `response_basis`, `run_ensemble` and the
+    oracle's classical mean take their rows here, which makes them equal bit
+    for bit.
     """
     D = K[:2].real @ tones.real
     D -= K[:2].imag @ tones.imag

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
-from .dynamics import EOM_CONVENTIONS, _response_rows, time_grid
+from .dynamics import EOM_CONVENTIONS, _record_rows, _tones, time_grid
 from .influence import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TAIL_TOL = 1e-8
@@ -154,7 +154,7 @@ def compare_classical_quantum(dp: DimensionlessParams, state: QubitState, config
         raise InvalidParameterError("the exact model covers a single qubit only")
     tau = time_grid(dp.T, config.dt)
     # a convention's two drive rows hold no g: its classical mean is g eta_f (cos phi, sin phi) . rows
-    rows = {conv: _response_rows(dp, tau, conv)[:2].real for conv in EOM_CONVENTIONS}
+    rows = {conv: _record_rows(*_tones(dp, tau, conv)[1:], (0.0, 0.0))[0] for conv in EOM_CONVENTIONS}
     trig = np.array([math.cos(state.phi), math.sin(state.phi)])
     psi0 = ground_initial_state(state, ORACLE_N_FOCK)
     errors = {conv: [] for conv in EOM_CONVENTIONS}

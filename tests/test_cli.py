@@ -64,11 +64,13 @@ def reference_csv(header, columns):
 
 
 def decade_edges():
-    """+-1 ulp around every decade, where %g switches form and 17 digits carry."""
-    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    below = np.nextafter(decades, 0.0)
-    above = np.nextafter(decades, np.inf)
-    x = np.concatenate([decades, below, above])
+    """Every double within 200 ulps of 10**k, k in [-280, 280], where floor(log10) can be one off
+    and 17 digits carry to 10**17, and +-1 ulp around the decades beyond, where %g switches form."""
+    k = np.arange(-323, 309)
+    decades = np.array([float(f"1e{j}") for j in k]).view(np.int64)[:, None]
+    inner = np.abs(k) <= 280
+    x = np.concatenate([(decades[inner] + np.arange(-200, 201)).ravel(),
+                        (decades[~inner] + np.arange(-1, 2)).ravel()]).view(np.float64)
     return np.concatenate([x, -x])
 
 
@@ -123,10 +125,33 @@ class TestCsvFormat:
         assert cli._csv(["z", "n", "i"], [[-0.0, 0.0], [np.nan, -np.nan], [np.inf, -np.inf]]) == \
             "z,n,i\n-0,nan,inf\n0,nan,-inf\n"
 
+    @pytest.mark.parametrize("shift", (1, -1))
+    def test_text_does_not_depend_on_log10(self, shift, monkeypatch):
+        # an exponent one off sends every value to the fallback, and none out of the tables
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal(20_000) * 10.0 ** rng.integers(-270, 271, 20_000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        self.assert_matches(["x"], [x])
+
     @pytest.mark.parametrize("T, dt", ((50.0, 1e-3), (40.0, 0.02), (200.0, 0.02), (30.0, 0.02)))
-    def test_time_grids(self, T, dt):
+    def test_time_grids(self, T, dt, monkeypatch):
+        flags = []
+        decimal = _g17._decimal
+
+        def recording(x):
+            n, e, fast = decimal(x)
+            flags.append(fast)
+            return n, e, fast
+
+        monkeypatch.setattr(_g17, "_decimal", recording)
         tau = dynamics.time_grid(T, dt)
         self.assert_matches(["tau", "sin", "scaled"], [tau, np.sin(tau), 1e-3 * tau])
+        fast = np.concatenate(flags)
+        assert fast.size == 3 * tau.size
+        # zeros and exact decades (0.001, 0.01, ...) take the fallback: about a dozen values on
+        # any grid, at most 1e-4 of the 150 003 of the simulate grid (T 50, dt 1e-3)
+        assert np.count_nonzero(~fast) <= 1e-4 * max(fast.size, 150_003)
 
     def test_zero_rows_give_the_header_alone(self):
         assert cli._csv(["tau", "q"], [np.empty(0), np.empty(0)]) == "tau,q\n"
