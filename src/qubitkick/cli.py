@@ -9,7 +9,14 @@ and CSV carries full double precision so reruns diff byte-identically.
 Exit codes: 0 success; 1 a refused parameter or config value (a malformed or
 out-of-range config key, among others) or a failed check or fit; 2 a usage
 error: a bad flag or flag value, a missing config file, an unreadable or
-mismatched ensemble CSV, or an output path that cannot be written.
+mismatched ensemble CSV, or an output path that cannot be written.  The
+errors that exit 1 are all defined in `core`, so `main` maps them without
+importing the modules that raise them.
+
+Start-up imports `core` and `dynamics` (for the parser's `--eom-sign` and
+`--solver` choices) and, through them, `noise` and `spectral`.  Each handler
+imports the other modules it calls, so `simulate` and `ensemble` never load
+`forces`, `influence`, `quantum` or `reconstruct`.
 
 Every CSV number is C's "%.17g" of the float64: 17 significant digits,
 trailing zeros and a bare point dropped, the exponent form unless the rounded
@@ -38,7 +45,7 @@ import tempfile
 
 import numpy as np
 
-from . import core, dynamics, forces, influence, noise, quantum, reconstruct
+from . import core, dynamics  # the handlers import every other module they call
 
 SCHEMA = "qubit-kick/2"
 _CSV_BLOCK = 4096  # CSV rows formatted per array pass, bounding scratch memory
@@ -174,6 +181,8 @@ def _load_setup(args) -> core.RunSetup:
 # --- subcommand implementations -------------------------------------------
 
 def _cmd_table1(args) -> int:
+    from . import forces
+
     rows = forces.table_comparison()
     failed = any(not row["degenerate"] and not row["rel_error"] <= forces.TABLE_TOLERANCE for row in rows)
     if args.format == "json" and not args.out:
@@ -230,7 +239,10 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
-def _random_path_pair(seed: int, n_grid: int = 4001, T: float = 2.0 * np.pi) -> influence.PathPair:
+def _random_path_pair(seed: int, n_grid: int = 4001, T: float = 2.0 * np.pi):
+    """An `influence.PathPair` of random two-harmonic forward and backward paths."""
+    from . import influence
+
     rng = np.random.default_rng(seed)
     tau = np.linspace(0.0, T, n_grid)
     cos1, sin1, cos2, sin2 = np.cos(tau), np.sin(tau), np.cos(2 * tau), np.sin(2 * tau)
@@ -246,14 +258,20 @@ _G_VALUES = (0.1, 0.05, 0.025, 0.0125)  # couplings of the bch and influence con
 
 
 def _bch_report(args, setup: core.RunSetup) -> dict:
+    from . import influence
+
     return influence.verify_bch(_random_path_pair(setup.sim.seed), _G_VALUES)
 
 
 def _influence_report(args, setup: core.RunSetup) -> dict:
+    from . import influence
+
     return influence.verify_influence_expansion(_random_path_pair(setup.sim.seed), setup.state, _G_VALUES)
 
 
 def _noise_report(args, setup: core.RunSetup) -> dict:
+    from . import noise
+
     if args.draws < 2:
         raise UsageError(f"--draws must be at least 2 for the noise check, got {args.draws}")
     zetas = noise.sample_zetas(setup.state, setup.sim.seed, range(args.draws))
@@ -271,6 +289,8 @@ def _noise_report(args, setup: core.RunSetup) -> dict:
 
 
 def _oracle_report(args, setup: core.RunSetup) -> dict:
+    from . import quantum
+
     return quantum.compare_classical_quantum(setup.dimensionless, setup.state, setup.sim)
 
 
@@ -324,6 +344,8 @@ def _read_ensemble_csv(path: str, eom_sign: str, dp: core.DimensionlessParams) -
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import reconstruct
+
     setup = _load_setup(args)
     dp = setup.dimensionless
     if args.ensemble_csv:
@@ -339,6 +361,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bloch_map(args) -> int:
+    from . import forces
+
     if args.resolution < forces.MIN_BLOCH_RESOLUTION:
         raise UsageError(f"--resolution must be at least {forces.MIN_BLOCH_RESOLUTION}, "
                          f"got {args.resolution}")
@@ -420,8 +444,8 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (core.InvalidParameterError, reconstruct.DegenerateBasisError,
-            reconstruct.UndersampledError, quantum.TruncationError, FloatingPointError) as exc:
+    except (core.InvalidParameterError, core.DegenerateBasisError, core.UndersampledError,
+            core.TruncationError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

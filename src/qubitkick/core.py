@@ -24,6 +24,18 @@ class InvalidParameterError(ValueError):
     """A physical or numerical parameter violates its constraints."""
 
 
+class DegenerateBasisError(ValueError):
+    """Fit basis collapses (resonance or ill-conditioning)."""
+
+
+class UndersampledError(ValueError):
+    """Too few trajectories for the requested estimator."""
+
+
+class TruncationError(RuntimeError):
+    """Number-basis truncation too small for the requested evolution."""
+
+
 class WeakCouplingWarning(UserWarning):
     """Dimensionless coupling is large enough to strain the expansion."""
 
@@ -118,7 +130,9 @@ class DimensionlessParams:
             raise InvalidParameterError(f"r must be strictly positive, got {self.r}")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise InvalidParameterError(f"T must be strictly positive, got {self.T}")
-        if int(self.n_qubits) != self.n_qubits or self.n_qubits < 1:
+        n = self.n_qubits
+        # int() of a nan or an infinity would raise its own ValueError or OverflowError
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 1):
             raise InvalidParameterError(f"n_qubits must be a positive integer, got {self.n_qubits}")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         if self.g > WEAK_COUPLING_LIMIT:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
+from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig, TruncationError
 from .dynamics import EOM_CONVENTIONS, _record_rows, _tones, time_grid
 from .influence import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -32,10 +32,6 @@ ORACLE_N_FOCK = 3
 
 # the couplings the oracle sweeps, ascending; all inside the weak-coupling regime
 ORACLE_G_VALUES = (0.01, 0.02, 0.04)
-
-
-class TruncationError(RuntimeError):
-    """Number-basis truncation too small for the requested evolution."""
 
 
 def fock_operators(n_fock: int):

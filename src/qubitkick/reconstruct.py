@@ -56,7 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DimensionlessParams, InvalidParameterError, wrap_angle
+from .core import (DegenerateBasisError, DimensionlessParams, InvalidParameterError,
+                   UndersampledError, wrap_angle)
 from .dynamics import DEFAULT_EOM, EnsembleStats, response_basis
 
 MIN_PERIODS = 2.0
@@ -70,14 +71,6 @@ PHASE_MIN_SNR = 3.0
 MIN_TRAJ_NONSTATIONARY = 10_000
 # |mean_q| at tau = 0, relative to max |mean_q|, that still counts as a start at rest
 REST_RTOL = 1e-12
-
-
-class DegenerateBasisError(ValueError):
-    """Fit basis collapses (resonance or ill-conditioning)."""
-
-
-class UndersampledError(ValueError):
-    """Too few trajectories for the requested estimator."""
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -102,7 +103,14 @@ SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-32
 
 class TestCsvFormat:
     def assert_matches(self, header, columns):
-        assert cli._csv(header, columns) == reference_csv(header, columns)
+        # as line lists, reporting the first difference: an assert on two megabyte strings
+        # would have pytest build their diff for minutes
+        got = cli._csv(header, columns).splitlines(keepends=True)
+        want = reference_csv(header, columns).splitlines(keepends=True)
+        if got != want:
+            row = next(i for i, pair in enumerate(itertools.zip_longest(got, want)) if pair[0] != pair[1])
+            pytest.fail(f"line {row}: kernel {got[row:row + 1]} against reference {want[row:row + 1]} "
+                        f"({len(got)} and {len(want)} lines)")
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(20251018).integers(0, 2**64, size=200_000, dtype=np.uint64,

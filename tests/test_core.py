@@ -119,6 +119,10 @@ class TestDimensionlessParams:
             DimensionlessParams(g=0.1, r=0.0, T=1.0)
         with pytest.raises(InvalidParameterError):
             DimensionlessParams(g=0.1, r=0.5, T=1.0, n_qubits=0)
+        # int() of these raises ValueError and OverflowError of its own
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match="n_qubits"):
+                DimensionlessParams(g=0.05, r=0.5, T=10.0, n_qubits=bad)
 
     def test_weak_coupling_warning(self):
         with pytest.warns(WeakCouplingWarning):
