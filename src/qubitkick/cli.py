@@ -53,12 +53,8 @@ _CSV_BLOCK = 4096  # CSV rows formatted per array pass, bounding scratch memory
 # (three fresh processes each)
 _WRITE_CHUNK = 1 << 20  # characters of output encoded and written at a time
 
-_DEFAULT_CONFIG = {
-    "omega_o_hz": "0.5",
-    "omega_q_hz": "1.0",
-    "g_override": "0.05",
-    **{k: str(v) for k, v in core._CONFIG.items() if v is not None},
-}
+# the keys core has no default for; `core.realize_config` fills in the rest
+_DEFAULT_CONFIG = {"omega_o_hz": "0.5", "omega_q_hz": "1.0", "g_override": "0.05"}
 
 
 class UsageError(Exception):
@@ -169,7 +165,7 @@ def _load_setup(args) -> core.RunSetup:
             raise UsageError(f"config file not found: {args.config}")
         setup = core.load_config(args.config)
     else:
-        setup = core.realize_config(dict(_DEFAULT_CONFIG))
+        setup = core.realize_config(_DEFAULT_CONFIG)
     seed = getattr(args, "seed", None)  # `verify oracle` draws nothing and takes no --seed
     if seed is not None:
         # SimConfig refuses a bad seed as realize_config would; nothing else needs building again
@@ -225,7 +221,7 @@ def _cmd_ensemble(args) -> int:
     csv_text = _csv(["tau", "mean_q", "mean_p", "var_q"],
                     [stats.tau, stats.mean_q, stats.mean_p, stats.var_q])
     summary = {
-        "n_traj": stats.n_traj, "seed": stats.seed, "eom_sign": stats.eom_sign,
+        "n_traj": stats.n_traj, "seed": setup.sim.seed, "eom_sign": stats.eom_sign,
         "coarse_tau": stats.coarse_tau, "cov_qq": stats.cov_qq, "max_var_q": float(stats.var_q.max()),
     }
     if args.format == "json":

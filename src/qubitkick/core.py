@@ -161,6 +161,7 @@ class SimConfig:
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or v < low:
                 raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v!r}")
+            object.__setattr__(self, name, int(v))  # numpy integers would overflow in count arithmetic
         if not (math.isfinite(self.q_init) and math.isfinite(self.p_init)):
             raise InvalidParameterError(f"q_init and p_init must be finite, got {self.q_init}, {self.p_init}")
 
@@ -172,12 +173,12 @@ class SimConfig:
             )
 
 
-def derive_dimensionless(pp: PhysicalParams, T_si: float, n_qubits: int = 1) -> DimensionlessParams:
+def derive_dimensionless(pp: PhysicalParams, T_si: float) -> DimensionlessParams:
     """Reduce SI parameters: g = Omega / (2 sqrt(2) omega_q), r = omega_o/omega_q, T = omega_q * T_si."""
     if not (T_si > 0.0):
         raise InvalidParameterError(f"T_si must be strictly positive, got {T_si}")
     g = pp.Omega / (2.0 * math.sqrt(2.0) * pp.omega_q)
-    return DimensionlessParams(g=g, r=pp.omega_o / pp.omega_q, T=pp.omega_q * T_si, n_qubits=n_qubits)
+    return DimensionlessParams(g=g, r=pp.omega_o / pp.omega_q, T=pp.omega_q * T_si)
 
 
 # --- flat key=value run configuration ------------------------------------

@@ -121,7 +121,6 @@ class EnsembleStats:
     batch_means: np.ndarray  # (B, 2)
     batch_scatters: np.ndarray  # (B, 2, 2)
     dt: float
-    seed: int
     eom_sign: str
     dp: DimensionlessParams
 
@@ -464,7 +463,7 @@ def _rk4_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarray, eom_s
     return Q, P
 
 
-def welch_psd(trajectories, segment_length: int, dt: float = 1.0):
+def welch_psd(trajectories, segment_length: int, dt: float):
     """Hann-windowed averaged periodogram of mean-removed rows.
 
     Segments of `segment_length` points overlap by half, segment_length // 2.
@@ -526,5 +525,4 @@ def run_ensemble(
     counts = np.diff(edges)
     means, scatters = sample_moments(state, config.seed, counts)
     return EnsembleStats(tau=tau, Q=Z.real, P=Z.imag, D=D, batch_counts=counts, batch_means=means,
-                         batch_scatters=scatters, dt=config.dt, seed=config.seed,
-                         eom_sign=eom_sign, dp=dp)
+                         batch_scatters=scatters, dt=config.dt, eom_sign=eom_sign, dp=dp)

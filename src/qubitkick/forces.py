@@ -44,7 +44,6 @@ class ForceBudget:
 class Platform:
     """Preset SI parameters plus the published force magnitudes (N)."""
 
-    name: str
     params: PhysicalParams
     printed_f0: float | None
     printed_xi_q0: float
@@ -56,19 +55,16 @@ TABLE_TOLERANCE = 0.05
 
 PLATFORMS = {
     "ion": Platform(
-        name="ion",
         params=PhysicalParams(mass=1.5e-26, omega_o=TWO_PI * 1.1e7,
                               omega_q=TWO_PI * 1.2e9, Omega=TWO_PI * 5.0e5),
         printed_f0=9.1e-19, printed_xi_q0=8.3e-21, printed_xi_p0=9.2e-19,
     ),
     "nanodiamond": Platform(
-        name="nanodiamond",
         params=PhysicalParams(mass=5.5e-17, omega_o=TWO_PI * 5.0e5,
                               omega_q=TWO_PI * 2.5e5, Omega=TWO_PI * 5.2e4),
         printed_f0=5.5e-18, printed_xi_q0=1.1e-17, printed_xi_p0=5.5e-18,
     ),
     "piezo": Platform(
-        name="piezo",
         params=PhysicalParams(mass=1.6e-8, omega_o=TWO_PI * 1.2e7,
                               omega_q=TWO_PI * 1.2e7, Omega=TWO_PI * 1.6e6),
         printed_f0=None, printed_xi_q0=2.8e-11, printed_xi_p0=2.8e-11,
@@ -129,19 +125,12 @@ def table_comparison() -> list[dict]:
             ("xi_p0", budget.xi_p0, plat.printed_xi_p0),
         ]
         for quantity, computed, printed in entries:
-            if printed is None or computed is None:
-                rows.append({
-                    "platform": name, "quantity": quantity,
-                    "computed": computed, "printed": printed,
-                    "rel_error": None, "degenerate": True,
-                })
-            else:
-                rows.append({
-                    "platform": name, "quantity": quantity,
-                    "computed": computed, "printed": printed,
-                    "rel_error": abs(computed - printed) / printed,
-                    "degenerate": False,
-                })
+            degenerate = printed is None or computed is None
+            rows.append({
+                "platform": name, "quantity": quantity, "computed": computed, "printed": printed,
+                "rel_error": None if degenerate else abs(computed - printed) / printed,
+                "degenerate": degenerate,
+            })
     return rows
 
 

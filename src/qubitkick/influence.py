@@ -33,7 +33,7 @@ IDENTITY2 = np.eye(2, dtype=complex)
 @dataclass(frozen=True)
 class PathPair:
     """Forward (q, p) and backward (q_b, p_b) paths on a shared uniform grid from tau = 0,
-    where `qubit_propagator_exact` starts sampling them."""
+    where `qubit_propagator_exact` starts sampling them, running forward."""
 
     tau: np.ndarray
     q: np.ndarray
@@ -56,6 +56,8 @@ class PathPair:
         if arrays["tau"][0] != 0.0:
             raise InvalidParameterError(f"tau must start at 0, got tau[0] = {arrays['tau'][0]}")
         steps = np.diff(arrays["tau"])
+        if not steps[0] > 0.0:
+            raise InvalidParameterError(f"tau must run forward, got tau[1] = {arrays['tau'][1]}")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise InvalidParameterError("tau grid must be uniform")
 
@@ -170,10 +172,11 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
 
     `q` and `p` may be callables of rescaled time (evaluated exactly at
     substep midpoints) or arrays sampled on a uniform grid over [0, T]
-    (linearly interpolated to midpoints).  With arrays, `substeps` must be
-    at least the number of grid intervals.  `g` is a scalar, giving one
-    (2, 2) propagator, or a 1-D ladder, giving (len(g), 2, 2): the path is
-    sampled once for the whole ladder.
+    (linearly interpolated to midpoints).  With arrays, `q` and `p` share
+    one shape and `substeps` must be at least the number of grid intervals.
+    A T that is negative or not finite is refused; T = 0 gives the identity.
+    `g` is a scalar, giving one (2, 2) propagator, or a 1-D ladder, giving
+    (len(g), 2, 2): the path is sampled once for the whole ladder.
 
     Substep k is exp(-i (a_x sx + a_y sy)), the real unit quaternion
     (cos theta, sinc theta a_x, sinc theta a_y, 0) with theta = |a|, since
@@ -185,6 +188,8 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise InvalidParameterError(f"substeps must be an integer >= 1 (got {substeps!r})")
     substeps = int(substeps)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise InvalidParameterError(f"T must be finite and >= 0, got {T}")
     g = np.asarray(g, dtype=float)
     if g.ndim > 1:
         raise InvalidParameterError(f"g must be a scalar or a 1-D ladder, got shape {g.shape}")
@@ -196,6 +201,9 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     else:
         q_arr = np.asarray(q, dtype=float)
         p_arr = np.asarray(p, dtype=float)
+        if q_arr.shape != p_arr.shape:
+            raise InvalidParameterError(f"q and p must share one grid, "
+                                        f"got shapes {q_arr.shape} and {p_arr.shape}")
         if substeps < q_arr.size - 1:
             raise InvalidParameterError("substeps must be >= the number of grid intervals")
         grid = np.linspace(0.0, T, q_arr.size)

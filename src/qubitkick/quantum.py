@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig, TruncationError
-from .dynamics import EOM_CONVENTIONS, _record_rows, _tones, time_grid
+from .dynamics import EOM_CONVENTIONS, _drive_inputs, response_basis, time_grid
 from .influence import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TAIL_TOL = 1e-8
@@ -144,14 +144,15 @@ def compare_classical_quantum(dp: DimensionlessParams, state: QubitState, config
     vacuum.  Only ``config.dt`` is read: the evolution runs at
     `ORACLE_N_FOCK`, whatever ``config.n_fock`` says.  Nor is ``dp.g``: the
     sweep runs at `ORACLE_G_VALUES`, so the report is the same at any
-    configured coupling, and `var_q_comparison` is that of the largest, 0.04.
+    configured coupling, 0 included, and `var_q_comparison` is that of the
+    largest, 0.04.
     """
     if dp.n_qubits != 1:
         raise InvalidParameterError("the exact model covers a single qubit only")
     tau = time_grid(dp.T, config.dt)
-    # a convention's two drive rows hold no g: its classical mean is g eta_f (cos phi, sin phi) . rows
-    rows = {conv: _record_rows(*_tones(dp, tau, conv)[1:], (0.0, 0.0))[0] for conv in EOM_CONVENTIONS}
-    trig = np.array([math.cos(state.phi), math.sin(state.phi)])
+    # the drive rows hold no g, so the sweep's first coupling gives them (`response_basis` refuses g = 0)
+    dp_first = DimensionlessParams(g=ORACLE_G_VALUES[0], r=dp.r, T=dp.T)
+    rows = {conv: response_basis(dp_first, tau, conv)[:2] for conv in EOM_CONVENTIONS}
     psi0 = ground_initial_state(state, ORACLE_N_FOCK)
     errors = {conv: [] for conv in EOM_CONVENTIONS}
     var_comparison = {}
@@ -159,9 +160,9 @@ def compare_classical_quantum(dp: DimensionlessParams, state: QubitState, config
         dp_g = DimensionlessParams(g=g, r=dp.r, T=dp.T, n_qubits=dp.n_qubits)
         H = build_hamiltonian(dp_g, ORACLE_N_FOCK)
         oracle = evolve_expectations(H, psi0, tau)
+        drive = _drive_inputs(dp_g, state)
         for conv in EOM_CONVENTIONS:
-            mean_cl = (g * state.eta_f * trig) @ rows[conv]
-            errors[conv].append(float(np.max(np.abs(oracle.mean_q - mean_cl))))
+            errors[conv].append(float(np.max(np.abs(oracle.mean_q - drive @ rows[conv]))))
         if g == ORACLE_G_VALUES[-1]:
             var_comparison = {
                 "max_var_q_raw": float(oracle.var_q.max()),

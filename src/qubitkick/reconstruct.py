@@ -252,8 +252,7 @@ def recover_state(fit: MeanFit) -> ReconstructionResult:
     convention the fit was made under and carries no covariance channel.
     """
     dp = fit.dp
-    if dp.g <= 0.0:
-        raise InvalidParameterError("no deterministic signal at g = 0; state not recoverable from the mean")
+    _require_coupling(dp)
     scale = 1.0 / (dp.g * dp.n_qubits)
     rho, rho_stderr, phi_hat, phi_stderr, phase_indeterminate = _polar(fit.A_c, fit.A_s, fit.cov)
     eta_f, eta_stderr = scale * rho, scale * rho_stderr

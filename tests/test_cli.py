@@ -458,6 +458,17 @@ class TestVerify:
         assert doc["data"]["slope"] >= 2.7
         assert len(doc["data"]["g"]) == len(doc["data"]["error"]) == 4
 
+    def test_default_run_echoes_as_a_file_run(self, tmp_path):
+        # a run without --config is a file run of the three keys core has no default for:
+        # the defaulted keys echo as values, not as text
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = 0.05\n")
+        outs = [tmp_path / "default.json", tmp_path / "file.json"]
+        for out, extra in zip(outs, ([], ["--config", str(cfg)])):
+            assert run_cli("verify", "bch", *extra, "--format", "json", "--out", str(out)).returncode == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["config_echo"]["T"] == 30.0
+
     def test_influence_report(self, tmp_path):
         out = tmp_path / "infl.json"
         res = run_cli("verify", "influence", "--out", str(out), "--format", "json")
@@ -484,6 +495,20 @@ class TestVerify:
         data = json.loads(out.read_text())["data"]
         assert data["preferred_sign_convention"] == "canonical"
         assert data["scaling_exponent"] >= 1.7
+
+    def test_oracle_report_ignores_the_configured_coupling(self, tmp_path):
+        # the sweep runs at quantum.ORACLE_G_VALUES, so g = 0 reports as any other coupling
+        reports = []
+        for g in ("0", "0.05"):
+            cfg = tmp_path / f"oracle-{g}.cfg"
+            cfg.write_text(f"omega_o_hz = 0.5\nomega_q_hz = 1.0\ng_override = {g}\n"
+                           "p = 0.3\nphi = 1.0\nT = 20.0\ndt = 0.02\n")
+            out = tmp_path / f"oracle-{g}.json"
+            res = run_cli("verify", "oracle", "--config", str(cfg), "--out", str(out), "--format", "json")
+            assert res.returncode == 0, res.stderr
+            reports.append(json.loads(out.read_text())["data"])
+        assert reports[0]["conventions"] == reports[1]["conventions"]
+        assert reports[0]["preferred_sign_convention"] == "canonical"
 
 
 class TestReconstruct:

@@ -142,6 +142,11 @@ class TestSimConfig:
             with pytest.raises(InvalidParameterError):
                 SimConfig(**bad)
 
+    @pytest.mark.parametrize("name", ("n_traj", "seed", "n_fock"))
+    def test_numpy_integer_stored_as_int(self, name):
+        value = getattr(SimConfig(**{name: np.int64(5)}), name)
+        assert type(value) is int and value == 5
+
     def test_step_budget(self):
         SimConfig(dt=0.05).check_step(1.0)
         with pytest.raises(InvalidParameterError):

@@ -428,6 +428,14 @@ class TestEnsemble:
         with pytest.raises(InvalidParameterError, match="n_traj"):
             run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=2**63))
 
+    def test_numpy_count_takes_the_exact_edges(self):
+        # SimConfig stores a Python int: an int64 n_traj overflowed k * n in the edges,
+        # warned, and was then refused for negative batch counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_ensemble(DP, EQUATOR, SimConfig(dt=0.1, n_traj=np.int64(2**62)))
+        assert stats.n_traj == 2**62
+
 
 class TestWelchPsd:
     def test_calibration_tone_peaks_at_its_frequency(self):

@@ -90,6 +90,16 @@ class TestPathPair:
             PathPair(tau=pair.tau + start, q=pair.q, p=pair.p, q_b=pair.q_b, p_b=pair.p_b)
 
 
+    @pytest.mark.parametrize("tau", (-np.linspace(0.0, 2.0 * math.pi, 401), np.zeros(401)),
+                             ids=("descending", "all-zero"))
+    def test_grid_not_running_forward_rejected(self, tau):
+        # a descending grid read a bch slope of 0.99 where ~3 is right; an all-zero one
+        # divided by zero in the slope fit
+        z = np.zeros_like(tau)
+        with pytest.raises(InvalidParameterError, match="tau must run forward"):
+            PathPair(tau=tau, q=z, p=z, q_b=z, p_b=z)
+
+
 class TestPathFunctionals:
     def test_constant_forward_path_analytic(self):
         # q = 1, p = 0 gives f_x = cos, f_y = sin:
@@ -232,6 +242,24 @@ class TestPropagator:
     def test_two_dimensional_g_refused(self):
         with pytest.raises(InvalidParameterError, match="g must be"):
             qubit_propagator_exact(np.cos, np.sin, 1.0, np.full((2, 2), 0.1), 8)
+
+    @pytest.mark.parametrize("T", (-2.0, math.nan, math.inf, -math.inf))
+    def test_backward_or_non_finite_horizon_refused(self, T):
+        # arrays on a decreasing grid were interpolated as if it ran forward: at T = -2
+        # the result sat 0.26 from that of the same paths as callables
+        tau = np.linspace(0.0, 2.0, 201)
+        for q, p in ((np.cos(tau), np.sin(tau)), (np.cos, np.sin)):
+            with pytest.raises(InvalidParameterError, match="T must be"):
+                qubit_propagator_exact(q, p, T, 0.1, 200)
+
+    def test_zero_horizon_is_identity(self):
+        tau = np.linspace(0.0, 2.0, 201)
+        for q, p in ((np.cos(tau), np.sin(tau)), (np.cos, np.sin)):
+            assert np.array_equal(qubit_propagator_exact(q, p, 0.0, 0.1, 200), IDENTITY2)
+
+    def test_unequal_path_lengths_refused(self):
+        with pytest.raises(InvalidParameterError, match="q and p"):
+            qubit_propagator_exact(np.zeros(100), np.zeros(50), 1.0, 0.1, 100)
 
     def test_ladder_matches_scalar_calls(self):
         pair = random_pair(14)
