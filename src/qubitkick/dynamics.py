@@ -19,9 +19,9 @@ the free rotation times its phase integral,
 and since each tone's sinc argument is the other tone's half-frequency, the
 two tones take one cos/sin pair each (`_tones`).  The sinc keeps it uniform
 through the resonance |w0| = 1, where it degenerates smoothly into the
-secular tau * e^{i tau} growth.  K times the tones gives the four response rows
-(`response_basis`).  `_rhs`, RK4 and `mean_closed_form` stay independent of
-the map, as its cross-checks.
+secular tau * e^{i tau} growth.  K times the tones gives every response
+row; the q responses to the two drive inputs are `response_basis`.  `_rhs`,
+RK4 and `mean_closed_form` stay independent of the map, as its cross-checks.
 `solve_trajectory` is the one solve of explicit draws, one row per draw of an
 (n, 2) block: grid, start (q_init, p_init), solver from `SOLVERS`, RK4 step
 budget and finite check.  `run_ensemble` takes the tones once and keeps the
@@ -98,12 +98,11 @@ class EnsembleStats:
     themselves, and Q[0], P[0] the drive inputs on the drive responses plus
     the free rotation of the start.  D holds the q responses to the unit
     drive inputs (A_c, A_s), the design the mean fit reads; a record from
-    `run_ensemble` has D = `response_basis(dp, tau, eom_sign)[:2]` and
-    Q[1:] = its rows [2:], bit for bit.  Each batch keeps the count, mean
-    and centred 2x2 scatter of its draws; `run_ensemble` samples these from
-    their exact law (`noise.sample_moments`) without making the draws, and a
-    record that holds the moments of explicit draws obeys the same
-    contractions.  Every statistic is a contraction of the two: the
+    `run_ensemble` has D = `response_basis(dp, tau, eom_sign)` bit for bit.
+    Each batch keeps the count, mean and centred 2x2 scatter of its draws;
+    `run_ensemble` samples these from their exact law (`noise.sample_moments`)
+    without making the draws, and a record that holds the moments of explicit
+    draws obeys the same contractions.  Every statistic is a contraction of the two: the
     mean x_bar . Q with x_bar = (1, mean zeta), (co)variances b^T Sigma b
     with b = Q[1:].  The pooled two-time covariance is on a coarse sub-grid
     for the `ensemble` summary; no fit reads it, since the fits map the
@@ -253,9 +252,8 @@ def _input_map(dp: DimensionlessParams, eom_sign: str):
         return -r, np.vstack([drive, gn * drive])
     if eom_sign == "eq35":
         return r, np.array([[-1j, 0.0], [-1.0, 0.0], [0.0, gn], [0.0, 1j * gn]])
-    if eom_sign == "canonical":
-        return -r, np.array([[-2j, 0.0], [-2.0, 0.0], [-1j * gn, 0.0], [-gn, 0.0]])
-    raise InvalidParameterError(f"unknown eom_sign {eom_sign!r}")
+    # canonical
+    return -r, np.array([[-2j, 0.0], [-2.0, 0.0], [-1j * gn, 0.0], [-gn, 0.0]])
 
 
 def _tones(dp: DimensionlessParams, tau: np.ndarray, eom_sign: str):
@@ -300,19 +298,16 @@ def _closed_form_batch(dp, state, zetas: np.ndarray, z0: complex, tau: np.ndarra
     return Z
 
 
-def _record_rows(K: np.ndarray, tones: np.ndarray, drive) -> tuple[np.ndarray, np.ndarray]:
-    """(D, Z) on the grid of the (2, N) tones: D, real (2, N), the q responses to the
-    unit drive inputs, and Z, complex (3, N), the zero-IC responses to the inputs
-    `drive` = (A_c, A_s) and to the unit draws zeta_x, zeta_y.
+def _drive_rows(K: np.ndarray, tones: np.ndarray) -> np.ndarray:
+    """Re(K[:2] tones), real (2, N), in real arithmetic on the parts of the (2, N) tones:
+    the q responses to the unit drive inputs of `response_basis` and of every record."""
+    return K[:2].real @ tones.real - K[:2].imag @ tones.imag
 
-    D is Re(K[:2] tones) in real arithmetic on the parts of the tones, so the
-    only complex rows made are Z's.  `response_basis`, `run_ensemble` and the
-    oracle's classical mean take their rows here, which makes them equal bit
-    for bit.
-    """
-    D = K[:2].real @ tones.real
-    D -= K[:2].imag @ tones.imag
-    return D, np.vstack([np.asarray(drive) @ K[:2], K[2:]]) @ tones
+
+def _record_rows(K: np.ndarray, tones: np.ndarray, drive) -> tuple[np.ndarray, np.ndarray]:
+    """(`_drive_rows`, Z) on the grid of the (2, N) tones, Z complex (3, N): the zero-IC
+    responses to the inputs `drive` = (A_c, A_s) and to the unit draws zeta_x, zeta_y."""
+    return _drive_rows(K, tones), np.vstack([np.asarray(drive) @ K[:2], K[2:]]) @ tones
 
 
 def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarray, config: SimConfig,
@@ -352,21 +347,16 @@ def solve_trajectory(dp: DimensionlessParams, state: QubitState, zetas: np.ndarr
 
 
 def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) -> np.ndarray:
-    """Zero-initial-condition q response to four unit inputs; shape (4, len(tau)).
+    """Zero-initial-condition q responses to the unit drive inputs A_c, A_s; real (2, len(tau)).
 
-    Rows: the unit inputs A_c and A_s of the deterministic drive, then the
-    unit draws zeta_x and zeta_y.  Under every convention the mean is
-    A_c row 0 + A_s row 1 and a draw adds zeta_x row 2 + zeta_y row 3.
-    They are the rows every closed-form trajectory is built from, so the
-    reconstruction fits invert exactly the dynamics that produced the data;
-    an `EnsembleStats` record keeps the same rows bit for bit as D and Q[1:].
+    Under every convention the mean is A_c row 0 + A_s row 1, the rows every
+    closed-form trajectory is built from, so the mean fits invert exactly the
+    dynamics that produced the data.  The rows hold no g, so g = 0 gives those
+    of any coupling; they equal an `EnsembleStats` record's D bit for bit.
     """
     _check_eom(eom_sign)
-    if dp.g <= 0.0:
-        raise InvalidParameterError("no response to the qubit at g = 0")
     _, K, tones = _tones(dp, np.asarray(tau, dtype=float), eom_sign)
-    D, Z = _record_rows(K, tones, (0.0, 0.0))
-    return np.vstack([D, Z[1:].real])
+    return _drive_rows(K, tones)
 
 
 def _rhs(dp, state, zetas, trig, q, p, eom_sign):

@@ -33,7 +33,8 @@ IDENTITY2 = np.eye(2, dtype=complex)
 @dataclass(frozen=True)
 class PathPair:
     """Forward (q, p) and backward (q_b, p_b) paths on a shared uniform grid from tau = 0,
-    where `qubit_propagator_exact` starts sampling them, running forward."""
+    where `qubit_propagator_exact` starts sampling them, running forward; every sample
+    is finite."""
 
     tau: np.ndarray
     q: np.ndarray
@@ -42,17 +43,17 @@ class PathPair:
     p_b: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("tau", "q", "p", "q_b", "p_b"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arrays[name] = arr
+        arrays = {k: np.asarray(getattr(self, k), dtype=float) for k in ("tau", "q", "p", "q_b", "p_b")}
         n = arrays["tau"].size
         if n < 2:
             raise InvalidParameterError("path grid needs at least 2 points")
         for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise InvalidParameterError(f"{name} must share the grid length {n}, got shape {arr.shape}")
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise InvalidParameterError(f"{name} must be finite, got {arr[bad[0]]} at index {bad[0]}")
         if arrays["tau"][0] != 0.0:
             raise InvalidParameterError(f"tau must start at 0, got tau[0] = {arrays['tau'][0]}")
         steps = np.diff(arrays["tau"])
@@ -96,11 +97,6 @@ class InfluencePhases:
 def _rotated(c: np.ndarray, s: np.ndarray, q: np.ndarray, p: np.ndarray):
     """(q c - p s, q s + p c): the drive pair where cos(tau) = c and sin(tau) = s."""
     return q * c - p * s, q * s + p * c
-
-
-def drive_components(tau: np.ndarray, q: np.ndarray, p: np.ndarray):
-    """Rotating-frame drive pair f_x = q cos(tau) - p sin(tau), f_y = q sin(tau) + p cos(tau)."""
-    return _rotated(np.cos(tau), np.sin(tau), q, p)
 
 
 def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
@@ -170,12 +166,14 @@ def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     """Time-ordered product of per-step rotations generated by g (f_x sx - f_y sy).
 
-    `q` and `p` may be callables of rescaled time (evaluated exactly at
-    substep midpoints) or arrays sampled on a uniform grid over [0, T]
-    (linearly interpolated to midpoints).  With arrays, `q` and `p` share
-    one shape and `substeps` must be at least the number of grid intervals.
-    A T that is negative or not finite is refused; T = 0 gives the identity.
-    `g` is a scalar, giving one (2, 2) propagator, or a 1-D ladder, giving
+    `q` and `p` are both callables of rescaled time (evaluated exactly at
+    substep midpoints) or both 1-D arrays sampled on a uniform grid over
+    [0, T] (linearly interpolated to midpoints).  With arrays, `q` and `p`
+    share one length and `substeps` must be at least the number of grid
+    intervals.  A non-finite sample, the callables' at the midpoints or any
+    of the arrays', is refused by name and index.  A T that is negative or
+    not finite is refused; T = 0 gives the identity.  `g` is a finite scalar,
+    giving one (2, 2) propagator, or a finite 1-D ladder, giving
     (len(g), 2, 2): the path is sampled once for the whole ladder.
 
     Substep k is exp(-i (a_x sx + a_y sy)), the real unit quaternion
@@ -191,25 +189,27 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     if not (math.isfinite(T) and T >= 0.0):
         raise InvalidParameterError(f"T must be finite and >= 0, got {T}")
     g = np.asarray(g, dtype=float)
-    if g.ndim > 1:
-        raise InvalidParameterError(f"g must be a scalar or a 1-D ladder, got shape {g.shape}")
+    if g.ndim > 1 or not np.isfinite(g).all():
+        raise InvalidParameterError(f"g must be a finite scalar or 1-D ladder, got {g.tolist()}")
+    sampled = callable(q)
+    if sampled != callable(p):
+        raise InvalidParameterError("q and p must both be callables or both 1-D arrays")
     h = T / substeps
     t_mid = (np.arange(substeps) + 0.5) * h
-    if callable(q) and callable(p):
-        q_mid = np.asarray(q(t_mid), dtype=float)
-        p_mid = np.asarray(p(t_mid), dtype=float)
-    else:
-        q_arr = np.asarray(q, dtype=float)
-        p_arr = np.asarray(p, dtype=float)
-        if q_arr.shape != p_arr.shape:
-            raise InvalidParameterError(f"q and p must share one grid, "
-                                        f"got shapes {q_arr.shape} and {p_arr.shape}")
-        if substeps < q_arr.size - 1:
-            raise InvalidParameterError("substeps must be >= the number of grid intervals")
-        grid = np.linspace(0.0, T, q_arr.size)
-        q_mid = np.interp(t_mid, grid, q_arr)
-        p_mid = np.interp(t_mid, grid, p_arr)
-    f_x, f_y = drive_components(t_mid, q_mid, p_mid)
+    q_s, p_s = (np.asarray(x(t_mid) if sampled else x, dtype=float) for x in (q, p))
+    if not sampled and (q_s.ndim != 1 or q_s.shape != p_s.shape):
+        raise InvalidParameterError(f"q and p must both be callables or both 1-D arrays of one length, "
+                                    f"got shapes {q_s.shape} and {p_s.shape}")
+    if not sampled and substeps < q_s.size - 1:
+        raise InvalidParameterError("substeps must be >= the number of grid intervals")
+    for name, values in (("q", q_s), ("p", p_s)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InvalidParameterError(f"{name} must be finite, got {values.flat[bad[0]]} at index {bad[0]}")
+    if not sampled:
+        grid = np.linspace(0.0, T, q_s.size)
+        q_s, p_s = np.interp(t_mid, grid, q_s), np.interp(t_mid, grid, p_s)
+    f_x, f_y = _rotated(np.cos(t_mid), np.sin(t_mid), q_s, p_s)
     a_x = np.multiply.outer(g * h, f_x)
     a_y = np.multiply.outer(-g * h, f_y)
     theta = np.multiply.outer(np.abs(g) * h, np.hypot(f_x, f_y))
@@ -235,13 +235,9 @@ def _check_g_values(g_values) -> np.ndarray:
     g = np.asarray(sorted(g_values, reverse=True), dtype=float)
     if g.size < 3:
         raise InvalidParameterError("need at least 3 coupling values for a slope fit")
-    if np.any(g <= 0.0) or np.any(g > 0.2):
-        raise InvalidParameterError("coupling values must lie in (0, 0.2]")
+    if not np.all((g > 0.0) & (g <= 0.2)):  # NaN fails both bounds
+        raise InvalidParameterError(f"coupling values must lie in (0, 0.2], got {g.tolist()}")
     return g
-
-
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def bch_product(f: PathFunctionals, g: float) -> np.ndarray:
@@ -270,7 +266,7 @@ def _against_exact(pair: PathPair, g_values, error) -> dict:
     return {
         "g": g_values.tolist(),
         "error": errors,
-        "slope": _loglog_slope(g_values, np.asarray(errors)),
+        "slope": float(np.polyfit(np.log(g_values), np.log(errors), 1)[0]),
     }
 
 

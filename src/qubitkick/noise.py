@@ -117,10 +117,12 @@ def _on_grid(tau_grid, sigma: np.ndarray) -> np.ndarray:
     return V @ sigma @ V.T
 
 
-def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
-    """Two-time covariance U(tau) Sigma U(tau')^T of (lambda_q, lambda_p) as a 2x2 block.
+def kernel_block_matrix(tau_grid, state: QubitState) -> np.ndarray:
+    """Discretised 2N x 2N covariance V Sigma V^T of stacked (lambda_q, lambda_p) samples.
 
-    With Sigma = L L^T, L = `zeta_factor(state)`, the covariance of the draws:
+    Sigma = L L^T, L = `zeta_factor(state)`, is the draws' covariance, and
+    entry (i, j) of block (a, b), a and b each q or p, is K_ab(tau_i, tau_j)
+    of the two-time kernel U(tau) Sigma U(tau')^T:
 
         K_qq = (1-k) cos(d) - k cos(s + 2 phi)
         K_pp = (1-k) cos(d) + k cos(s + 2 phi)
@@ -129,16 +131,7 @@ def kernel_matrix(tau, tau_prime, state: QubitState) -> np.ndarray:
 
     with k = 2p(1-p), d = tau - tau', s = tau + tau'.  The (1-k) prefactor
     multiplies the stationary part of every entry, including the cross one.
-    Scalars give a 2x2 matrix; equal-length arrays give shape (2, 2, n).
     """
-    U = noise_map(np.asarray(tau, dtype=float))
-    U_prime = noise_map(np.asarray(tau_prime, dtype=float))
-    L = zeta_factor(state)
-    return np.einsum("...ij,jk,...lk->il...", U, L @ L.T, U_prime)
-
-
-def kernel_block_matrix(tau_grid, state: QubitState) -> np.ndarray:
-    """Discretised 2N x 2N covariance V Sigma V^T of stacked (lambda_q, lambda_p) samples."""
     L = zeta_factor(state)
     return _on_grid(tau_grid, L @ L.T)
 

@@ -150,9 +150,7 @@ def compare_classical_quantum(dp: DimensionlessParams, state: QubitState, config
     if dp.n_qubits != 1:
         raise InvalidParameterError("the exact model covers a single qubit only")
     tau = time_grid(dp.T, config.dt)
-    # the drive rows hold no g, so the sweep's first coupling gives them (`response_basis` refuses g = 0)
-    dp_first = DimensionlessParams(g=ORACLE_G_VALUES[0], r=dp.r, T=dp.T)
-    rows = {conv: response_basis(dp_first, tau, conv)[:2] for conv in EOM_CONVENTIONS}
+    rows = {conv: response_basis(dp, tau, conv) for conv in EOM_CONVENTIONS}
     psi0 = ground_initial_state(state, ORACLE_N_FOCK)
     errors = {conv: [] for conv in EOM_CONVENTIONS}
     var_comparison = {}

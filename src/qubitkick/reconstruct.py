@@ -2,10 +2,12 @@
 
 Both channels rest on the rows every closed-form trajectory is built from:
 the zero-initial-condition q response of the convention in force to the
-unit inputs (A_c, A_s, zeta_x, zeta_y), `dynamics.response_basis`.  Each
-channel checks its pair of rows by one degeneracy rule.  An ensemble kept
-as `EnsembleStats` holds those rows as solved once by `run_ensemble`: the
-drive rows D, and the noise rows as Q[1:] beside the mean row Q[0].  With
+unit inputs (A_c, A_s, zeta_x, zeta_y).  The mean channel reads the drive
+rows (A_c, A_s), `dynamics.response_basis`, and the covariance channel the
+noise rows (zeta_x, zeta_y).  Each channel checks its pair of rows by one
+degeneracy rule.  An ensemble kept as `EnsembleStats` holds those rows as
+solved once by `run_ensemble`: the drive rows D, and the noise rows as
+Q[1:] beside the mean row Q[0].  With
 the dynamics `dp` they were solved at and, per batch, the count, mean and
 scatter of its draws, both in-memory fits are fixed maps of those moments,
 take the record alone and solve nothing again.  `fit_mean` fits a bare mean
@@ -226,7 +228,7 @@ def fit_mean(tau, mean_q, dp: DimensionlessParams, eom_sign: str = DEFAULT_EOM) 
         raise InvalidParameterError(f"the mean fit needs an ensemble started at rest, "
                                     f"got mean_q = {off_rest[0]} at tau = 0")
     _refuse_non_finite("mean_q", y)
-    rows = response_basis(dp, tau, eom_sign)[:2]
+    rows = response_basis(dp, tau, eom_sign)
     coeffs, condition = _fit_drive(tau, dp, eom_sign, rows, y[:, None])
     coeffs = coeffs[:, 0]
     return MeanFit(

@@ -384,18 +384,20 @@ class TestEnsemble:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     @pytest.mark.parametrize("r", (0.5, 1.0, 1.7))
     def test_record_rows_are_the_response_basis(self, conv, r):
-        # one solve per record: its drive rows and its noise rows are response_basis's
-        # rows bit for bit, at resonance too, and the mean row is the drive on D
+        # one solve per record: its drive rows are response_basis's rows bit for bit, at
+        # resonance too, the mean row is the drive on D, and the noise rows Q[1:] are what
+        # a unit draw adds to a closed-form trajectory
         dp = DimensionlessParams(g=0.05, r=r, T=30.0, n_qubits=2)
         state = QubitState(0.3, 1.0)
         stats = run_ensemble(dp, state, SimConfig(dt=0.05, n_traj=50), eom_sign=conv)
         basis = response_basis(dp, stats.tau, conv)
         assert stats.D.dtype == np.float64 and stats.D.shape == (2, stats.tau.size)
-        assert stats.D.tobytes() == basis[:2].tobytes()
-        assert stats.Q[1:].tobytes() == basis[2:].tobytes()
+        assert stats.D.tobytes() == basis.tobytes()
         amp = dp.n_qubits * dp.g * state.eta_f
         mean = amp * (math.cos(state.phi) * stats.D[0] + math.sin(state.phi) * stats.D[1])
         assert np.max(np.abs(stats.Q[0] - mean)) <= 1e-14 * np.max(np.abs(mean))
+        unit_draws = _closed_form_batch(dp, state, np.eye(2), 0j, stats.tau, conv).real - stats.Q[0]
+        assert np.max(np.abs(unit_draws - stats.Q[1:])) <= 1e-14 * np.max(np.abs(stats.Q[1:]))
 
     def test_record_arrays_are_read_only(self):
         # the pooled moments are taken once per record, so nothing may write under them
@@ -510,7 +512,7 @@ class TestNoiseResponse:
         cfg = SimConfig(dt=0.02, n_traj=40_000, seed=21)
         for conv in EOM_CONVENTIONS:
             stats = run_ensemble(dp, s, cfg, eom_sign=conv)
-            b = response_basis(dp, stats.coarse_tau, conv)[2:]
+            b = stats.Q[1:, stats._coarse_idx]
             L = zeta_factor(s)
             model = b.T @ L @ L.T @ b
             scale = np.max(np.abs(model)) + 1e-30
@@ -520,23 +522,28 @@ class TestNoiseResponse:
 class TestResponseBasis:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_rows_rebuild_every_trajectory(self, conv):
-        # mean = n g eta_f (cos phi, sin phi) . drive rows; a draw adds zeta . noise rows
+        # mean = n g eta_f (cos phi, sin phi) . drive rows; a draw adds zeta . the record's
+        # noise rows Q[1:]
         dp = DimensionlessParams(g=0.05, r=0.7, T=30.0, n_qubits=2)
         tau = time_grid(dp.T, 0.05)
         basis = response_basis(dp, tau, conv)
+        assert basis.shape == (2, tau.size)
+        noise_rows = run_ensemble(dp, EQUATOR, SimConfig(dt=0.05, n_traj=2), eom_sign=conv).Q[1:]
         zetas = np.array([[0.0, 0.0], [0.4, -1.3], [-0.9, 0.2]])
         for state in (QubitState(0.3, 1.0), QubitState(0.8, 4.0), QubitState(0.0, 0.0)):
             amp = dp.n_qubits * dp.g * state.eta_f
             mean = amp * (math.cos(state.phi) * basis[0] + math.sin(state.phi) * basis[1])
             exact = _closed_form_batch(dp, state, zetas, 0j, tau, conv).real
-            assert np.max(np.abs(exact - (mean + zetas @ basis[2:]))) <= 1e-14
+            assert np.max(np.abs(exact - (mean + zetas @ noise_rows))) <= 1e-14
 
-    def test_zero_coupling_refused_without_warning(self):
-        dp = DimensionlessParams(g=0.0, r=0.5, T=30.0)
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_zero_coupling_gives_the_rows_of_any_coupling(self, conv):
+        # the drive rows hold no g: g = 0 is accepted, silently, with the rows of g = 0.05
+        tau = time_grid(30.0, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidParameterError):
-                response_basis(dp, time_grid(dp.T, 0.1))
+            rows = response_basis(DimensionlessParams(g=0.0, r=0.5, T=30.0), tau, conv)
+        assert rows.tobytes() == response_basis(DimensionlessParams(g=0.05, r=0.5, T=30.0), tau, conv).tobytes()
 
 
 def phase_integral(theta, tau):
@@ -596,8 +603,12 @@ def test_time_grid_is_uniform_and_spans_horizon():
 
 
 def test_unknown_convention_rejected():
-    with pytest.raises(InvalidParameterError):
-        solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), eom_sign="bogus")
+    # `_check_eom` is the one refusal of an unknown convention on every public path
+    for call in (lambda: solve_trajectory(DP, EQUATOR, ZERO_DRAW, SimConfig(dt=0.01), eom_sign="bogus"),
+                 lambda: run_ensemble(DP, EQUATOR, SimConfig(dt=0.1), eom_sign="bogus"),
+                 lambda: response_basis(DP, time_grid(DP.T, 0.1), "bogus")):
+        with pytest.raises(InvalidParameterError, match="unknown eom_sign"):
+            call()
 
 
 def test_unknown_solver_rejected():

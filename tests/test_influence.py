@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qubitkick.influence import (
     PathFunctionals,
     PathPair,
     bch_product,
-    drive_components,
     influence_phases,
     path_functionals,
     qubit_propagator_exact,
@@ -51,7 +51,9 @@ def sequential_propagator(q, p, T, g, substeps):
     else:
         grid = np.linspace(0.0, T, q.size)
         q_mid, p_mid = np.interp(t_mid, grid, q), np.interp(t_mid, grid, p)
-    f_x, f_y = drive_components(t_mid, q_mid, p_mid)
+    # the rotating-frame drive pair
+    f_x = q_mid * np.cos(t_mid) - p_mid * np.sin(t_mid)
+    f_y = q_mid * np.sin(t_mid) + p_mid * np.cos(t_mid)
     U = IDENTITY2.copy()
     for a_x, a_y in zip(g * h * f_x, -g * h * f_y):
         theta = math.hypot(a_x, a_y)
@@ -89,6 +91,16 @@ class TestPathPair:
         with pytest.raises(InvalidParameterError, match="tau"):
             PathPair(tau=pair.tau + start, q=pair.q, p=pair.p, q_b=pair.q_b, p_b=pair.p_b)
 
+
+    @pytest.mark.parametrize("name", ("q", "p", "q_b", "p_b"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_sample_refused(self, name, bad):
+        # one NaN at index 200 of 401 gave verify_bch errors [nan, nan, nan] and slope nan
+        pair = random_pair(15, n=401)
+        arrays = {k: getattr(pair, k).copy() for k in ("tau", "q", "p", "q_b", "p_b")}
+        arrays[name][200] = bad
+        with pytest.raises(InvalidParameterError, match=rf"{name} must be finite, got -?(nan|inf) at index 200"):
+            PathPair(**arrays)
 
     @pytest.mark.parametrize("tau", (-np.linspace(0.0, 2.0 * math.pi, 401), np.zeros(401)),
                              ids=("descending", "all-zero"))
@@ -261,6 +273,37 @@ class TestPropagator:
         with pytest.raises(InvalidParameterError, match="q and p"):
             qubit_propagator_exact(np.zeros(100), np.zeros(50), 1.0, 0.1, 100)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_sample_refused(self, bad):
+        # an array holding inf gave a NaN propagator; the callables' samples are checked too
+        tau = np.linspace(0.0, 2.0, 201)
+        q, p = np.cos(tau), np.sin(tau)
+        q[37] = bad
+        for args, name, index in (((q, np.sin(tau)), "q", 37), ((np.cos(tau), q), "p", 37),
+                                  ((np.cos, lambda t: np.where(t > 1.0, bad, 0.0)), "p", 100)):
+            with pytest.raises(InvalidParameterError, match=rf"{name} must be finite, got (nan|inf) at index {index}"):
+                qubit_propagator_exact(*args, 2.0, 0.1, 200)
+
+    @pytest.mark.parametrize("order", ("callable first", "array first"))
+    def test_one_callable_and_one_array_refused(self, order):
+        # was a bare TypeError from float() of a numpy ufunc
+        paths = (np.cos, np.zeros(11)) if order == "callable first" else (np.zeros(11), np.cos)
+        with pytest.raises(InvalidParameterError, match="q and p must both be callables or both 1-D arrays"):
+            qubit_propagator_exact(*paths, 1.0, 0.1, 10)
+
+    def test_two_dimensional_paths_refused(self):
+        # were refused as "substeps must be >= the number of grid intervals"
+        with pytest.raises(InvalidParameterError, match=r"both 1-D arrays of one length, got shapes \(3, 11\) and \(3, 11\)"):
+            qubit_propagator_exact(np.zeros((3, 11)), np.zeros((3, 11)), 1.0, 0.1, 100)
+
+    @pytest.mark.parametrize("g", (math.nan, math.inf, [0.1, math.nan, 0.05]))
+    def test_non_finite_coupling_refused(self, g):
+        # g = nan gave a NaN propagator; g = inf warned and gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="g must be a finite scalar"):
+                qubit_propagator_exact(np.cos, np.sin, 1.0, g, 8)
+
     def test_ladder_matches_scalar_calls(self):
         pair = random_pair(14)
         T = float(pair.tau[-1])
@@ -289,6 +332,14 @@ class TestPropagator:
             assert np.array_equal(ladder[LADDER.index(0.0)], IDENTITY2)
 
 class TestVerifyBch:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_coupling_refused(self, bad):
+        # (0.1, 0.05, nan) ended in LinAlgError: SVD did not converge
+        for check in (lambda g: verify_bch(random_pair(23, n=401), g),
+                      lambda g: verify_influence_expansion(random_pair(23, n=401), QubitState(0.3, 1.0), g)):
+            with pytest.raises(InvalidParameterError, match=r"coupling values must lie in \(0, 0.2\]"):
+                check((0.1, 0.05, bad))
+
     def test_cubic_convergence_on_random_paths(self):
         report = verify_bch(random_pair(21), G_LADDER)
         assert report["slope"] >= 2.7

@@ -9,7 +9,6 @@ from qubitkick.core import InvalidParameterError, QubitState
 from qubitkick.noise import (
     empirical_covariance_from_zetas,
     kernel_block_matrix,
-    kernel_matrix,
     kernel_rank_check,
     noise_map,
     sample_moments,
@@ -99,61 +98,73 @@ class TestQuadCoeffs:
             assert m[0, 0] >= -1e-15 and m[1, 1] >= -1e-15
 
 
+def kernel_pair(tau, tau_p, state):
+    """The 2x2 kernel block K_ab(tau, tau'), a and b each q or p, read off
+    `kernel_block_matrix` on the two-point grid (tau, tau')."""
+    return kernel_block_matrix([tau, tau_p], state)[np.ix_([0, 2], [1, 3])]
+
+
 class TestKernelMatrix:
     def test_ground_state_rotation_structure(self):
         s = QubitState(0.0, 0.0)
         for tau, tau_p in ((0.0, 0.0), (1.3, 0.4), (5.0, 2.2)):
             d = tau - tau_p
             expected = np.array([[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]])
-            assert np.allclose(kernel_matrix(tau, tau_p, s), expected, atol=1e-14)
+            assert np.allclose(kernel_pair(tau, tau_p, s), expected, atol=1e-14)
 
     def test_equal_times_ground_state_identity(self):
-        assert np.allclose(kernel_matrix(0.7, 0.7, QubitState(0.0, 0.0)), np.eye(2), atol=1e-14)
+        assert np.allclose(kernel_pair(0.7, 0.7, QubitState(0.0, 0.0)), np.eye(2), atol=1e-14)
 
     def test_equator_origin_value(self):
         # contraction of the component matrices at the origin: diag(a, b) = diag(0, 1)
-        assert np.allclose(kernel_matrix(0.0, 0.0, QubitState(0.5, 0.0)),
+        assert np.allclose(kernel_pair(0.0, 0.0, QubitState(0.5, 0.0)),
                            np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_matches_literal_component_assembly(self):
         rng = np.random.default_rng(3)
         for s in random_states(4, 25):
             tau, tau_p = rng.uniform(0, 10, size=2)
-            assert np.allclose(kernel_matrix(tau, tau_p, s),
+            assert np.allclose(kernel_pair(tau, tau_p, s),
                                literal_kernel_oracle(tau, tau_p, s), atol=1e-14)
 
     def test_cross_block_symmetry(self):
         rng = np.random.default_rng(5)
         for s in random_states(6, 20):
             tau, tau_p = rng.uniform(0, 10, size=2)
-            m1 = kernel_matrix(tau, tau_p, s)
-            m2 = kernel_matrix(tau_p, tau, s)
+            m1 = kernel_pair(tau, tau_p, s)
+            m2 = kernel_pair(tau_p, tau, s)
             assert m1[0, 1] == pytest.approx(m2[1, 0], abs=1e-14)
 
     def test_population_flip_symmetry(self):
         for s in random_states(7, 20):
             flipped = QubitState(1.0 - s.p, s.phi)
-            assert np.array_equal(kernel_matrix(1.0, 0.3, s), kernel_matrix(1.0, 0.3, flipped))
+            assert np.array_equal(kernel_pair(1.0, 0.3, s), kernel_pair(1.0, 0.3, flipped))
 
-    def test_array_path_matches_scalar_calls_and_the_block(self):
-        rng = np.random.default_rng(13)
+    def test_block_quadrants_match_literal_component_assembly(self):
+        grid = np.linspace(0, 4 * math.pi, 9)
         for s in random_states(14, 10):
-            tau, tau_p = rng.uniform(0, 10, size=(2, 7))
-            stacked = kernel_matrix(tau, tau_p, s)
-            assert stacked.shape == (2, 2, 7)
-            for i in range(7):
-                assert np.array_equal(stacked[:, :, i], kernel_matrix(tau[i], tau_p[i], s))
-            grid = np.linspace(0, 4 * math.pi, 9)
-            t1, t2 = np.meshgrid(grid, grid, indexing="ij")
-            # the block's four N x N quadrants, as (2, 2, N, N)
-            quadrants = kernel_block_matrix(grid, s).reshape(2, grid.size, 2, grid.size).swapaxes(1, 2)
-            assert np.max(np.abs(quadrants - kernel_matrix(t1, t2, s))) <= 1e-14
+            # the block's four N x N quadrants, as (N, N, 2, 2)
+            quadrants = kernel_block_matrix(grid, s).reshape(2, grid.size, 2, grid.size).transpose(1, 3, 0, 2)
+            for i, j in np.ndindex(grid.size, grid.size):
+                assert np.allclose(quadrants[i, j], literal_kernel_oracle(grid[i], grid[j], s), atol=1e-14)
+
+    def test_matches_the_closed_forms(self):
+        # K_qq, K_pp = (1-k) cos d -+ k cos(s + 2 phi), K_qp = (1-k) sin d + k sin(s + 2 phi)
+        rng = np.random.default_rng(15)
+        for s in random_states(16, 25):
+            tau, tau_p = rng.uniform(0, 10, size=2)
+            k, d = 2.0 * s.p * (1.0 - s.p), tau - tau_p
+            stat_c, stat_s = (1 - k) * math.cos(d), (1 - k) * math.sin(d)
+            mode_c, mode_s = k * math.cos(tau + tau_p + 2.0 * s.phi), k * math.sin(tau + tau_p + 2.0 * s.phi)
+            # K_pq(tau, tau') = K_qp(tau', tau)
+            expected = [[stat_c - mode_c, stat_s + mode_s], [-stat_s + mode_s, stat_c + mode_c]]
+            assert np.allclose(kernel_pair(tau, tau_p, s), expected, atol=1e-14)
 
     def test_stationary_at_poles(self):
         # covariance depends only on tau - tau' for pole states
         s = QubitState(1.0, 0.0)
-        m1 = kernel_matrix(2.0, 1.0, s)
-        m2 = kernel_matrix(7.5, 6.5, s)
+        m1 = kernel_pair(2.0, 1.0, s)
+        m2 = kernel_pair(7.5, 6.5, s)
         assert np.allclose(m1, m2, atol=1e-14)
 
 

@@ -66,6 +66,17 @@ class TestFitMean:
         with pytest.raises(DegenerateBasisError):
             fit_mean(tau, np.zeros_like(tau), dp)
 
+    @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
+    def test_zero_coupling_refused(self, conv):
+        # response_basis gives rows at g = 0; both fits refuse it, where g divides
+        dp = DimensionlessParams(g=0.0, r=0.5, T=40.0)
+        tau = time_grid(dp.T, 0.02)
+        with pytest.raises(InvalidParameterError, match="no response to the qubit at g = 0"):
+            fit_mean(tau, np.zeros_like(tau), dp, conv)
+        stats = run_ensemble(dp, TRUTH, SimConfig(dt=0.02, n_traj=100), eom_sign=conv)
+        with pytest.raises(InvalidParameterError, match="no response to the qubit at g = 0"):
+            reconstruct_from_stats(stats)
+
     def test_short_grid_rejected(self):
         dp = DimensionlessParams(g=0.05, r=0.5, T=10.0)
         tau = time_grid(dp.T, 0.02)  # under two periods of the slow tone
@@ -364,15 +375,14 @@ class TestCovarianceDegeneracy:
         assert abs(ns["amplitude_hat"] - k) <= 5.0 * ns["amplitude_stderr"]
 
 
-def scd_fit(stats, dp):
+def scd_fit(stats):
     """Reference: least squares of the pooled and batch covariances on the coarse grid onto
     the kernels (S, C, D) of the noise rows; (alpha, u, v) per column, pooled first.  A
     batch's covariance is b^T M_b b on the coarse grid, b the record's noise rows."""
-    bx, by = response_basis(dp, stats.coarse_tau, stats.eom_sign)[2:]
+    bx, by = bc = stats.Q[1:, np.searchsorted(stats.tau, stats.coarse_tau)]
     xx, yy, xy = np.outer(bx, bx), np.outer(by, by), np.outer(bx, by)
     X = np.stack([(xx + yy).ravel(), (xx - yy).ravel(), (xy + xy.T).ravel()], axis=1)
     n_batches = stats.batch_counts.size
-    bc = stats.Q[1:, np.searchsorted(stats.tau, stats.coarse_tau)]
     batch_cov_qq = bc.T @ stats.batch_draw_cov @ bc
     Y = np.vstack([stats.cov_qq.ravel(), batch_cov_qq.reshape(n_batches, -1)])
     return np.linalg.lstsq(X, Y.T, rcond=None)[0]
@@ -386,7 +396,7 @@ class TestMomentMaps:
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_covariance_components_equal_the_map_of_M(self, conv):
         stats = run_ensemble(self.DP, TRUTH, SimConfig(dt=0.05, n_traj=10_000, seed=5), eom_sign=conv)
-        ref = scd_fit(stats, self.DP)
+        ref = scd_fit(stats)
         ns = estimate_nonstationary(stats)
         pooled = np.array([ns["eta_st_sq_hat"], *ns["mode_components"]])
         assert np.max(np.abs(pooled - ref[:, 0])) <= 1e-13 * np.max(np.abs(ref[:, 0]))
@@ -449,7 +459,7 @@ class TestReconstructionLaw:
             assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)), name
             assert ks_distance(a, b) <= threshold, name
         # (A_c, A_s) = truth + G zeta_bar, zeta_bar ~ N(0, Sigma / n) in both sets
-        G = np.linalg.lstsq(response_basis(DP, stats.tau)[:2].T, stats.Q[1:].T, rcond=None)[0]
+        G = np.linalg.lstsq(response_basis(DP, stats.tau).T, stats.Q[1:].T, rcond=None)[0]
         L = zeta_factor(TRUTH)
         cov = G @ L @ L.T @ G.T / stats.n_traj
         truth = DP.n_qubits * DP.g * TRUTH.eta_f * np.array([math.cos(TRUTH.phi), math.sin(TRUTH.phi)])
