@@ -40,6 +40,19 @@ class WeakCouplingWarning(UserWarning):
     """Dimensionless coupling is large enough to strain the expansion."""
 
 
+def _require_positive(name: str, value) -> None:
+    """Refuse `value`, by `name`, unless it is finite and > 0."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _require_count(name: str, value, low: int) -> int:
+    """`value` as a Python int, refused by `name` unless it is an integer >= `low`."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)  # numpy integers would overflow in count arithmetic
+
+
 def wrap_angle(phi: float) -> float:
     """Reduce an angle into [0, 2*pi)."""
     return float(phi) % TWO_PI
@@ -97,9 +110,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("mass", "omega_o", "omega_q"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be strictly positive, got {v}")
+            _require_positive(name, getattr(self, name))
         if self.Omega < 0.0 or not math.isfinite(self.Omega):
             raise InvalidParameterError(f"Omega must be non-negative, got {self.Omega}")
 
@@ -126,10 +137,8 @@ class DimensionlessParams:
     def __post_init__(self):
         if self.g < 0.0 or not math.isfinite(self.g):
             raise InvalidParameterError(f"g must be non-negative, got {self.g}")
-        if not (self.r > 0.0) or not math.isfinite(self.r):
-            raise InvalidParameterError(f"r must be strictly positive, got {self.r}")
-        if not (self.T > 0.0) or not math.isfinite(self.T):
-            raise InvalidParameterError(f"T must be strictly positive, got {self.T}")
+        _require_positive("r", self.r)
+        _require_positive("T", self.T)
         n = self.n_qubits
         # int() of a nan or an infinity would raise its own ValueError or OverflowError
         if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 1):
@@ -155,13 +164,9 @@ class SimConfig:
     p_init: float = 0.0
 
     def __post_init__(self):
-        if not (self.dt > 0.0) or not math.isfinite(self.dt):
-            raise InvalidParameterError(f"dt must be strictly positive, got {self.dt}")
+        _require_positive("dt", self.dt)
         for name, low in (("n_traj", 1), ("seed", 0), ("n_fock", 2)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < low:
-                raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v!r}")
-            object.__setattr__(self, name, int(v))  # numpy integers would overflow in count arithmetic
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), low))
         if not (math.isfinite(self.q_init) and math.isfinite(self.p_init)):
             raise InvalidParameterError(f"q_init and p_init must be finite, got {self.q_init}, {self.p_init}")
 
@@ -175,8 +180,7 @@ class SimConfig:
 
 def derive_dimensionless(pp: PhysicalParams, T_si: float) -> DimensionlessParams:
     """Reduce SI parameters: g = Omega / (2 sqrt(2) omega_q), r = omega_o/omega_q, T = omega_q * T_si."""
-    if not (T_si > 0.0):
-        raise InvalidParameterError(f"T_si must be strictly positive, got {T_si}")
+    _require_positive("T_si", T_si)
     g = pp.Omega / (2.0 * math.sqrt(2.0) * pp.omega_q)
     return DimensionlessParams(g=g, r=pp.omega_o / pp.omega_q, T=pp.omega_q * T_si)
 

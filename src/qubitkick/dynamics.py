@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral as _signal  # kept under this name: bench/tracing.py wraps _signal.welch
-from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig
+from .core import DimensionlessParams, InvalidParameterError, QubitState, SimConfig, _require_count, _require_positive
 # `simulate` draws through this module's `sample_zetas`, which bench/tracing.py counts
 from .noise import sample_moments, sample_zetas
 
@@ -353,9 +352,14 @@ def response_basis(dp: DimensionlessParams, tau, eom_sign: str = DEFAULT_EOM) ->
     closed-form trajectory is built from, so the mean fits invert exactly the
     dynamics that produced the data.  The rows hold no g, so g = 0 gives those
     of any coupling; they equal an `EnsembleStats` record's D bit for bit.
+    A `tau` that is not a finite 1-D grid is refused.
     """
     _check_eom(eom_sign)
-    _, K, tones = _tones(dp, np.asarray(tau, dtype=float), eom_sign)
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or not np.isfinite(tau).all():
+        raise InvalidParameterError(f"tau must be a finite 1-D grid, got shape {tau.shape} "
+                                    f"with {tau.size - np.count_nonzero(np.isfinite(tau))} non-finite values")
+    _, K, tones = _tones(dp, tau, eom_sign)
     return _drive_rows(K, tones)
 
 
@@ -462,12 +466,12 @@ def welch_psd(trajectories, segment_length: int, dt: float):
     to 1/2 around its peak.  Rows of `trajectories` are averaged.
     """
     data = np.atleast_2d(np.asarray(trajectories, dtype=float))
-    if not isinstance(segment_length, numbers.Integral) or segment_length < 2:
-        raise InvalidParameterError(f"segment_length must be an integer >= 2 (got {segment_length!r})")
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise InvalidParameterError(f"trajectories must be one row or a 2-D array of rows, got shape {data.shape}")
+    segment_length = _require_count("segment_length", segment_length, 2)
     if segment_length > data.shape[-1]:
         raise InvalidParameterError("segment_length exceeds the trajectory length")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be finite and > 0 (got {dt!r})")
+    _require_positive("dt", dt)
     freq, psd = _signal.welch(data, 1.0 / dt, segment_length, segment_length // 2)
     psd = psd.mean(axis=0)
     # cycles -> angular frequency, conserving integrated power

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, HBAR, InvalidParameterError, PhysicalParams, QubitState
+from .core import TWO_PI, HBAR, PhysicalParams, QubitState, _require_count
 from .noise import noise_map
 
 # omega_q == omega_o makes the deterministic-force scale vanish
@@ -157,8 +157,7 @@ MIN_BLOCH_RESOLUTION = 8
 
 def bloch_map(resolution: int = 64) -> BlochMap:
     """eta_f and eta_st on a (theta, phi) grid of the given resolution."""
-    if resolution < MIN_BLOCH_RESOLUTION:
-        raise InvalidParameterError(f"bloch map resolution must be >= {MIN_BLOCH_RESOLUTION}")
+    resolution = _require_count("resolution", resolution, MIN_BLOCH_RESOLUTION)
     theta = np.linspace(0.0, math.pi, resolution)
     phi = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")

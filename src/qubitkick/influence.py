@@ -4,24 +4,23 @@ Tracing the two-level system out of a doubled (forward/backward) path
 integral leaves an overlap <psi| U(X) U(X')^dag |psi>, where U depends on
 the oscillator path only through three scalar functionals per path.  This
 module computes those functionals by quadrature, evaluates the weak-coupling
-phases of the overlap, and provides a brute-force time-ordered propagator so
-the expansion can be checked against the exact product.  Each substep of
-the propagator is an SU(2) rotation about an axis in the x-y plane, kept as
-a real unit quaternion; one pairwise scan of quaternion products, later
-factors on the left, covers every substep and every coupling of a g ladder
-at once.  So a convergence check samples each path once, whatever the
-number of couplings it fits a slope to.
+phases of the overlap, and provides a brute-force time-ordered propagator of
+paths sampled on a uniform grid of at least 2 points, so the expansion can be
+checked against the exact product.  Each substep is an SU(2) rotation about
+an axis in the x-y plane, kept as a real unit quaternion; one pairwise scan
+of quaternion products, later factors on the left, covers every substep and
+every coupling of a g ladder at once.  So a convergence check interpolates
+each path once, whatever the number of couplings it fits a slope to.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, QubitState
+from .core import InvalidParameterError, QubitState, _require_count
 from .noise import zeta_factor
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -30,11 +29,26 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
+def _samples(name: str, values, n: int) -> np.ndarray:
+    """`values` as a float array of shape (n,), n >= 2, every sample finite; refused by `name`."""
+    if callable(values):
+        raise InvalidParameterError(f"{name} must be an array of samples, not a callable")
+    if n < 2:
+        raise InvalidParameterError(f"{name} needs at least 2 samples, got {n}")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise InvalidParameterError(f"{name} must be a 1-D array of {n} samples, got shape {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidParameterError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
+    return values
+
+
 @dataclass(frozen=True)
 class PathPair:
-    """Forward (q, p) and backward (q_b, p_b) paths on a shared uniform grid from tau = 0,
-    where `qubit_propagator_exact` starts sampling them, running forward; every sample
-    is finite."""
+    """Forward (q, p) and backward (q_b, p_b) paths sampled on one uniform grid of n >= 2
+    points from tau = 0, running forward, the grid `qubit_propagator_exact` interpolates
+    them on; every sample is finite."""
 
     tau: np.ndarray
     q: np.ndarray
@@ -43,22 +57,14 @@ class PathPair:
     p_b: np.ndarray
 
     def __post_init__(self):
-        arrays = {k: np.asarray(getattr(self, k), dtype=float) for k in ("tau", "q", "p", "q_b", "p_b")}
-        n = arrays["tau"].size
-        if n < 2:
-            raise InvalidParameterError("path grid needs at least 2 points")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-            if arr.shape != (n,):
-                raise InvalidParameterError(f"{name} must share the grid length {n}, got shape {arr.shape}")
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise InvalidParameterError(f"{name} must be finite, got {arr[bad[0]]} at index {bad[0]}")
-        if arrays["tau"][0] != 0.0:
-            raise InvalidParameterError(f"tau must start at 0, got tau[0] = {arrays['tau'][0]}")
-        steps = np.diff(arrays["tau"])
+        n = np.size(self.tau)
+        for name in ("tau", "q", "p", "q_b", "p_b"):
+            object.__setattr__(self, name, _samples(name, getattr(self, name), n))
+        if self.tau[0] != 0.0:
+            raise InvalidParameterError(f"tau must start at 0, got tau[0] = {self.tau[0]}")
+        steps = np.diff(self.tau)
         if not steps[0] > 0.0:
-            raise InvalidParameterError(f"tau must run forward, got tau[1] = {arrays['tau'][1]}")
+            raise InvalidParameterError(f"tau must run forward, got tau[1] = {self.tau[1]}")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise InvalidParameterError("tau grid must be uniform")
 
@@ -166,15 +172,14 @@ def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     """Time-ordered product of per-step rotations generated by g (f_x sx - f_y sy).
 
-    `q` and `p` are both callables of rescaled time (evaluated exactly at
-    substep midpoints) or both 1-D arrays sampled on a uniform grid over
-    [0, T] (linearly interpolated to midpoints).  With arrays, `q` and `p`
-    share one length and `substeps` must be at least the number of grid
-    intervals.  A non-finite sample, the callables' at the midpoints or any
-    of the arrays', is refused by name and index.  A T that is negative or
-    not finite is refused; T = 0 gives the identity.  `g` is a finite scalar,
-    giving one (2, 2) propagator, or a finite 1-D ladder, giving
-    (len(g), 2, 2): the path is sampled once for the whole ladder.
+    `q` and `p` are 1-D arrays of one length n >= 2, the path's samples on
+    the uniform grid of n points over [0, T], linearly interpolated to the
+    substep midpoints; `substeps` must be at least the n - 1 grid intervals.
+    A callable, a path of another shape or a non-finite sample is refused by
+    name, the sample by its index too.  A T that is negative or not finite is
+    refused; T = 0 gives the identity.  `g` is a finite scalar, giving one
+    (2, 2) propagator, or a finite 1-D ladder, giving (len(g), 2, 2): the
+    path is interpolated once for the whole ladder.
 
     Substep k is exp(-i (a_x sx + a_y sy)), the real unit quaternion
     (cos theta, sinc theta a_x, sinc theta a_y, 0) with theta = |a|, since
@@ -183,33 +188,20 @@ def qubit_propagator_exact(q, p, T: float, g, substeps: int) -> np.ndarray:
     2), are reduced pairwise with later factors on the left.  The result is
     unitary to rounding because each factor is an exact rotation.
     """
-    if not isinstance(substeps, numbers.Integral) or substeps < 1:
-        raise InvalidParameterError(f"substeps must be an integer >= 1 (got {substeps!r})")
-    substeps = int(substeps)
+    substeps = _require_count("substeps", substeps, 1)
     if not (math.isfinite(T) and T >= 0.0):
         raise InvalidParameterError(f"T must be finite and >= 0, got {T}")
     g = np.asarray(g, dtype=float)
     if g.ndim > 1 or not np.isfinite(g).all():
         raise InvalidParameterError(f"g must be a finite scalar or 1-D ladder, got {g.tolist()}")
-    sampled = callable(q)
-    if sampled != callable(p):
-        raise InvalidParameterError("q and p must both be callables or both 1-D arrays")
+    q = _samples("q", q, np.size(q))
+    p = _samples("p", p, q.size)
+    if substeps < q.size - 1:
+        raise InvalidParameterError("substeps must be >= the number of grid intervals")
     h = T / substeps
     t_mid = (np.arange(substeps) + 0.5) * h
-    q_s, p_s = (np.asarray(x(t_mid) if sampled else x, dtype=float) for x in (q, p))
-    if not sampled and (q_s.ndim != 1 or q_s.shape != p_s.shape):
-        raise InvalidParameterError(f"q and p must both be callables or both 1-D arrays of one length, "
-                                    f"got shapes {q_s.shape} and {p_s.shape}")
-    if not sampled and substeps < q_s.size - 1:
-        raise InvalidParameterError("substeps must be >= the number of grid intervals")
-    for name, values in (("q", q_s), ("p", p_s)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InvalidParameterError(f"{name} must be finite, got {values.flat[bad[0]]} at index {bad[0]}")
-    if not sampled:
-        grid = np.linspace(0.0, T, q_s.size)
-        q_s, p_s = np.interp(t_mid, grid, q_s), np.interp(t_mid, grid, p_s)
-    f_x, f_y = _rotated(np.cos(t_mid), np.sin(t_mid), q_s, p_s)
+    grid = np.linspace(0.0, T, q.size)
+    f_x, f_y = _rotated(np.cos(t_mid), np.sin(t_mid), np.interp(t_mid, grid, q), np.interp(t_mid, grid, p))
     a_x = np.multiply.outer(g * h, f_x)
     a_y = np.multiply.outer(-g * h, f_y)
     theta = np.multiply.outer(np.abs(g) * h, np.hypot(f_x, f_y))

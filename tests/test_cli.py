@@ -448,6 +448,16 @@ class TestOutputMode:
         assert set(self.modes(config_file, tmp_path, 0o022).values()) == {0o640}
         assert (tmp_path / "ens.csv").read_text().startswith("tau,")
 
+    def test_failed_write_leaves_the_old_file_and_no_part_file(self, tmp_path):
+        # a lone surrogate cannot be encoded; it sits past the first chunk, so one chunk is
+        # already on disk in the temporary file when the write fails
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_atomic(str(out), "a" * (cli._WRITE_CHUNK + 5) + "\ud800")
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.glob(".tmp-*.part")) == []
+
 
 class TestVerify:
     def test_bch_report(self, tmp_path):

@@ -32,6 +32,11 @@ class TestQubitState:
         with pytest.raises(InvalidParameterError):
             QubitState(p=1.01)
 
+    @pytest.mark.parametrize("phi", (math.nan, math.inf, -math.inf))
+    def test_non_finite_phase_refused(self, phi):
+        with pytest.raises(InvalidParameterError, match="phase phi must be finite"):
+            QubitState(p=0.3, phi=phi)
+
     def test_phase_wrapped_into_principal_interval(self):
         s = QubitState(p=0.5, phi=7.0)
         assert 0.0 <= s.phi < TWO_PI
@@ -60,10 +65,12 @@ class TestQubitState:
 
 class TestPhysicalParams:
     def test_positivity(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="mass must be finite and > 0, got 0.0"):
             PhysicalParams(mass=0.0, omega_o=1.0, omega_q=1.0, Omega=1.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="omega_o must be finite and > 0, got -1.0"):
             PhysicalParams(mass=1.0, omega_o=-1.0, omega_q=1.0, Omega=1.0)
+        with pytest.raises(InvalidParameterError, match="omega_q must be finite and > 0, got inf"):
+            PhysicalParams(mass=1.0, omega_o=1.0, omega_q=math.inf, Omega=1.0)
         with pytest.raises(InvalidParameterError):
             PhysicalParams(mass=1.0, omega_o=1.0, omega_q=1.0, Omega=-1.0)
 
@@ -93,8 +100,10 @@ class TestDeriveDimensionless:
         assert derive_dimensionless(PIEZO, T_si=1e-6).r == pytest.approx(1.0, rel=1e-14)
 
     def test_invalid_horizon(self):
-        with pytest.raises(InvalidParameterError):
-            derive_dimensionless(ION, T_si=0.0)
+        # an infinite T_si was refused as "T must be strictly positive, got inf"
+        for T_si in (0.0, -1.0, math.nan, math.inf, np.float64(math.inf)):
+            with pytest.raises(InvalidParameterError, match=f"T_si must be finite and > 0, got {T_si}$"):
+                derive_dimensionless(ION, T_si=T_si)
 
 
 class TestZeroPointPosition:
@@ -124,6 +133,11 @@ class TestDimensionlessParams:
             with pytest.raises(InvalidParameterError, match="n_qubits"):
                 DimensionlessParams(g=0.05, r=0.5, T=10.0, n_qubits=bad)
 
+    @pytest.mark.parametrize("T", (0.0, -1.0, math.nan, math.inf))
+    def test_horizon_refused(self, T):
+        with pytest.raises(InvalidParameterError, match=f"T must be finite and > 0, got {T}"):
+            DimensionlessParams(g=0.05, r=0.5, T=T)
+
     def test_weak_coupling_warning(self):
         with pytest.warns(WeakCouplingWarning):
             DimensionlessParams(g=0.2, r=0.5, T=1.0)
@@ -141,6 +155,13 @@ class TestSimConfig:
                     dict(seed=-1), dict(n_fock=40.0)):
             with pytest.raises(InvalidParameterError):
                 SimConfig(**bad)
+
+    @pytest.mark.parametrize("name, value, low", (("n_traj", 2.5, 1), ("seed", np.float64(1.0), 0),
+                                                  ("n_fock", 1, 2)))
+    def test_count_refused_by_name(self, name, value, low):
+        # a float prints as itself, not as np.float64(...)
+        with pytest.raises(InvalidParameterError, match=rf"{name} must be an integer >= {low}, got {value}$"):
+            SimConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ("n_traj", "seed", "n_fock"))
     def test_numpy_integer_stored_as_int(self, name):

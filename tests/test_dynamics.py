@@ -503,6 +503,16 @@ class TestWelchPsd:
         freq, _ = welch_psd(np.zeros(100), segment_length=np.int64(50), dt=0.1)
         assert freq.size == 26
 
+    @pytest.mark.parametrize("shape, text", (((0, 64), r"\(0, 64\)"), ((2, 3, 64), r"\(2, 3, 64\)")),
+                             ids=("no rows", "3-D"))
+    def test_rows_it_cannot_average_refused(self, shape, text):
+        # no rows gave an all-NaN PSD after RuntimeWarnings; a 3-D stack was averaged
+        # over its first axis only, a "PSD" of shape (3, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=f"one row or a 2-D array of rows, got shape {text}"):
+                welch_psd(np.zeros(shape), segment_length=16, dt=0.1)
+
 
 class TestNoiseResponse:
     def test_covariance_model_matches_monte_carlo(self):
@@ -535,6 +545,20 @@ class TestResponseBasis:
             mean = amp * (math.cos(state.phi) * basis[0] + math.sin(state.phi) * basis[1])
             exact = _closed_form_batch(dp, state, zetas, 0j, tau, conv).real
             assert np.max(np.abs(exact - (mean + zetas @ noise_rows))) <= 1e-14
+
+    @pytest.mark.parametrize("case", ("2-D", "nan", "inf"))
+    def test_grid_that_is_not_finite_and_1d_refused(self, case):
+        # a (2, 3) tau was a bare broadcast ValueError; a NaN gave NaN rows silently, and
+        # an inf gave NaN rows after RuntimeWarnings from cos and sin
+        tau = time_grid(DP.T, 0.1)
+        if case == "2-D":
+            tau, message = tau[:6].reshape(2, 3), r"got shape \(2, 3\) with 0 non-finite"
+        else:
+            tau[40], message = float(case), r"got shape \(301,\) with 1 non-finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=rf"tau must be a finite 1-D grid, {message}"):
+                response_basis(DP, tau)
 
     @pytest.mark.parametrize("conv", EOM_CONVENTIONS)
     def test_zero_coupling_gives_the_rows_of_any_coupling(self, conv):

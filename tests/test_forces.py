@@ -169,5 +169,8 @@ class TestBlochMap:
         assert bmap.eta_st.min() >= 1.0 / math.sqrt(2.0) - 1e-15 and bmap.eta_st.max() <= 1.0 + 1e-15
 
     def test_resolution_validation(self):
-        with pytest.raises(InvalidParameterError):
-            bloch_map(4)
+        # 8.5 was a bare TypeError from np.linspace
+        for resolution in (4, 8.5, 16.0):
+            with pytest.raises(InvalidParameterError, match=f"resolution must be an integer >= 8, got {resolution}"):
+                bloch_map(resolution)
+        assert bloch_map(np.int64(8)).theta.shape == (8, 8)

@@ -46,11 +46,8 @@ def sequential_propagator(q, p, T, g, substeps):
     """Reference: the substep rotations multiplied on one at a time, later ones on the left."""
     h = T / substeps
     t_mid = (np.arange(substeps) + 0.5) * h
-    if callable(q):
-        q_mid, p_mid = q(t_mid), p(t_mid)
-    else:
-        grid = np.linspace(0.0, T, q.size)
-        q_mid, p_mid = np.interp(t_mid, grid, q), np.interp(t_mid, grid, p)
+    grid = np.linspace(0.0, T, q.size)
+    q_mid, p_mid = np.interp(t_mid, grid, q), np.interp(t_mid, grid, p)
     # the rotating-frame drive pair
     f_x = q_mid * np.cos(t_mid) - p_mid * np.sin(t_mid)
     f_y = q_mid * np.sin(t_mid) + p_mid * np.cos(t_mid)
@@ -70,7 +67,7 @@ def functionals_from_w(w_x, w_y, w_z=0.0):
 class TestPathPair:
     def test_mismatched_lengths_rejected(self):
         tau = np.linspace(0, 1, 10)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"q must be a 1-D array of 10 samples, got shape \(9,\)"):
             PathPair(tau=tau, q=np.zeros(9), p=np.zeros(10), q_b=np.zeros(10), p_b=np.zeros(10))
 
     def test_nonuniform_grid_rejected(self):
@@ -80,7 +77,7 @@ class TestPathPair:
             PathPair(tau=tau, q=z, p=z, q_b=z, p_b=z)
 
     def test_too_short_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="tau needs at least 2 samples, got 1"):
             PathPair(tau=np.array([0.0]), q=np.zeros(1), p=np.zeros(1), q_b=np.zeros(1), p_b=np.zeros(1))
 
     @pytest.mark.parametrize("start", (1.0, -0.5, 1e-9))
@@ -231,11 +228,14 @@ class TestPropagator:
         assert np.linalg.norm(U.conj().T @ U - IDENTITY2) <= 1e-12
 
     def test_corotating_path_matches_fixed_axis_rotation(self):
-        # q = cos, p = -sin makes the drive components constant (f_x = 1,
-        # f_y = 0), so the exact propagator is exp(-i g T sigma_x)
-        g, T = 0.08, 7.0
-        U = qubit_propagator_exact(np.cos, lambda t: -np.sin(t), T, g, substeps=5000)
-        expected = math.cos(g * T) * IDENTITY2 - 1j * math.sin(g * T) * SIGMA_X
+        # q = cos, p = -sin interpolated to the midpoints of a grid of step h is
+        # cos(h/2) (cos, -sin), which makes the drive components constant
+        # (f_x = cos(h/2), f_y = 0), so the exact propagator is exp(-i g T cos(h/2) sigma_x)
+        g, T, n = 0.08, 7.0, 5000
+        tau = np.linspace(0.0, T, n + 1)
+        U = qubit_propagator_exact(np.cos(tau), -np.sin(tau), T, g, substeps=n)
+        angle = g * T * math.cos(T / n / 2.0)
+        expected = math.cos(angle) * IDENTITY2 - 1j * math.sin(angle) * SIGMA_X
         assert np.linalg.norm(U - expected) <= 1e-10
 
     def test_substeps_validation(self):
@@ -244,57 +244,66 @@ class TestPropagator:
 
     @pytest.mark.parametrize("substeps", (2.5, 0))
     def test_non_integral_or_nonpositive_substeps_refused(self, substeps):
-        with pytest.raises(InvalidParameterError, match="substeps"):
-            qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, substeps)
+        with pytest.raises(InvalidParameterError, match=f"substeps must be an integer >= 1, got {substeps}"):
+            qubit_propagator_exact(np.zeros(2), np.zeros(2), 1.0, 0.1, substeps)
 
     def test_numpy_integer_substeps_accepted(self):
-        U = qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, np.int64(7))
-        assert np.array_equal(U, qubit_propagator_exact(np.cos, np.sin, 1.0, 0.1, 7))
+        tau = np.linspace(0.0, 1.0, 8)
+        U = qubit_propagator_exact(np.cos(tau), np.sin(tau), 1.0, 0.1, np.int64(7))
+        assert np.array_equal(U, qubit_propagator_exact(np.cos(tau), np.sin(tau), 1.0, 0.1, 7))
 
     def test_two_dimensional_g_refused(self):
         with pytest.raises(InvalidParameterError, match="g must be"):
-            qubit_propagator_exact(np.cos, np.sin, 1.0, np.full((2, 2), 0.1), 8)
+            qubit_propagator_exact(np.zeros(9), np.zeros(9), 1.0, np.full((2, 2), 0.1), 8)
 
     @pytest.mark.parametrize("T", (-2.0, math.nan, math.inf, -math.inf))
     def test_backward_or_non_finite_horizon_refused(self, T):
-        # arrays on a decreasing grid were interpolated as if it ran forward: at T = -2
-        # the result sat 0.26 from that of the same paths as callables
+        # arrays on a decreasing grid were interpolated as if it ran forward
         tau = np.linspace(0.0, 2.0, 201)
-        for q, p in ((np.cos(tau), np.sin(tau)), (np.cos, np.sin)):
-            with pytest.raises(InvalidParameterError, match="T must be"):
-                qubit_propagator_exact(q, p, T, 0.1, 200)
+        with pytest.raises(InvalidParameterError, match="T must be"):
+            qubit_propagator_exact(np.cos(tau), np.sin(tau), T, 0.1, 200)
 
     def test_zero_horizon_is_identity(self):
         tau = np.linspace(0.0, 2.0, 201)
-        for q, p in ((np.cos(tau), np.sin(tau)), (np.cos, np.sin)):
-            assert np.array_equal(qubit_propagator_exact(q, p, 0.0, 0.1, 200), IDENTITY2)
+        assert np.array_equal(qubit_propagator_exact(np.cos(tau), np.sin(tau), 0.0, 0.1, 200), IDENTITY2)
 
     def test_unequal_path_lengths_refused(self):
-        with pytest.raises(InvalidParameterError, match="q and p"):
+        with pytest.raises(InvalidParameterError, match=r"p must be a 1-D array of 100 samples, got shape \(50,\)"):
             qubit_propagator_exact(np.zeros(100), np.zeros(50), 1.0, 0.1, 100)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_non_finite_sample_refused(self, bad):
-        # an array holding inf gave a NaN propagator; the callables' samples are checked too
+        # an array holding inf gave a NaN propagator
         tau = np.linspace(0.0, 2.0, 201)
-        q, p = np.cos(tau), np.sin(tau)
+        q = np.cos(tau)
         q[37] = bad
-        for args, name, index in (((q, np.sin(tau)), "q", 37), ((np.cos(tau), q), "p", 37),
-                                  ((np.cos, lambda t: np.where(t > 1.0, bad, 0.0)), "p", 100)):
-            with pytest.raises(InvalidParameterError, match=rf"{name} must be finite, got (nan|inf) at index {index}"):
+        for args, name in (((q, np.sin(tau)), "q"), ((np.cos(tau), q), "p")):
+            with pytest.raises(InvalidParameterError, match=rf"{name} must be finite, got (nan|inf) at index 37"):
                 qubit_propagator_exact(*args, 2.0, 0.1, 200)
 
     @pytest.mark.parametrize("order", ("callable first", "array first"))
     def test_one_callable_and_one_array_refused(self, order):
         # was a bare TypeError from float() of a numpy ufunc
-        paths = (np.cos, np.zeros(11)) if order == "callable first" else (np.zeros(11), np.cos)
-        with pytest.raises(InvalidParameterError, match="q and p must both be callables or both 1-D arrays"):
+        paths, name = ((np.cos, np.zeros(11)), "q") if order == "callable first" else ((np.zeros(11), np.cos), "p")
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an array of samples, not a callable"):
             qubit_propagator_exact(*paths, 1.0, 0.1, 10)
+
+    def test_callable_paths_refused(self):
+        # the propagator takes sampled paths only; a callable would reach float() of a function
+        with pytest.raises(InvalidParameterError, match="q must be an array of samples, not a callable"):
+            qubit_propagator_exact(np.cos, lambda t: -np.sin(t), 1.0, 0.1, 10)
 
     def test_two_dimensional_paths_refused(self):
         # were refused as "substeps must be >= the number of grid intervals"
-        with pytest.raises(InvalidParameterError, match=r"both 1-D arrays of one length, got shapes \(3, 11\) and \(3, 11\)"):
+        with pytest.raises(InvalidParameterError, match=r"q must be a 1-D array of 33 samples, got shape \(3, 11\)"):
             qubit_propagator_exact(np.zeros((3, 11)), np.zeros((3, 11)), 1.0, 0.1, 100)
+
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_fewer_than_two_samples_refused(self, n):
+        # empty paths raised numpy's "array of sample points is empty"; one sample was
+        # extrapolated as a constant, so np.ones(1) over T = 1 gave a non-identity propagator
+        with pytest.raises(InvalidParameterError, match=f"q needs at least 2 samples, got {n}"):
+            qubit_propagator_exact(np.ones(n), np.ones(n), 1.0, 0.1, 8)
 
     @pytest.mark.parametrize("g", (math.nan, math.inf, [0.1, math.nan, 0.05]))
     def test_non_finite_coupling_refused(self, g):
@@ -302,7 +311,7 @@ class TestPropagator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="g must be a finite scalar"):
-                qubit_propagator_exact(np.cos, np.sin, 1.0, g, 8)
+                qubit_propagator_exact(np.zeros(9), np.zeros(9), 1.0, g, 8)
 
     def test_ladder_matches_scalar_calls(self):
         pair = random_pair(14)
@@ -318,7 +327,8 @@ class TestPropagator:
         # ladder call gives every coupling's propagator at once
         pair = random_pair(13)
         T, g = float(pair.tau[-1]), 0.1
-        paths = [(np.cos, lambda t: 0.5 - np.sin(2 * t))]
+        tau = np.linspace(0.0, T, substeps + 1)
+        paths = [(np.cos(tau), 0.5 - np.sin(2 * tau))]
         if substeps >= pair.tau.size - 1:
             paths.append((pair.q, pair.p))
         for q, p in paths:

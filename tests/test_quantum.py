@@ -58,6 +58,11 @@ class TestHamiltonian:
         assert split[0] == pytest.approx(math.sqrt(2.0) * g, rel=1e-10)
         assert split[1] == pytest.approx(math.sqrt(2.0) * g, rel=1e-10)
 
+    @pytest.mark.parametrize("n_fock", (1, 0, -3))
+    def test_fewer_than_two_levels_refused(self, n_fock):
+        with pytest.raises(InvalidParameterError, match="n_fock must be >= 2"):
+            fock_operators(n_fock)
+
 
 class TestEvolution:
     def test_decoupled_ground_state_moments(self):

@@ -60,6 +60,14 @@ class TestFitMean:
         with pytest.raises(DegenerateBasisError):
             fit_mean(tau, np.zeros_like(tau), dp)
 
+    def test_ill_conditioned_basis_refused(self):
+        # a tone 1e9 times slower than the qubit's gives an A_s row ~1e9 times the A_c row:
+        # the rows keep their rms, but their condition number is 5.8e8
+        dp = DimensionlessParams(g=0.05, r=1e-9, T=1.0)
+        tau = np.linspace(0.0, 2 * reconstruct.MIN_PERIODS * 2.0 * math.pi / dp.r, 2001)
+        with pytest.raises(DegenerateBasisError, match=r"ill-conditioned \(cond = 5\.77e\+08\)"):
+            fit_mean(tau, np.zeros_like(tau), dp, "eq37")
+
     def test_near_resonant_basis_ill_conditioned(self):
         dp = DimensionlessParams(g=0.05, r=1.0 + 1e-5, T=40.0)
         tau = time_grid(dp.T, 0.02)
